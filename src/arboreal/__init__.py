@@ -12,12 +12,8 @@ from .core import (
     MealyAutomaton,
     TreeAutomorphism,
     WreathSpecError,
-    act,
-    compose,
     fmt_vertex,
     fmt_word,
-    inverse,
-    is_trivial,
     label_portrait,
     parse_tuple_automorphism,
     parse_vertex,
@@ -25,7 +21,6 @@ from .core import (
     portrait,
     portrait_dot,
     portrait_json,
-    section,
 )
 from .levels import (
     LevelPermGroup,

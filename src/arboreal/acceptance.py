@@ -1,9 +1,12 @@
 """The acceptance suite: the finite computations the toolkit must reproduce.
 
-Each criterion is exact (group equalities decided by the word problem,
-orders computed from verified stabilizer chains, distances as integer
-exponents); the sampled suites run under fixed seeds, and a single
-counterexample fails the build.  Stated runtime budgets are asserted.
+Criteria 1-8 are rows over the named checks: each row is (check id,
+params, expected status, budget in seconds or None) and runs through
+`checks.run_check`, so `arboreal run <check>` with the same params
+reproduces it.  A criterion passes when every row ends in its expected
+status within its budget; its evidence maps each check's report name to
+that report's evidence.  Criterion 9, the seeded property suites, has no
+matching check and stays as code: a single counterexample fails it.
 `run_all` prints one pass/fail line per criterion.
 """
 
@@ -14,8 +17,7 @@ import random
 import time
 
 from . import catalog as _catalog
-from .checks import CheckReport, DEFAULT_SEED
-from .core import invert_word
+from .checks import CheckReport, DEFAULT_SEED, run_check
 from .hnn import (
     HnnElement,
     UnrootedVertex,
@@ -23,210 +25,85 @@ from .hnn import (
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
-    parse_hnn,
-    spine_vertex,
     theta_apply,
-    transitivity_witness,
-    two_transitivity_level_check,
 )
-from .levels import perm_group_on_level
-from .lifting import GgsError, GgsVector, check_lifting, verify_endomorphism_by_quotient_separation
-from .padic import BoundaryPoint, boundary_distance, dilation_factor_empirical
+from .padic import BoundaryPoint, boundary_distance
+
+# the groups with a lifting, and the product of each one's generators
+GENERATOR_PRODUCTS = {
+    "grigorchuk": "a*b*c*d",
+    "basilica": "a*b",
+    "img_z2i": "a*b*c",
+    "lamplighter": "a*b",
+    "bs13": "a*b*c",
+    "g01inf": "a*b*c*d",
+    "gs5": "a*b",
+    "gs7": "a*b",
+}
+
+# (function name, report name, rows); a row is (check id, params, expected status, budget)
+TABLE = [
+    ("criterion_1_gap_session_facts", "1 GAP session facts (order 8, level-4 separation)", [
+        ("perm-order", {"group": "g01inf", "level": 3, "gens": "a,c", "expect": 8}, "pass", 1),
+        ("separation", {"group": "g01inf", "level": 4}, "pass", 1),
+    ]),
+    ("criterion_2_lifting_certificates", "2 lifting certificates (exact)", [
+        *(("lifting", {"group": g, "depth": 0}, "pass", None) for g in GENERATOR_PRODUCTS),
+        ("ggs", {"p": 3, "e": "1,-1"}, "fail", None),
+    ]),
+    ("criterion_3_grigorchuk_recursions", "3 Grigorchuk recursions (P_n, alpha_n)", [
+        ("grig-recursions", {}, "pass", 10),
+    ]),
+    ("criterion_4_hnn_relators", "4 HNN relator suite", [
+        ("hnn-relators", {"group": "grigorchuk", "presentation": "full"}, "pass", 10),
+        ("hnn-relators", {"group": "grigorchuk", "presentation": "short"}, "pass", 10),
+        ("hnn-relators", {"group": "basilica", "presentation": "t-relators"}, "pass", 10),
+    ]),
+    ("criterion_5_vertex_transitivity", "5 vertex transitivity witnesses", [
+        ("transitivity", {"group": g}, "pass", 30) for g in ("grigorchuk", "basilica")
+    ]),
+    ("criterion_6_two_transitivity", "6 two-transitivity at levels 1..6", [
+        ("two-transitivity", {"group": g}, "pass", 30) for g in ("grigorchuk", "basilica")
+    ]),
+    ("criterion_7_end_and_dilation", "7 end fixing and dilation exponents", [
+        row for g, product in GENERATOR_PRODUCTS.items() for row in (
+            ("spine", {"group": g}, "pass", None),
+            ("dilation", {"group": g, "element": product, "expect": 0}, "pass", None),
+            ("dilation", {"group": g}, "pass", None),
+        )
+    ]),
+    ("criterion_8_lamplighter_lemmas", "8 lamplighter lemmas", [
+        ("lamplighter-alpha", {"bound": 10}, "pass", None),
+        ("lamplighter-core", {}, "pass", None),
+    ]),
+]
 
 
-def _report(name, ok, evidence, t0, budget=None):
-    seconds = time.perf_counter() - t0
-    if budget is not None:
-        evidence["budget"] = f"{seconds:.2f}s of {budget}s"
-        ok = ok and seconds < budget
-    return CheckReport(name, "pass" if ok else "fail", evidence, seconds)
-
-
-def criterion_1_gap_session_facts():
-    """Order 8 of <a,c> on level 3 and the level-4 separation, under 1s each."""
-    t0 = time.perf_counter()
-    entry = _catalog.get("g01inf")
-    gens = entry.elements()
-    t_order = time.perf_counter()
-    order = perm_group_on_level([gens["a"], gens["c"]], 3).order()
-    t_order = time.perf_counter() - t_order
-    t_sep = time.perf_counter()
-    g2, comp, expected = _catalog.separation_complement(entry)
-    sep = verify_endomorphism_by_quotient_separation(g2, comp, expected, 4)
-    t_sep = time.perf_counter() - t_sep
-    ok = order == 8 and sep.ok and t_order < 1.0 and t_sep < 1.0
-    return _report("1 GAP session facts (order 8, level-4 separation)", ok, {
-        "order_level3": order,
-        "separation": sep.ok,
-        "times": f"order {t_order:.3f}s, separation {t_sep:.3f}s (budget 1s each)",
-    }, t0)
-
-
-def criterion_2_lifting_certificates():
-    """check_lifting passes for every stated lifting; GGS rejects p=3, e=(1,-1)."""
-    t0 = time.perf_counter()
-    expected_letters = {
-        ("grigorchuk", "sigma"): 1,
-        ("basilica", "sigma"): 0,
-        ("img_z2i", "sigma"): 0,
-        ("lamplighter", "sigma0"): 0,
-        ("lamplighter", "sigma1"): 1,
-        ("bs13", "sigma"): 0,
-        ("g01inf", "sigma"): 1,
-        ("gs5", "sigma"): 0,
-        ("gs7", "sigma"): 0,
-    }
-    evidence = {}
-    ok = True
-    for (gid, sname), letter in expected_letters.items():
-        sigma = _catalog.get(gid).sigma(sname)
-        rep = check_lifting(sigma)
-        good = rep.ok and sigma.letter == letter
-        evidence[f"{gid}/{sname}"] = "pass" if good else f"fail {rep.failures}"
-        ok &= good
-    try:
-        GgsVector(3, (1, -1))
-        evidence["ggs p=3 e=(1,-1)"] = "accepted (must reject)"
-        ok = False
-    except GgsError:
-        evidence["ggs p=3 e=(1,-1)"] = "rejected"
-    return _report("2 lifting certificates (exact)", ok, evidence, t0)
-
-
-def criterion_3_grigorchuk_recursions():
-    """sigma^n(a) = P_n (group n<=6, string n<=12); alpha_n closed form n<=12."""
-    t0 = time.perf_counter()
-    entry = _catalog.get("grigorchuk")
-    aut = entry.automaton
-    sigma = entry.sigma()
-    word = (("a", 1),)
-    string_ok = group_ok = alpha_ok = True
-    for n in range(1, 13):
-        word = sigma.apply_word(word)
-        p_str = _catalog.grig_P(n)
-        if "".join(s for s, _ in word) != p_str:
-            string_ok = False
-        if n <= 6:
-            p_word = tuple((c, 1) for c in p_str)
-            if not aut.word_is_trivial(aut.reduce(word + invert_word(p_word))):
-                group_ok = False
-        section = aut.section_word(word, (0,))
-        alpha = _catalog.grig_alpha(n)
-        alpha_inv = tuple((c, -1) for c in reversed(alpha)) if alpha != "1" else ()
-        if not aut.word_is_trivial(aut.reduce(section + alpha_inv)):
-            alpha_ok = False
-    ok = string_ok and group_ok and alpha_ok
-    return _report("3 Grigorchuk recursions (P_n, alpha_n)", ok, {
-        "P_n_string_n<=12": string_ok,
-        "P_n_group_n<=6": group_ok,
-        "alpha_n_n<=12": alpha_ok,
-    }, t0, budget=10)
-
-
-def criterion_4_hnn_relators():
-    """Both Grigorchuk HNN presentations and the Basilica t-relators, exact."""
+def _run_rows(title, rows):
+    """One criterion: every row's check, its status and its budget."""
     t0 = time.perf_counter()
     evidence = {}
     ok = True
-    grig = _catalog.get("grigorchuk")
-    action = grig.action()
-    for name, rels in grig.hnn_presentations.items():
-        bad = [r for r in rels if not hnn_is_trivial(parse_hnn(r, action), action)]
-        evidence[f"grigorchuk/{name}"] = "pass" if not bad else f"fail {bad}"
-        ok &= not bad
-    # printed forms that are rotation-invariant under word reversal
-    for r in ("a^2", "(Tata)^8", "(T^2ataTat^2aTata)^4"):
-        good = hnn_is_trivial(parse_hnn(r, action), action)
-        evidence[f"grigorchuk/printed {r}"] = "pass" if good else "fail"
-        ok &= good
-    basilica = _catalog.get("basilica")
-    baction = basilica.action()
-    bad = [r for r in basilica.hnn_presentations["t-relators"]
-           if not hnn_is_trivial(parse_hnn(r, baction), baction)]
-    evidence["basilica/t-relators"] = "pass" if not bad else f"fail {bad}"
-    ok &= not bad
-    return _report("4 HNN relator suite", ok, evidence, t0, budget=30)
+    for check_id, params, expected, budget in rows:
+        report = run_check(check_id, params)
+        evidence.setdefault(report.check, {}).update(report.evidence)
+        if report.status != expected:
+            evidence.setdefault("unexpected", []).append(
+                f"{report.check}: {report.status}, expected {expected}")
+            ok = False
+        if budget is not None and report.seconds >= budget:
+            evidence.setdefault("over budget", []).append(
+                f"{report.check}: {report.seconds:.2f}s of {budget}s")
+            ok = False
+    return CheckReport(title, "pass" if ok else "fail", evidence, time.perf_counter() - t0)
 
 
-def criterion_5_vertex_transitivity():
-    """Witnesses onto every canonical vertex with m <= 3, |w| <= 3."""
-    t0 = time.perf_counter()
-    evidence = {}
-    ok = True
-    for gid in ("grigorchuk", "basilica"):
-        action = _catalog.get(gid).action()
-        lam = UnrootedVertex(0, ())
-        d = action.automaton.size
-        count = 0
-        missing = []
-        for m in range(4):
-            for n in range(4):
-                for w in itertools.product(range(d), repeat=n):
-                    v = UnrootedVertex(m, w)
-                    if canonicalize(v, action.letter) != v:
-                        continue
-                    count += 1
-                    e = transitivity_witness(v, action)
-                    if e is None or theta_apply(e, lam, action) != v:
-                        missing.append(str(v))
-        evidence[gid] = f"{count - len(missing)}/{count} vertices"
-        ok &= not missing
-    return _report("5 vertex transitivity witnesses", ok, evidence, t0, budget=60)
-
-
-def criterion_6_two_transitivity():
-    """St(1^l) transitive on 0 X^(l-1) for l <= 6, Grigorchuk and Basilica."""
-    t0 = time.perf_counter()
-    evidence = {}
-    ok = True
-    for gid in ("grigorchuk", "basilica"):
-        gens = list(_catalog.get(gid).elements().values())
-        results = [two_transitivity_level_check(gens, l) for l in range(1, 7)]
-        evidence[gid] = results
-        ok &= all(results)
-    return _report("6 two-transitivity at levels 1..6", ok, evidence, t0, budget=60)
-
-
-def criterion_7_end_and_dilation():
-    """Spine fixed to depth 20 by every generator; dilation exponents exact."""
-    t0 = time.perf_counter()
-    evidence = {}
-    ok = True
-    for entry in _catalog.entries_with_sigma():
-        action = entry.action()
-        moved = []
-        for name in action.generators():
-            e = action.element(((name, 1),))
-            for level in range(-20, 1):
-                v = spine_vertex(level, action.letter)
-                if theta_apply(e, v, action) != v:
-                    moved.append((name, level))
-        evidence[f"{entry.id}.spine"] = "fixed" if not moved else f"moved {moved[:3]}"
-        ok &= not moved
-        product = action.element(tuple((n, 1) for n in action.generators()))
-        m_g = dilation_factor_empirical(product, action, samples=1000, seed=DEFAULT_SEED)
-        m_t = dilation_factor_empirical(parse_hnn("t", action), action,
-                                        samples=1000, seed=DEFAULT_SEED)
-        evidence[f"{entry.id}.dilation"] = f"theta(G) {m_g}, t {m_t}"
-        ok &= m_g == 0 and abs(m_t) == 1
-    return _report("7 end fixing and dilation exponents", ok, evidence, t0)
-
-
-def criterion_8_lamplighter_lemmas():
-    """alpha^(2^n)(x) = x x^(s^(2^n)) for n <= 10; spacing check for n = 3..8."""
-    t0 = time.perf_counter()
-    x = _catalog.lamplighter_x()
-    alpha_ok = all(
-        _catalog.lamplighter_alpha(x, 2 ** n).lamps == (0, 2 ** n) for n in range(11))
-    s_ok = _catalog.lamplighter_alpha(_catalog.lamplighter_s(), 1024).lamps == ()
-    spacing = {n: _catalog.lamplighter_core_gap_check(n, 1000, seed=DEFAULT_SEED + n)
-               for n in range(3, 9)}
-    ok = alpha_ok and s_ok and all(spacing.values())
-    return _report("8 lamplighter lemmas", ok, {
-        "alpha_2^n_images": alpha_ok,
-        "alpha_fixes_s": s_ok,
-        "core_spacing": spacing,
-    }, t0)
+def _criterion(name, title, rows):
+    def criterion():
+        return _run_rows(title, rows)
+    criterion.__name__ = criterion.__qualname__ = name
+    criterion.__doc__ = title
+    return criterion
 
 
 def _random_word(automaton, names, rng, max_len):
@@ -359,20 +236,11 @@ def criterion_9_property_suites():
         evidence[f"{entry.id}.triviality-agreement"] = agree
         ok &= agree
 
-    return _report("9 property suites (seeded)", ok, evidence, t0)
+    return CheckReport("9 property suites (seeded)", "pass" if ok else "fail", evidence,
+                       time.perf_counter() - t0)
 
 
-CRITERIA = [
-    criterion_1_gap_session_facts,
-    criterion_2_lifting_certificates,
-    criterion_3_grigorchuk_recursions,
-    criterion_4_hnn_relators,
-    criterion_5_vertex_transitivity,
-    criterion_6_two_transitivity,
-    criterion_7_end_and_dilation,
-    criterion_8_lamplighter_lemmas,
-    criterion_9_property_suites,
-]
+CRITERIA = [_criterion(*entry) for entry in TABLE] + [criterion_9_property_suites]
 
 
 def run_all(verbose=True):

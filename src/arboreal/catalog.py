@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import parse_wreath_spec, parse_tuple_automorphism
+from .core import fmt_word, parse_tuple_automorphism, parse_wreath_spec
 from .hnn import ScaleAction
 from .lifting import GgsVector, LPresentation, Substitution, ggs_lifting
 from .words import GroupOps, evaluate
@@ -81,16 +81,11 @@ class CatalogEntry:
             "liftable": self.liftable,
             "substitutions": {
                 name: {"letter": sub.letter,
-                       "images": {n: _fmt(w) for n, w in sub.images}}
+                       "images": {n: fmt_word(w) for n, w in sub.images}}
                 for name, sub in self.substitutions.items()
             },
             "default_sigma": self.default_sigma,
         }
-
-
-def _fmt(word):
-    from .core import fmt_word
-    return fmt_word(word)
 
 
 def _entry(id, note, spec, sigmas=None, default=None, presentation=None,

@@ -21,6 +21,7 @@ from .core import (
     _split_top,
     fmt_word,
     label_portrait,
+    match_label,
     parse_tuple_automorphism,
     parse_vertex,
     portrait,
@@ -99,7 +100,7 @@ def cmd_portrait(args):
         if args.labels:
             aut = entry.automaton
             top = action.sigma_word(element.word, args.up)
-            labels = {v: _match_label(aut, aut.section_word(top, v.word), candidates)
+            labels = {v: match_label(aut, aut.section_word(top, v.word), candidates)
                       for v in nodes}
         text = _render_unrooted(nodes, labels, args.format)
     else:
@@ -112,16 +113,6 @@ def cmd_portrait(args):
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return 0
-
-
-def _match_label(automaton, word, candidates):
-    from .core import IDENTITY, invert_word
-    if automaton.word_is_trivial(word):
-        return IDENTITY
-    for name, cand in candidates.items():
-        if automaton.word_is_trivial(automaton.reduce(word + invert_word(cand.word))):
-            return name
-    return None
 
 
 def _render_unrooted(nodes, labels, fmt):

@@ -5,8 +5,11 @@ root.  An element is a formal word over the states of a finite wreath
 recursion (a Mealy automaton whose transitions may be words, not just
 states).  No minimization is performed: exact equality of two elements is
 decided by `word_is_trivial` on the quotient, a memoized closure search
-that terminates because sectioning never increases the number of word
-factors.
+over section words.  The closure is finite when every section of a state
+is a single state (a classical Mealy automaton): sectioning then never
+increases the number of word factors.  Word-valued sections can grow
+words without bound (e.g. x=(x*x,1)(1,2)), and the search is then not
+guaranteed to finish.
 
 Products compose left to right, the GAP convention used throughout:
 (g*h)(v) = h(g(v)).  Permutations are tuples of images and multiply the
@@ -105,6 +108,26 @@ def fmt_vertex(v):
 
 
 # ---------------------------------------------------------------------------
+# words
+
+def invert_word(word):
+    return tuple((s, -e) for s, e in reversed(word))
+
+
+def free_reduce(factors):
+    """Free reduction: drop identity factors, cancel s^e s^-e."""
+    out = []
+    for f in factors:
+        if f[0] == IDENTITY:
+            continue
+        if out and out[-1][0] == f[0] and out[-1][1] == -f[1]:
+            out.pop()
+        else:
+            out.append(f)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # the recursion
 
 class MealyAutomaton:
@@ -140,7 +163,13 @@ class MealyAutomaton:
                     if exp not in (1, -1):
                         raise WreathSpecError(f"state {name}: exponent {exp} not allowed")
         self._rules = full
-        self._inv_perms = {name: pinv(perm) for name, (perm, _) in full.items()}
+        # state -> exponent -> (images of letters, reduced section entered at each letter)
+        self._steps = {}
+        for name, (perm, sections) in full.items():
+            inv = pinv(perm)
+            sections = tuple(free_reduce(w) for w in sections)
+            self._steps[name] = {1: (perm, sections),
+                                 -1: (inv, tuple(invert_word(sections[y]) for y in inv))}
         self.generators = tuple(generators) if generators is not None else tuple(
             n for n in rules if n != IDENTITY)
         self._trivial = set()
@@ -172,17 +201,7 @@ class MealyAutomaton:
 
     # -- words ------------------------------------------------------------
 
-    def reduce(self, factors):
-        """Free reduction: drop identity factors, cancel s^e s^-e."""
-        out = []
-        for f in factors:
-            if f[0] == IDENTITY:
-                continue
-            if out and out[-1][0] == f[0] and out[-1][1] == -f[1]:
-                out.pop()
-            else:
-                out.append(f)
-        return tuple(out)
+    reduce = staticmethod(free_reduce)
 
     def element(self, word):
         """TreeAutomorphism from a word (iterable of factors) or text."""
@@ -206,43 +225,49 @@ class MealyAutomaton:
 
     # -- action -----------------------------------------------------------
 
+    def walk(self, word, v):
+        """(image of v, section of word at v), one level at a time.
+
+        At each letter the factors of the current word are applied in
+        order; the sections they pass through, freely reduced, form the
+        word that acts on the next level.  Free reduction commutes with
+        sectioning, so reducing once per level gives the reduced section.
+        The sections of states are stored reduced, so a section of at most
+        one factor needs no reduction; once the section is the empty word
+        the rest of v is fixed.  Iterative: the depth of v costs no stack.
+        """
+        if not v:
+            return (), free_reduce(word)
+        steps = self._steps
+        image = []
+        for x in v:
+            if not word:
+                break
+            below = []
+            for s, e in word:
+                perm, sections = steps[s][e]
+                below += sections[x]
+                x = perm[x]
+            image.append(x)
+            word = below if len(below) < 2 else free_reduce(below)
+        return tuple(image) + tuple(v[len(image):]), tuple(word)
+
     def act_word(self, word, v):
-        for s, e in word:
-            v = self.act_state(s, e, v)
-        return v
+        return self.walk(word, v)[0]
 
     def act_state(self, s, e, v):
-        if not v:
-            return v
-        perm, secs = self._rules[s]
-        if e == 1:
-            x = v[0]
-            return (perm[x],) + self.act_word(secs[x], v[1:])
-        y = self._inv_perms[s][v[0]]
-        return (y,) + self.act_word(invert_word(secs[y]), v[1:])
+        return self.walk(((s, e),), v)[0]
 
     def section_word(self, word, v):
-        out = []
-        cur = v
-        for s, e in word:
-            out.extend(self.section_state(s, e, cur))
-            cur = self.act_state(s, e, cur)
-        return self.reduce(out)
+        return self.walk(word, v)[1]
 
     def section_state(self, s, e, v):
-        if not v:
-            return ((s, e),)
-        perm, secs = self._rules[s]
-        if e == 1:
-            return self.section_word(secs[v[0]], v[1:])
-        y = self._inv_perms[s][v[0]]
-        return self.section_word(invert_word(secs[y]), v[1:])
+        return self.walk(((s, e),), v)[1]
 
     def root_perm(self, word):
         p = identity_perm(self.size)
         for s, e in word:
-            q = self._rules[s][0]
-            p = pmul(p, q if e == 1 else self._inv_perms[s])
+            p = pmul(p, self._steps[s][e][0])
         return p
 
     # -- the word problem ---------------------------------------------------
@@ -251,11 +276,11 @@ class MealyAutomaton:
         """Exact triviality via memoized closure over section words.
 
         A reduced word is trivial iff every word in its section closure has
-        trivial root permutation.  The closure is finite: a section of a
-        k-factor word has at most k' factors where k' is bounded by the
-        recursion (sections of states are fixed finite words), so all
-        reachable words live in a finite set and the visited-set search
-        terminates.  The search is bounded by closure, never by depth.
+        trivial root permutation.  When every section of a state is a single
+        state, a section of a k-factor word has at most k factors, so the
+        closure is finite and the visited-set search terminates.  Word-valued
+        sections (x=(x*x,1)(1,2)) can make the closure infinite; no budget
+        bounds the search yet.
         """
         word = self.reduce(word)
         if not word:
@@ -282,10 +307,6 @@ class MealyAutomaton:
                 stack.append(self.section_word(w, (x,)))
         self._trivial.update(seen)
         return True
-
-
-def invert_word(word):
-    return tuple((s, -e) for s, e in reversed(word))
 
 
 def fmt_word(word):
@@ -340,7 +361,7 @@ class TreeAutomorphism:
             v = parse_vertex(v)
         if any(not 0 <= x < self.automaton.size for x in v):
             raise ValueError(f"vertex {v} has letters outside the alphabet")
-        return self.automaton.act_word(self.word, tuple(v))
+        return self.automaton.walk(self.word, tuple(v))[0]
 
     def __call__(self, v):
         return self.act(v)
@@ -348,7 +369,7 @@ class TreeAutomorphism:
     def section(self, v):
         if isinstance(v, str):
             v = parse_vertex(v)
-        return TreeAutomorphism(self.automaton, self.automaton.section_word(self.word, tuple(v)))
+        return TreeAutomorphism(self.automaton, self.automaton.walk(self.word, tuple(v))[1])
 
     def root_perm(self):
         return self.automaton.root_perm(self.word)
@@ -370,26 +391,6 @@ class TreeAutomorphism:
 
     def __str__(self):
         return fmt_word(self.word)
-
-
-def compose(g, h):
-    return g * h
-
-
-def inverse(g):
-    return g.inverse()
-
-
-def act(g, v):
-    return g.act(v)
-
-
-def section(g, v):
-    return g.section(v)
-
-
-def is_trivial(g):
-    return g.is_trivial()
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +539,32 @@ def parse_tuple_automorphism(text, automaton, name=None):
 # ---------------------------------------------------------------------------
 # portraits
 
+def _sections_by_level(g, depth):
+    """(vertex, section word of g there) for levels 0..depth, level by level."""
+    aut = g.automaton
+    frontier = {(): g.word}
+    for level in range(depth + 1):
+        if level:
+            frontier = {v + (x,): aut.section_word(w, (x,))
+                        for v, w in frontier.items() for x in aut.alphabet}
+        yield from frontier.items()
+
+
 def portrait(g, depth):
     """Map vertex -> root permutation of the section there, levels 0..depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    aut = g.automaton
-    nodes = {}
-    frontier = {(): g.word}
-    for _ in range(depth + 1):
-        nxt = {}
-        for v, w in frontier.items():
-            nodes[v] = aut.root_perm(w)
-            for x in aut.alphabet:
-                nxt[v + (x,)] = aut.section_word(w, (x,))
-        frontier = nxt
-    return nodes
+    return {v: g.automaton.root_perm(w) for v, w in _sections_by_level(g, depth)}
+
+
+def match_label(automaton, word, candidates):
+    """Name of the first candidate equal to the word ("1" if it is trivial), or None."""
+    if automaton.word_is_trivial(word):
+        return IDENTITY
+    for name, cand in candidates.items():
+        if automaton.word_is_trivial(automaton.reduce(word + invert_word(cand.word))):
+            return name
+    return None
 
 
 def label_portrait(g, depth, candidates):
@@ -561,24 +573,7 @@ def label_portrait(g, depth, candidates):
     `candidates` maps names to TreeAutomorphisms (the identity is always
     tried first).  Unmatched sections are labelled None.
     """
-    aut = g.automaton
-    labels = {}
-    frontier = {(): g.word}
-    for _ in range(depth + 1):
-        nxt = {}
-        for v, w in frontier.items():
-            if aut.word_is_trivial(w):
-                labels[v] = IDENTITY
-            else:
-                labels[v] = None
-                for name, cand in candidates.items():
-                    if aut.word_is_trivial(aut.reduce(w + invert_word(cand.word))):
-                        labels[v] = name
-                        break
-            for x in aut.alphabet:
-                nxt[v + (x,)] = aut.section_word(w, (x,))
-        frontier = nxt
-    return labels
+    return {v: match_label(g.automaton, w, candidates) for v, w in _sections_by_level(g, depth)}
 
 
 def portrait_json(nodes, labels=None):

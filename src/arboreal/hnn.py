@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex
 from .lifting import LiftingError, check_lifting
-from .levels import level_perm, point_stabilizer_gens, vertex_index
+from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
 
 
@@ -133,6 +133,8 @@ class ScaleAction:
 
     def act_sigma(self, word, k, v):
         """act(sigma^k(word), v) without materializing sigma^k(word)."""
+        if k == 0:
+            return self.automaton.act_word(word, v)
         for s, e in word:
             v = self._act_sigma_state(s, e, k, v)
         return v
@@ -140,18 +142,12 @@ class ScaleAction:
     def _act_sigma_state(self, s, e, k, v):
         if not v:
             return v
-        if k == 0:
-            return self.automaton.act_state(s, e, v)
         key = (s, e, k, v)
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
         image = self.sigma.image(s)
-        if e == -1:
-            image = invert_word(image)
-        out = v
-        for s2, e2 in image:
-            out = self._act_sigma_state(s2, e2, k - 1, out)
+        out = self.act_sigma(image if e == 1 else invert_word(image), k - 1, v)
         self._act_cache[key] = out
         return out
 
@@ -231,36 +227,27 @@ def parse_hnn(text, action):
 # ---------------------------------------------------------------------------
 # checks from the embedding theorem
 
-def transitivity_witness(target, action, word_bound=None):
+def transitivity_witness(target, action):
     """An element moving Lambda to the target vertex, or None.
 
     Follows the transitivity proof: equalize levels with powers of t, then
     match inside a rooted copy by a breadth-first search over group words
     (shortlex in the symbols g1, g2, ..., g1^-1, g2^-1, ...).  For the
     canonical target (m, w) the witness has the form t^-|w| g t^m with
-    g(i^|w|) = w.  Not finding g within the bound is inconclusive.
+    g(i^|w|) = w.  The search covers the whole finite level, so None means
+    the level's orbit of i^|w| misses w.
     """
     target = canonicalize(target, action.letter)
     k = len(target.word)
-    start = (action.letter,) * k
     automaton = action.automaton
     names = action.generators()
     symbols = [(n, 1) for n in names] + [(n, -1) for n in names]
-    reps = {start: ()}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if word_bound is not None and len(reps[v]) >= word_bound:
-            continue
-        for sym in symbols:
-            u = automaton.act_state(sym[0], sym[1], v)
-            if u not in reps:
-                reps[u] = reps[v] + (sym,)
-                queue.append(u)
+    reps = schreier_tree((action.letter,) * k, (), symbols,
+                         lambda sym, v: automaton.act_word((sym,), v),
+                         lambda w, sym: w + (sym,))
     if target.word not in reps:
         return None
-    g = automaton.reduce(reps[target.word])
-    return HnnElement(k, g, target.copy)
+    return HnnElement(k, automaton.reduce(reps[target.word]), target.copy)
 
 
 def two_transitivity_level_check(gens, l):
@@ -276,16 +263,7 @@ def two_transitivity_level_check(gens, l):
     perms = [level_perm(g, l) for g in gens]
     fixed = vertex_index((1,) * l, d)
     stab = point_stabilizer_gens(perms, fixed)
-    seed = vertex_index((0,) * l, d)
-    orbit = {seed}
-    queue = [seed]
-    for pt in queue:
-        for s in stab:
-            q = s[pt]
-            if q not in orbit:
-                orbit.add(q)
-                queue.append(q)
-    return len(orbit) == d ** (l - 1)
+    return len(orbit(vertex_index((0,) * l, d), stab)) == d ** (l - 1)
 
 
 @dataclass

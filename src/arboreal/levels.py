@@ -11,9 +11,10 @@ until the chain verifies.  That reproduces identical orders in CI.
 from __future__ import annotations
 
 import os
+from operator import getitem
 from dataclasses import dataclass, field
 
-from .core import identity_perm, pinv, pmul
+from .core import free_reduce, identity_perm, invert_word, pinv, pmul
 
 DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
@@ -125,7 +126,7 @@ class LevelPermGroup:
         return rec(0)
 
     def orbit(self, point):
-        return _orbit(self.gens, point)
+        return orbit(point, self.gens)
 
     def orbit_vertices(self, v):
         idx = vertex_index(v, self.d)
@@ -134,16 +135,33 @@ class LevelPermGroup:
         return {index_vertex(i, self.d, self.level) for i in self.orbit(idx)}
 
 
-def _orbit(gens, point):
-    orbit = {point}
-    queue = [point]
-    for pt in queue:
+def schreier_tree(root, label, gens, act, extend):
+    """Breadth-first Schreier tree: point -> label, in BFS order.
+
+    The orbit of `root` is grown with the generators in their fixed order;
+    act(g, p) is the image of the point p under g, and a point first reached
+    from p by g is labelled extend(label of p, g).  With permutation labels
+    and extend=pmul this gives a transversal; with word labels it gives
+    shortlex-minimal coset representatives.
+    """
+    reps = {root: label}
+    queue = [root]
+    for p in queue:
         for g in gens:
-            q = g[pt]
-            if q not in orbit:
-                orbit.add(q)
+            q = act(g, p)
+            if q not in reps:
+                reps[q] = extend(reps[p], g)
                 queue.append(q)
-    return orbit
+    return reps
+
+
+def _unlabelled(label, gen):
+    return None
+
+
+def orbit(root, gens, act=getitem):
+    """The orbit of root under gens as a set; by default gens are image tuples."""
+    return set(schreier_tree(root, None, gens, act, _unlabelled))
 
 
 def _strip(perm, layers, start, degree):
@@ -179,15 +197,7 @@ def _schreier_sims(gens, degree):
 
     def rebuild_all():
         for i, layer in enumerate(layers):
-            gens_i = effective(i)
-            layer.transversal = {layer.point: ident}
-            queue = [layer.point]
-            for pt in queue:
-                for s in gens_i:
-                    q = s[pt]
-                    if q not in layer.transversal:
-                        layer.transversal[q] = pmul(layer.transversal[pt], s)
-                        queue.append(q)
+            layer.transversal = schreier_tree(layer.point, ident, effective(i), getitem, pmul)
 
     def add_gen(g, level):
         if level == len(layers):
@@ -235,113 +245,60 @@ def orbit_on_level(group, v):
     return group.orbit_vertices(tuple(v))
 
 
-def brute_force_elements(perms, cap=10 ** 6):
-    """BFS closure of a generating set; the independent order oracle."""
-    if not perms:
-        return {tuple()}
-    degree = len(perms[0])
-    ident = identity_perm(degree)
-    seen = {ident}
-    queue = [ident]
-    for p in queue:
-        for s in perms:
-            q = pmul(p, s)
-            if q not in seen:
-                if len(seen) >= cap:
-                    raise SizeBoundExceeded(f"closure exceeds {cap} elements")
-                seen.add(q)
-                queue.append(q)
-    return seen
+def schreier_generators(root, ident, gens, act, mul, inv):
+    """Schreier generators of the stabilizer of `root`, without repeats.
+
+    Coset representatives come from the Schreier tree over `gens`, group
+    elements that `act` applies to points; labels are grown by `mul`.  For
+    each point p with label t and each g, t*g*rep(act(g, p))^-1 is kept
+    unless it is `ident` or already found, in BFS order, so the output is
+    deterministic.
+    """
+    reps = schreier_tree(root, ident, gens, act, mul)
+    out = []
+    seen = set()
+    for p, t in reps.items():
+        for g in gens:
+            h = mul(mul(t, g), inv(reps[act(g, p)]))
+            if h != ident and h not in seen:
+                seen.add(h)
+                out.append(h)
+    return out
 
 
 def point_stabilizer_gens(perms, point):
     """Schreier generators of the stabilizer of one point (as permutations)."""
     if not perms:
         return []
-    degree = len(perms[0])
-    ident = identity_perm(degree)
-    transversal = {point: ident}
-    queue = [point]
-    for pt in queue:
-        for s in perms:
-            q = s[pt]
-            if q not in transversal:
-                transversal[q] = pmul(transversal[pt], s)
-                queue.append(q)
-    out = []
-    seen = set()
-    for pt in queue:
-        t = transversal[pt]
-        for s in perms:
-            g = pmul(pmul(t, s), pinv(transversal[s[pt]]))
-            if g != ident and g not in seen:
-                seen.add(g)
-                out.append(g)
-    return out
+    return schreier_generators(point, identity_perm(len(perms[0])), perms, getitem, pmul, pinv)
 
 
-def stabilizer_words(gens, target="first-level", length_bound=None):
+def stabilizer_words(gens, target="first-level"):
     """Schreier generator words for the first-level (or a vertex) stabilizer.
 
-    `gens` maps generator names to TreeAutomorphisms.  Coset representatives
-    are the breadth-first (= shortlex-minimal for the fixed generator order)
-    words, so the output is deterministic.  Words are returned as reduced
-    factor tuples over the generator names.
+    `gens` maps generator names to TreeAutomorphisms.  The first level is
+    handled as the stabilizer of the identity among level-1 permutations.
+    Coset representatives are the breadth-first (= shortlex-minimal for the
+    fixed generator order) words, so the output is deterministic.  Words
+    are returned as reduced factor tuples over the generator names.
     """
     if not gens:
         return []
-    items = list(gens.items())
-    automaton = items[0][1].automaton
-
-    def reduce(factors):
-        return automaton.reduce(factors)
-
+    automaton = next(iter(gens.values())).automaton
+    elements = {((name, 1),): g for name, g in gens.items()}
     if target == "first-level":
-        # cosets of St(X^1) = kernel of the level-1 representation
-        images = {name: level_perm(g, 1) for name, g in items}
-        start = identity_perm(automaton.size)
-        reps = {start: ()}
-        queue = [start]
-        for p in queue:
-            if length_bound is not None and len(reps[p]) >= length_bound:
-                continue
-            for name, _ in items:
-                q = pmul(p, images[name])
-                if q not in reps:
-                    reps[q] = reps[p] + ((name, 1),)
-                    queue.append(q)
-        out = []
-        seen = set()
-        for p in queue:
-            for name, _ in items:
-                q = pmul(p, images[name])
-                w = reduce(reps[p] + ((name, 1),) + tuple((s, -e) for s, e in reversed(reps[q])))
-                if w and w not in seen:
-                    seen.add(w)
-                    out.append(w)
-        return out
+        images = {w: level_perm(g, 1) for w, g in elements.items()}
+        root = identity_perm(automaton.size)
 
-    v = tuple(target)
-    reps = {v: ()}
-    queue = [v]
-    for u in queue:
-        if length_bound is not None and len(reps[u]) >= length_bound:
-            continue
-        for name, g in items:
-            w = g.act(u)
-            if w not in reps:
-                reps[w] = reps[u] + ((name, 1),)
-                queue.append(w)
-    out = []
-    seen = set()
-    for u in queue:
-        for name, g in items:
-            w = g.act(u)
-            word = reduce(reps[u] + ((name, 1),) + tuple((s, -e) for s, e in reversed(reps[w])))
-            if word and word not in seen:
-                seen.add(word)
-                out.append(word)
-    return out
+        def act(w, p):
+            return pmul(p, images[w])
+    else:
+        root = tuple(target)
+
+        def act(w, v):
+            return elements[w].act(v)
+    return schreier_generators(root, (), list(elements), act,
+                               lambda x, y: free_reduce(x + y), invert_word)
 
 
 def intersection_trivial_on_level(a, b, threshold=10 ** 6):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, fmt_word, invert_word
-from .levels import intersection_trivial_on_level, perm_group_on_level, stabilizer_words
+from .levels import intersection_trivial_on_level, orbit, perm_group_on_level, stabilizer_words
 from .words import parse_word_factors
 
 
@@ -371,15 +371,7 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
     if report.ok:
         return report
 
-    orbit = {(i,)}
-    queue = [(i,)]
-    for v in queue:
-        for _, g in items:
-            w = g.act(v)
-            if w not in orbit:
-                orbit.add(w)
-                queue.append(w)
-    if len(orbit) != automaton.size:
+    if len(orbit((i,), gens.values(), TreeAutomorphism.act)) != automaton.size:
         raise LiftingError("group is not transitive on the first level")
 
     if sigma is not None:

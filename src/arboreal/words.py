@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .core import IDENTITY, TreeAutomorphism, free_reduce, invert_word
+
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[*^()\[\],]))")
 
 
@@ -165,30 +167,16 @@ def evaluate(text, ops, names):
 
 def parse_word_factors(text, names):
     """Word expression -> reduced tuple of (name, +-1) factors."""
-    names = set(names) | {"1"}
-
-    def reduce(factors):
-        out = []
-        for f in factors:
-            if f[0] == "1":
-                continue
-            if out and out[-1][0] == f[0] and out[-1][1] == -f[1]:
-                out.pop()
-            else:
-                out.append(f)
-        return tuple(out)
-
     ops = GroupOps(
         identity=(),
-        atom=lambda name: ((name, 1),) if name != "1" else (),
-        mul=lambda x, y: reduce(x + y),
-        inv=lambda x: tuple((s, -e) for s, e in reversed(x)),
+        atom=lambda name: ((name, 1),) if name != IDENTITY else (),
+        mul=lambda x, y: free_reduce(x + y),
+        inv=invert_word,
     )
-    return evaluate(text, ops, names)
+    return evaluate(text, ops, set(names) | {IDENTITY})
 
 
 def parse_group_word(text, automaton):
     """Word expression -> TreeAutomorphism over the automaton's states."""
-    from .core import TreeAutomorphism
     factors = parse_word_factors(text, set(automaton.states))
     return TreeAutomorphism(automaton, automaton.reduce(factors))

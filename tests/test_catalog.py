@@ -78,6 +78,21 @@ def test_grig_sigma_periodic_on_bcd():
             entry.automaton.reduce(word + ((name, -1),)))
 
 
+@pytest.mark.parametrize("gid,sname,letter", [
+    ("grigorchuk", "sigma", 1),
+    ("basilica", "sigma", 0),
+    ("img_z2i", "sigma", 0),
+    ("lamplighter", "sigma0", 0),
+    ("lamplighter", "sigma1", 1),
+    ("bs13", "sigma", 0),
+    ("g01inf", "sigma", 1),
+    ("gs5", "sigma", 0),
+    ("gs7", "sigma", 0),
+])
+def test_lifting_letters(gid, sname, letter):
+    assert cat.get(gid).sigma(sname).letter == letter
+
+
 def test_bs13_relations():
     entry = cat.get("bs13")
     assert entry.element("c*(a*b^-1*a)^-1").is_trivial()

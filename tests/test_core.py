@@ -125,6 +125,14 @@ def test_section_examples(grig):
     assert (a * c * a).section((0,)).same_action(gens["d"])
 
 
+def test_act_and_section_at_depth_5000(grig):
+    b = grig.elements()["b"]
+    deep = (1,) * 5000
+    assert b.act(deep) == deep
+    # the section at 1^n cycles b -> c -> d with period 3, and 5000 = 2 mod 3
+    assert b.section(deep).word == (("d", 1),)
+
+
 def test_section_of_product_law(grig):
     gens = list(grig.elements().values())
     rng = random.Random(11)

@@ -108,6 +108,11 @@ def test_theta_fixes_spine(grig_action):
             assert theta_apply(e, v, grig_action) == v
 
 
+def test_theta_fixes_deep_vertex(grig_action):
+    v = UnrootedVertex(0, (1,) * 5000)
+    assert theta_apply(grig_action.element((("b", 1),)), v, grig_action) == v
+
+
 def test_theta_sections_along_spine_are_P_n(grig_action):
     # theta(a) on (n, w) equals (n, P_n(w)) for |w| <= 4, n <= 6
     entry = cat.get("grigorchuk")
