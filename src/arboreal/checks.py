@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import catalog as _catalog
-from .core import fmt_word
+from .core import fmt_word, parse_vertex
 from .hnn import (
     UnrootedVertex,
     canonicalize,
@@ -153,9 +153,11 @@ def check_perm_order(params):
 
 def check_stabilizer_words(params):
     entry = _entry(params)
+    vertex = params.get("vertex")
+    target = parse_vertex(str(vertex)) if vertex else "first-level"
 
     def body():
-        words = stabilizer_words(entry.elements(), params.get("vertex", "first-level"))
+        words = stabilizer_words(entry.elements(), target)
         return "pass", {"count": len(words),
                         "words": [fmt_word(w) for w in words]}
     return _timed(f"stabilizer-of-first-level[{entry.id}]", body)

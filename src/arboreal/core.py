@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 IDENTITY = "1"
 
@@ -41,6 +42,8 @@ def identity_perm(d):
 
 def pmul(p, q):
     """Product of permutations, p applied first."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 

@@ -1,16 +1,31 @@
 """Finite permutation representations of tree groups on level n.
 
 Vertices of level n are indexed by their rank in lexicographic order (the
-base-d value of the word), so exports are stable.  The stabilizer chain is
-a deterministic, non-randomized Schreier-Sims: base points are chosen as
-the smallest moved point at each layer, orbits are grown breadth first
-with generators in a fixed order, and every Schreier generator is sifted
-until the chain verifies.  That reproduces identical orders in CI.
+base-d value of the word), so exports are stable.  `_schreier_sims`
+builds the stabilizer chain behind orders, membership and enumeration,
+and picks one of two chains from the generators alone:
+
+- the tree-adapted p-group chain, when d = p is prime and every generator
+  is a tree automorphism whose local action at each vertex is a power of
+  the p-cycle x -> x+1.  This covers every catalog group.  The group then
+  lies in the iterated wreath product of cyclic groups of order p, each
+  step St(j)/St(j+1) of the level stabilizers is elementary abelian, and
+  one echelon basis over GF(p) per level, closed under p-th powers and
+  commutators, is a polycyclic sequence of the group (Holt, Eick and
+  O'Brien, Handbook of Computational Group Theory, ch. 8);
+- a generic deterministic, non-randomized Schreier-Sims for every other
+  group, including `LevelPermGroup(degree, 1, perms)` on an arbitrary
+  alphabet: base points are the smallest moved point at each layer,
+  orbits are grown breadth first with generators in a fixed order, and
+  every Schreier generator is sifted until the chain verifies.
+
+Both are deterministic, so orders reproduce in CI.
 """
 
 from __future__ import annotations
 
 import os
+from math import isqrt
 from operator import getitem
 from dataclasses import dataclass, field
 
@@ -81,7 +96,7 @@ class LevelPermGroup:
         self.degree = d ** level
         ident = identity_perm(self.degree)
         self.gens = tuple(p for p in perms if p != ident)
-        self._layers = None
+        self._built = None
 
     @classmethod
     def on_level(cls, gens, n):
@@ -93,37 +108,22 @@ class LevelPermGroup:
     # -- chain --------------------------------------------------------------
 
     def _chain(self):
-        if self._layers is None:
-            self._layers = _schreier_sims(self.gens, self.degree)
-        return self._layers
+        if self._built is None:
+            self._built = _schreier_sims(self.gens, self.d, self.level)
+        return self._built
 
     def order(self):
-        n = 1
-        for layer in self._chain():
-            n *= len(layer.transversal)
-        return n
+        return self._chain().order()
 
     def __contains__(self, perm):
-        residue, _ = _strip(perm, self._chain(), 0, self.degree)
-        return residue == identity_perm(self.degree)
+        return perm in self._chain()
 
     def is_trivial(self):
         return not self.gens
 
     def elements(self):
         """All elements, multiplied out of the chain; deterministic order."""
-        layers = self._chain()
-        ident = identity_perm(self.degree)
-
-        def rec(i):
-            if i == len(layers):
-                yield ident
-                return
-            for pt in sorted(layers[i].transversal):
-                t = layers[i].transversal[pt]
-                for h in rec(i + 1):
-                    yield pmul(h, t)
-        return rec(0)
+        return self._chain().elements()
 
     def orbit(self, point):
         return orbit(point, self.gens)
@@ -164,6 +164,151 @@ def orbit(root, gens, act=getitem):
     return set(schreier_tree(root, None, gens, act, _unlabelled))
 
 
+def _schreier_sims(gens, d, level):
+    """The stabilizer chain of <gens> on level `level` of the d-ary tree.
+
+    The tree-adapted p-group chain serves every generating set it can
+    describe; every other goes to the generic Schreier-Sims chain.
+    """
+    if _is_prime(d) and all(_in_cyclic_wreath(g, d, level) for g in gens):
+        return _TreeChain(gens, d, level)
+    return _PointChain(gens, d ** level)
+
+
+def _is_prime(d):
+    return d >= 2 and all(d % q for q in range(2, isqrt(d) + 1))
+
+
+def _in_cyclic_wreath(perm, p, n):
+    """True iff perm is a level-n tree automorphism whose local actions are x -> x+c.
+
+    Going up one level at a time, each set of p siblings must go onto a
+    set of siblings by a cyclic shift; the images of the first children
+    then give the action on the level above.
+    """
+    if len(perm) != p ** n:
+        return False
+    f = perm
+    for _ in range(n):
+        parent = []
+        for first in range(0, len(f), p):
+            q, r = divmod(f[first], p)
+            for x in range(1, p):
+                if f[first + x] != q * p + (r + x) % p:
+                    return False
+            parent.append(q)
+        f = parent
+    return f == [0]
+
+
+class _TreeChain:
+    """Tree-adapted pc-sequence of a group of level-n tree automorphisms.
+
+    Every element lies in the iterated wreath product W of cyclic groups
+    of order p.  Layer j (0 <= j < n) holds elements of St(j), the
+    pointwise stabilizer of level j.  An element g of St(j) turns the
+    children of each level-j vertex u by x -> x + c_u; its shift vector
+    (c_u) over GF(p) is additive on St(j) and is zero exactly on St(j+1).
+    A vector is a Python int holding coordinate u in byte u, so that for
+    p = 2 subtraction is one xor.  The vectors of a layer are semi-echelon:
+    each has coefficient 1 at its pivot, its lowest nonzero coordinate,
+    and 0 at the pivots of the entries stored before it.
+
+    Sifting g reduces its vector layer by layer, multiplying g by b^-c for
+    each entry b whose pivot holds c.  The entries are closed under p-th
+    powers and commutators, so in layer order they form a polycyclic
+    sequence: every element of the group is one product of powers b^e,
+    0 <= e < p, and g is in the group iff it sifts to the identity.  A
+    permutation outside W never sifts to the identity.
+    """
+
+    def __init__(self, gens, p, n):
+        self.p = p
+        self.n = n
+        self.degree = p ** n
+        self._ident = identity_perm(self.degree)
+        self._layers = [[] for _ in range(n)]  # (pivot shift, vector, [id, b^-1, .., b^-(p-1)])
+        added = []                              # (layer, b, b^-1) in insertion order
+        work = [(0, g) for g in gens]
+        while work:
+            start, g = work.pop()
+            j, v, g = self._sift(g, start)
+            if j == n:
+                continue
+            shift = ((v & -v).bit_length() - 1) & ~7
+            k = pow(v >> shift & 255, -1, p)
+            if k != 1:
+                g = _power(g, k, self._ident)
+                v = self._vector(g, j)
+            inverses = [self._ident, pinv(g)]
+            for _ in range(p - 2):
+                inverses.append(pmul(inverses[-1], inverses[1]))
+            self._layers[j].append((shift, v, inverses))
+            # g^p lies in St(j+1); [St(i), St(j)] lies in St(max(i, j)), and in
+            # St(j+1) when i == j; so these sifts start below the top layers
+            if j + 1 < n:
+                work.append((j + 1, _power(g, p, self._ident)))
+            for i, h, h_inv in added:
+                low = max(i, j) + (i == j)
+                if low < n:
+                    work.append((low, pmul(pmul(pmul(inverses[1], h_inv), g), h)))
+            added.append((j, g, inverses[1]))
+
+    def _vector(self, g, j):
+        """Shift vector of g in St(j): the turn of each level-j vertex's children."""
+        block = self.p ** (self.n - j)
+        child = block // self.p
+        turns = map(self.p.__rmod__, map(child.__rfloordiv__, g[::block]))
+        return int.from_bytes(bytes(turns), "little")
+
+    def _sift(self, g, start=0):
+        """(j, v, g): g reduced through layers start..j; v is its nonzero
+        vector on layer j, or j == n and v == 0 when every layer reduced."""
+        p = self.p
+        for j in range(start, self.n):
+            v = self._vector(g, j)
+            if not v:
+                continue
+            for shift, vector, inverses in self._layers[j]:
+                c = v >> shift & 255
+                if c:
+                    g = pmul(g, inverses[c])
+                    v = v ^ vector if p == 2 else self._vector(g, j)
+            if v:
+                return j, v, g
+        return self.n, 0, g
+
+    def order(self):
+        return self.p ** sum(map(len, self._layers))
+
+    def __contains__(self, perm):
+        if len(perm) != self.degree:
+            return False
+        j, _, g = self._sift(perm)
+        return j == self.n and g == self._ident
+
+    def elements(self):
+        """Every product h * b^-e, for h a product over the entries after b."""
+        steps = [inverses[1] for layer in self._layers for _, _, inverses in layer]
+
+        def rec(i):
+            if i == len(steps):
+                yield self._ident
+                return
+            for h in rec(i + 1):
+                for _ in range(self.p):
+                    yield h
+                    h = pmul(h, steps[i])
+        return rec(0)
+
+
+def _power(g, k, ident):
+    out = ident
+    for _ in range(k):
+        out = pmul(out, g)
+    return out
+
+
 def _strip(perm, layers, start, degree):
     ident = identity_perm(degree)
     g = perm
@@ -178,7 +323,7 @@ def _strip(perm, layers, start, degree):
     return g, len(layers)
 
 
-def _schreier_sims(gens, degree):
+def _point_layers(gens, degree):
     """Deterministic incremental Schreier-Sims with full verification.
 
     A strong generator stored at layer k fixes the base points of layers
@@ -228,6 +373,38 @@ def _schreier_sims(gens, degree):
         else:
             i -= 1
     return layers
+
+
+class _PointChain:
+    """Base points with their transversals, for any permutation group."""
+
+    def __init__(self, gens, degree):
+        self.degree = degree
+        self.layers = _point_layers(gens, degree)
+
+    def order(self):
+        n = 1
+        for layer in self.layers:
+            n *= len(layer.transversal)
+        return n
+
+    def __contains__(self, perm):
+        residue, _ = _strip(perm, self.layers, 0, self.degree)
+        return residue == identity_perm(self.degree)
+
+    def elements(self):
+        layers = self.layers
+        ident = identity_perm(self.degree)
+
+        def rec(i):
+            if i == len(layers):
+                yield ident
+                return
+            for pt in sorted(layers[i].transversal):
+                t = layers[i].transversal[pt]
+                for h in rec(i + 1):
+                    yield pmul(h, t)
+        return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,22 @@ def test_cli_stabilizer(capsys):
     assert out.startswith("< b, c, d,")
 
 
+def test_run_stabilizer_vertex_matches_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "stabilizer-of-first-level", "--group", "grigorchuk",
+                           "--vertex", "01", "--format", "json")
+    assert code == 0
+    words = json.loads(out)["generators"]
+    code, out, _ = run_cli(capsys, "run", "stabilizer-of-first-level", "--group", "grigorchuk",
+                           "--vertex", "01", "--format", "json")
+    assert code == 0
+    evidence = json.loads(out)["evidence"]
+    assert evidence["words"] == words and evidence["count"] == len(words)
+    for bad in ("0x", "5"):
+        code, _, err = run_cli(capsys, "run", "stabilizer-of-first-level",
+                               "--group", "grigorchuk", "--vertex", bad)
+        assert code == 3 and err.startswith("arboreal: ")
+
+
 def test_cli_intersection_transcript(capsys):
     code, out, _ = run_cli(capsys, "intersection", "--group", "g01inf",
                            "--level", "4",

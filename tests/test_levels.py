@@ -4,10 +4,12 @@ import random
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import identity_perm
+from arboreal.core import identity_perm, pmul
 from arboreal.levels import (
     LevelPermGroup,
     SizeBoundExceeded,
+    _PointChain,
+    _TreeChain,
     intersection_trivial_on_level,
     level_perm,
     orbit_on_level,
@@ -66,6 +68,9 @@ def test_grigorchuk_level3_order_matches_bfs():
     ("bs13", 3),
     ("basilica", 4),
     ("img_z2i", 4),
+    ("gs3", 3),
+    ("gs5", 2),
+    ("gs7", 1),
 ])
 def test_chain_order_equals_bfs_closure(gid, level):
     entry = cat.get(gid)
@@ -89,17 +94,89 @@ def test_chain_on_random_small_groups():
         assert group.order() == len(closure(perms))
 
 
-def test_membership_and_elements():
-    entry = cat.get("g01inf")
+def random_tree_perm(rng, d, n):
+    """A random automorphism of the level-n tree, any local permutations."""
+    images = [0]
+    for _ in range(n):
+        images = [q * d + x for q in images for x in rng.sample(range(d), d)]
+    return tuple(images)
+
+
+# generic-chain orders take 24 s for gs3 at level 5 and 35 s for gs7 at level 3
+GENERIC_TOP_LEVEL = {"gs3": 4, "gs5": 3, "gs7": 2}
+
+
+@pytest.mark.parametrize("gid", list(cat.catalog()))
+def test_tree_chain_order_equals_generic_chain(gid):
+    gens = list(cat.get(gid).elements().values())
+    d = gens[0].automaton.size
+    for n in range(1, GENERIC_TOP_LEVEL.get(gid, 5) + 1):
+        perms = [level_perm(g, n) for g in gens]
+        group = LevelPermGroup(d, n, perms)
+        assert isinstance(group._chain(), _TreeChain)
+        assert group.order() == _PointChain(group.gens, d ** n).order()
+
+
+def test_grigorchuk_order_closed_form():
+    gens = list(cat.get("grigorchuk").elements().values())
+    for n in range(3, 9):
+        assert perm_group_on_level(gens, n).order() == 2 ** (5 * 2 ** (n - 3) + 2)
+
+
+@pytest.mark.parametrize("gid,names,level", [
+    ("g01inf", "ac", 3),
+    ("grigorchuk", "abcd", 3),
+    ("basilica", "ab", 3),
+    ("gs3", "ab", 2),
+])
+def test_membership_and_elements(gid, names, level):
+    entry = cat.get(gid)
     gens = entry.elements()
-    group = perm_group_on_level([gens["a"], gens["c"]], 3)
+    group = perm_group_on_level([gens[x] for x in names], level)
     elements = set(group.elements())
-    assert len(elements) == 8
-    assert elements == closure([level_perm(gens["a"], 3), level_perm(gens["c"], 3)])
+    assert len(elements) == group.order()
+    assert elements == closure(list(group.gens))
     for p in elements:
         assert p in group
-    outside = level_perm(gens["b"], 3)
-    assert (outside in group) == (outside in elements)
+    for g in gens.values():
+        outside = level_perm(g, level)
+        assert (outside in group) == (outside in elements)
+
+
+@pytest.mark.parametrize("gid", ["grigorchuk", "basilica", "gs3"])
+def test_tree_chain_membership_matches_generic_chain(gid):
+    rng = random.Random(7)
+    entry = cat.get(gid)
+    gens = list(entry.elements().values())
+    aut = entry.automaton
+    level = 5 if aut.size == 2 else 3
+    group = perm_group_on_level(gens, level)
+    generic = _PointChain(group.gens, group.degree)
+    words = ["*".join(rng.choice(entry.generators) + rng.choice(("", "^-1")) for _ in range(20))
+             for _ in range(20)]
+    members = [level_perm(aut.element(w), level) for w in words]
+    others = [random_tree_perm(rng, aut.size, level) for _ in range(20)]
+    # leaves 1 and d+1 are not siblings, and no shift vector reads them
+    # (it reads first children only): only the final identity test rejects
+    # these two permutations
+    swap = list(range(group.degree))
+    swap[1], swap[aut.size + 1] = swap[aut.size + 1], swap[1]
+    not_tree = [tuple(swap), pmul(tuple(swap), members[0])]
+    for p in members + others + not_tree:
+        assert (p in group) == (p in generic)
+    assert all(p in group for p in members)
+    assert not any(p in group for p in not_tree)
+
+
+def test_groups_outside_the_tree_chain_match_bfs():
+    # d = 3 with a root transposition, and a non-prime alphabet
+    root_swap = (3, 4, 5, 0, 1, 2, 6, 7, 8)
+    turn_first = (1, 2, 0, 3, 4, 5, 6, 7, 8)
+    for d, level, perms in ((3, 2, [root_swap, turn_first]), (4, 1, [(1, 2, 3, 0)])):
+        group = LevelPermGroup(d, level, perms)
+        assert isinstance(group._chain(), _PointChain)
+        assert group.order() == len(closure(perms))
+        assert set(group.elements()) == closure(perms)
 
 
 def test_orbit_on_level_transitivity():
@@ -222,6 +299,7 @@ def test_intersection_random_cyclic_coprime():
         three[points[2]], three[points[3]], three[points[4]] = points[3], points[4], points[2]
         a = LevelPermGroup(2, 3, [tuple(two_cycle)])
         b = LevelPermGroup(2, 3, [tuple(three)])
+        assert isinstance(b._chain(), _PointChain)  # order 3: not a 2-group
         expected = len(closure([tuple(two_cycle)]) & closure([tuple(three)])) == 1
         assert intersection_trivial_on_level(a, b) == expected
         assert expected  # coprime orders force a trivial intersection
