@@ -120,14 +120,52 @@ def invert_word(word):
 def free_reduce(factors):
     """Free reduction: drop identity factors, cancel s^e s^-e."""
     out = []
+    pop = out.pop
+    push = out.append
+    last_s, last_e = None, 0    # the last factor kept
     for f in factors:
-        if f[0] == IDENTITY:
-            continue
-        if out and out[-1][0] == f[0] and out[-1][1] == -f[1]:
-            out.pop()
-        else:
-            out.append(f)
+        s, e = f
+        if e == -last_e and s == last_s:
+            pop()
+            last_s, last_e = out[-1] if out else (None, 0)
+        elif s != IDENTITY:
+            push(f)
+            last_s, last_e = f
     return tuple(out)
+
+
+def reduced_product(x, y):
+    """free_reduce(x + y) for reduced words x and y: cancels only at the seam.
+
+    A reduced word has no cancelling neighbours, so only the end of x can
+    meet the start of y: the cost is one concatenation, with no reduction
+    pass over both words.
+    """
+    n = min(len(x), len(y))
+    k = 0
+    while k < n and x[-1 - k][0] == y[k][0] and x[-1 - k][1] == -y[k][1]:
+        k += 1
+    return x[:len(x) - k] + y[k:] if k else x + y
+
+
+def power_by_squaring(x, n, identity, mul, inv):
+    """x^n by squaring and multiplying: about 2 log2|n| products.
+
+    For x^-n the inverse is raised to n.  The grouping of the n factors
+    differs from a left-to-right fold, so this is exact for backends whose
+    products are canonical (equal elements have equal representations):
+    reduced free words, the HNN normal form, lamplighter lamp sets.
+    """
+    if n < 0:
+        x, n = inv(x), -n
+    out = identity
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +266,35 @@ class MealyAutomaton:
 
     # -- action -----------------------------------------------------------
 
+    def step(self, word, x):
+        """(image of the letter x, section of word at x), one pass over the factors.
+
+        The factors are applied in order; the sections they pass through,
+        freely reduced, form the word that acts below x.  Free reduction
+        commutes with sectioning, so reducing once gives the reduced
+        section.  The sections of states are stored reduced, so a section
+        of at most one factor needs no reduction.
+        """
+        steps = self._steps
+        below = []
+        for s, e in word:
+            perm, sections = steps[s][e]
+            below += sections[x]
+            x = perm[x]
+        return x, (tuple(below) if len(below) < 2 else free_reduce(below))
+
+    def split(self, word):
+        """First-level decomposition: (root permutation, section at each letter)."""
+        images, sections = zip(*(self.step(word, x) for x in self.alphabet))
+        return images, sections
+
     def walk(self, word, v):
         """(image of v, section of word at v), one level at a time.
 
-        At each letter the factors of the current word are applied in
-        order; the sections they pass through, freely reduced, form the
-        word that acts on the next level.  Free reduction commutes with
-        sectioning, so reducing once per level gives the reduced section.
-        The sections of states are stored reduced, so a section of at most
-        one factor needs no reduction; once the section is the empty word
-        the rest of v is fixed.  Iterative: the depth of v costs no stack.
+        Each level is one `step`, written out inline: on deep vertices a
+        function call per level costs about 15% of the boundary action.
+        Once the section is the empty word the rest of v is fixed.
+        Iterative: the depth of v costs no stack.
         """
         if not v:
             return (), free_reduce(word)
@@ -278,12 +335,15 @@ class MealyAutomaton:
     def word_is_trivial(self, word):
         """Exact triviality via memoized closure over section words.
 
-        A reduced word is trivial iff every word in its section closure has
-        trivial root permutation.  When every section of a state is a single
-        state, a section of a k-factor word has at most k factors, so the
-        closure is finite and the visited-set search terminates.  Word-valued
-        sections (x=(x*x,1)(1,2)) can make the closure infinite; no budget
-        bounds the search yet.
+        A reduced word is trivial iff every word in its section closure
+        fixes the first level.  Each visited word costs one pass over its
+        factors per letter (`step`), which yields the image of the letter
+        and the section below it together; the first moved letter ends the
+        search with "nontrivial".  When every section of a state is a
+        single state, a section of a k-factor word has at most k factors,
+        so the closure is finite and the visited-set search terminates.
+        Word-valued sections (x=(x*x,1)(1,2)) can make the closure
+        infinite; no budget bounds the search yet.
         """
         word = self.reduce(word)
         if not word:
@@ -292,24 +352,34 @@ class MealyAutomaton:
             return True
         if word in self._nontrivial:
             return False
-        ident = identity_perm(self.size)
         seen = set()
         stack = [word]
         while stack:
             w = stack.pop()
             if not w or w in seen or w in self._trivial:
                 continue
-            if w in self._nontrivial or self.root_perm(w) != ident:
+            sections = None if w in self._nontrivial else self._sections_if_fixed(w)
+            if sections is None:
                 # w lies in the section closure of `word`, so `word` moves
                 # some vertex as well
                 self._nontrivial.add(w)
                 self._nontrivial.add(word)
                 return False
             seen.add(w)
-            for x in self.alphabet:
-                stack.append(self.section_word(w, (x,)))
+            stack += sections
         self._trivial.update(seen)
         return True
+
+    def _sections_if_fixed(self, word):
+        """The sections of word at the letters 0..d-1, or None if it moves one."""
+        step = self.step
+        sections = []
+        for x in range(self.size):
+            y, section = step(word, x)
+            if y != x:
+                return None
+            sections.append(section)
+        return sections
 
 
 def fmt_word(word):
@@ -333,7 +403,11 @@ def fmt_word(word):
 
 @dataclass(frozen=True)
 class TreeAutomorphism:
-    """A formal product of automaton states acting on the rooted tree."""
+    """A formal product of automaton states acting on the rooted tree.
+
+    `word` is freely reduced (`MealyAutomaton.element` reduces its input),
+    so a product cancels only at the seam of the two words.
+    """
 
     automaton: MealyAutomaton
     word: Word
@@ -343,7 +417,7 @@ class TreeAutomorphism:
             raise ValueError(
                 "elements live over different automata; rebuild both words over "
                 "one recursion (extend() can adjoin the missing states)")
-        return TreeAutomorphism(self.automaton, self.automaton.reduce(self.word + other.word))
+        return TreeAutomorphism(self.automaton, reduced_product(self.word, other.word))
 
     def inverse(self):
         return TreeAutomorphism(self.automaton, invert_word(self.word))
@@ -352,17 +426,13 @@ class TreeAutomorphism:
         return self.inverse()
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.automaton.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power_by_squaring(self, n, self.automaton.identity(),
+                                 TreeAutomorphism.__mul__, TreeAutomorphism.inverse)
 
     def act(self, v):
         if isinstance(v, str):
             v = parse_vertex(v)
-        if any(not 0 <= x < self.automaton.size for x in v):
+        if v and (min(v) < 0 or max(v) >= self.automaton.size):
             raise ValueError(f"vertex {v} has letters outside the alphabet")
         return self.automaton.walk(self.word, tuple(v))[0]
 
@@ -379,8 +449,8 @@ class TreeAutomorphism:
 
     def first_level(self):
         """First-level decomposition (sections tuple, root permutation)."""
-        sections = tuple(self.section((x,)) for x in self.automaton.alphabet)
-        return sections, self.root_perm()
+        perm, sections = self.automaton.split(self.word)
+        return tuple(TreeAutomorphism(self.automaton, w) for w in sections), perm
 
     def is_trivial(self):
         return self.automaton.word_is_trivial(self.word)
@@ -548,8 +618,8 @@ def _sections_by_level(g, depth):
     frontier = {(): g.word}
     for level in range(depth + 1):
         if level:
-            frontier = {v + (x,): aut.section_word(w, (x,))
-                        for v, w in frontier.items() for x in aut.alphabet}
+            frontier = {v + (x,): section for v, w in frontier.items()
+                        for x, section in enumerate(aut.split(w)[1])}
         yield from frontier.items()
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex
+from .core import (TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex,
+                   power_by_squaring, reduced_product)
 from .lifting import LiftingError, check_lifting
 from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
@@ -146,8 +147,7 @@ class ScaleAction:
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        image = self.sigma.image(s)
-        out = self.act_sigma(image if e == 1 else invert_word(image), k - 1, v)
+        out = self.act_sigma(self.sigma.image(s, e), k - 1, v)
         self._act_cache[key] = out
         return out
 
@@ -173,14 +173,18 @@ def theta_apply(e, v, action):
 
 
 def hnn_multiply(e1, e2, action):
-    """Product in the extension via t g t^-1 = sigma(g)."""
+    """Product in the extension via t g t^-1 = sigma(g).
+
+    Both middle words are reduced (sigma_word reduces), so they cancel
+    only at the seam.
+    """
     if e1.tpos >= e2.tneg:
         k = e1.tpos - e2.tneg
-        word = e1.word + action.sigma_word(e2.word, k)
-        return HnnElement(e1.tneg, action.automaton.reduce(word), k + e2.tpos)
+        word = reduced_product(e1.word, action.sigma_word(e2.word, k))
+        return HnnElement(e1.tneg, word, k + e2.tpos)
     k = e2.tneg - e1.tpos
-    word = action.sigma_word(e1.word, k) + e2.word
-    return HnnElement(e1.tneg + k, action.automaton.reduce(word), e2.tpos)
+    word = reduced_product(action.sigma_word(e1.word, k), e2.word)
+    return HnnElement(e1.tneg + k, word, e2.tpos)
 
 
 def hnn_inverse(e):
@@ -188,12 +192,8 @@ def hnn_inverse(e):
 
 
 def hnn_power(e, n, action):
-    if n < 0:
-        return hnn_power(hnn_inverse(e), -n, action)
-    out = HNN_IDENTITY
-    for _ in range(n):
-        out = hnn_multiply(out, e, action)
-    return out
+    return power_by_squaring(e, n, HNN_IDENTITY,
+                             lambda x, y: hnn_multiply(x, y, action), hnn_inverse)
 
 
 def hnn_is_trivial(e, action):
@@ -306,7 +306,7 @@ def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=
             word = w.word if isinstance(w, TreeAutomorphism) else tuple(w)
             if aut.act_word(word, (i,) * k) != (i,) * k:
                 continue
-            e = HnnElement(k, word, k)
+            e = action.element(word, k, k)
             fixes = theta_apply(e, lam, action) == lam
             projection = aut.section_word(word, (i,) * k)
             residual = hnn_multiply(e, hnn_inverse(action.theta(projection)), action)

@@ -29,7 +29,7 @@ from math import isqrt
 from operator import getitem
 from dataclasses import dataclass, field
 
-from .core import free_reduce, identity_perm, invert_word, pinv, pmul
+from .core import identity_perm, invert_word, pinv, pmul, reduced_product
 
 DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
@@ -475,7 +475,7 @@ def stabilizer_words(gens, target="first-level"):
         def act(w, v):
             return elements[w].act(v)
     return schreier_generators(root, (), list(elements), act,
-                               lambda x, y: free_reduce(x + y), invert_word)
+                               reduced_product, invert_word)
 
 
 def intersection_trivial_on_level(a, b, threshold=10 ** 6):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, fmt_word, invert_word
+from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, fmt_word, free_reduce, invert_word
 from .levels import intersection_trivial_on_level, orbit, perm_group_on_level, stabilizer_words
 from .words import parse_word_factors
 
@@ -42,6 +42,14 @@ class Substitution:
             pairs.append((name, factors))
         return cls(automaton, tuple(pairs), letter)
 
+    def __post_init__(self):
+        # (name, +-1) -> image of that factor, built once
+        table = {}
+        for name, word in self.images:
+            table[(name, 1)] = word
+            table[(name, -1)] = invert_word(word)
+        object.__setattr__(self, "_table", table)
+
     @property
     def domain(self):
         return tuple(name for name, _ in self.images)
@@ -49,20 +57,22 @@ class Substitution:
     def image_map(self):
         return dict(self.images)
 
-    def image(self, name):
-        return dict(self.images)[name]
+    def image(self, name, e=1):
+        """sigma(name), or its inverse for e = -1."""
+        return self._table[(name, e)]
 
     def apply_word(self, word):
         """sigma applied to a word over the domain, symbolically."""
-        table = dict(self.images)
+        table = self._table
         out = []
-        for s, e in word:
-            if s == IDENTITY:
-                continue
-            if s not in table:
-                raise LiftingError(f"sigma is undefined on {s!r}")
-            out.extend(table[s] if e == 1 else invert_word(table[s]))
-        return self.automaton.reduce(tuple(out))
+        for f in word:
+            image = table.get(f)
+            if image is None:
+                if f[0] == IDENTITY:
+                    continue
+                raise LiftingError(f"sigma is undefined on {f[0]!r}")
+            out += image
+        return free_reduce(out)
 
     def apply_power(self, word, k):
         if k < 0:

@@ -248,3 +248,10 @@ def test_check_evidence_deterministic():
     w1 = run_check("witnesses", {"group": "grigorchuk"})
     w2 = run_check("witnesses", {"group": "grigorchuk"})
     assert w1.evidence == w2.evidence
+
+
+def test_cli_portrait_deep_nesting_is_a_usage_error(capsys):
+    element = "(" * 3000 + "a" + ")" * 3000
+    code, out, err = run_cli(capsys, "portrait", "--group", "grigorchuk", "--element", element)
+    assert code == 3
+    assert out == "" and "nested deeper" in err

@@ -5,6 +5,7 @@ import pytest
 from arboreal import catalog as cat
 from arboreal.core import (
     Alphabet,
+    MealyAutomaton,
     WreathSpecError,
     fmt_perm,
     fmt_vertex,
@@ -302,3 +303,113 @@ def test_convention_2_2_on_all_catalog_groups():
             level = rng.randint(1, 6)
             v = tuple(rng.randrange(aut.size) for _ in range(level))
             assert (g * h).act(v) == h.act(g.act(v))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass word problem against an evaluator built from the rules alone
+
+def _rule_reduce(word):
+    out = []
+    for f in word:
+        if out and out[-1] == (f[0], -f[1]):
+            out.pop()
+        elif f[0] != "1":
+            out.append(f)
+    return tuple(out)
+
+
+def _rule_split(aut, word):
+    """(root permutation, sections) of a word, from `aut.rule` only."""
+    images, sections = [], []
+    for x in range(aut.size):
+        below = []
+        for s, e in word:
+            perm, secs = aut.rule(s)
+            if e == 1:
+                below += secs[x]
+                x = perm[x]
+            else:
+                x = perm.index(x)
+                below += [(t, -f) for t, f in reversed(secs[x])]
+        images.append(x)
+        sections.append(_rule_reduce(below))
+    return tuple(images), sections
+
+
+def _moves_a_vertex(aut, word, level):
+    """Whether the word moves some vertex of the first `level` levels."""
+    frontier = [_rule_reduce(word)]
+    for _ in range(level):
+        below = []
+        for w in frontier:
+            if w:
+                perm, sections = _rule_split(aut, w)
+                if perm != tuple(range(aut.size)):
+                    return True
+                below += sections
+        frontier = below
+    return False
+
+
+def _reference_trivial(aut, word, trivial, nontrivial):
+    """The closure search as a root-permutation pass, then one section per letter."""
+    word = _rule_reduce(word)
+    if not word or word in trivial:
+        return True
+    if word in nontrivial:
+        return False
+    seen, stack = set(), [word]
+    while stack:
+        w = stack.pop()
+        if not w or w in seen or w in trivial:
+            continue
+        perm, sections = _rule_split(aut, w)
+        if w in nontrivial or perm != tuple(range(aut.size)):
+            nontrivial.update((w, word))
+            return False
+        seen.add(w)
+        stack.extend(sections)
+    trivial.update(seen)
+    return True
+
+
+def _trivial_words(entry):
+    """Relators the catalog states, else the generators' orders (d)."""
+    relators = [w for _, w in entry.relators(1)]
+    if entry.separation is not None:
+        relators += [entry.automaton.element(t).word
+                     for t in entry.separation["complement_relators"]]
+    return relators or [((g, 1),) * entry.automaton.size for g in entry.generators]
+
+
+@pytest.mark.parametrize("gid", sorted(cat.catalog()))
+def test_word_is_trivial_matches_rule_evaluator_and_reference_memos(gid):
+    entry = cat.get(gid)
+    rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
+    aut = MealyAutomaton(entry.automaton.size, rules)     # fresh, empty memos
+    rng = random.Random(gid)
+    names = list(entry.generators)
+    relators = _trivial_words(entry)
+    clen = 3 if gid == "bs13" else 6        # BS(1,3) closures grow fast in the conjugator
+    trivial, nontrivial = set(), set()
+    for k in range(60):
+        if k % 2:
+            word = ()
+            for _ in range(2):
+                c = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(clen))
+                word += invert_word(c) + rng.choice(relators) + c
+        else:
+            word = tuple((rng.choice(names), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 12)))
+        verdict = aut.word_is_trivial(word)
+        assert verdict == _reference_trivial(aut, word, trivial, nontrivial)
+        assert verdict or k % 2 == 0, (gid, word)   # products of conjugated relators
+        moved = _moves_a_vertex(aut, word, 6)
+        if verdict:
+            assert not moved, (gid, word)
+        elif not moved:
+            # nontrivial but fixing level 6: the closure must have found a
+            # moved vertex further down
+            assert _moves_a_vertex(aut, word, 16), (gid, word)
+    assert aut._trivial == trivial and aut._nontrivial == nontrivial
+    assert nontrivial

@@ -1,11 +1,12 @@
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import fmt_word
+from arboreal.core import fmt_word, invert_word
 from arboreal.levels import perm_group_on_level
 from arboreal.lifting import (
     GgsError,
     GgsVector,
+    LiftingError,
     LPresentation,
     Substitution,
     check_lifting,
@@ -274,3 +275,15 @@ def test_presentation_parse_roundtrip():
         phi={"a": "a*c*a", "b": "d", "c": "b", "d": "c"})
     relators = pres.relators(2)
     assert len(relators) == 1 + 3
+
+
+def test_substitution_table():
+    sigma = cat.get("grigorchuk").sigma()
+    for name, word in sigma.images:
+        assert sigma.image(name) == word
+        assert sigma.image(name, -1) == invert_word(word)
+    aca = sigma.image("a")
+    assert sigma.apply_word((("a", 1), ("1", 1), ("a", -1))) == ()
+    assert sigma.apply_word((("a", -1), ("b", 1))) == invert_word(aca) + (("d", 1),)
+    with pytest.raises(LiftingError, match="undefined"):
+        sigma.apply_word((("zz", 1),))

@@ -1,7 +1,12 @@
+import random
+import time
+
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.words import WordSyntaxError, parse_word_factors
+from arboreal.core import free_reduce, invert_word, reduced_product
+from arboreal.hnn import HNN_IDENTITY, HnnElement, hnn_inverse, hnn_power, parse_hnn
+from arboreal.words import MAX_NESTING, GroupOps, WordSyntaxError, evaluate, parse_word_factors
 
 
 NAMES = {"a", "b", "c", "d"}
@@ -58,3 +63,167 @@ def test_element_from_text_matches_manual():
     gens = grig.elements()
     assert grig.element("(ad)^4").is_trivial()
     assert grig.element("aca").same_action(gens["a"] * gens["c"] * gens["a"])
+
+
+# ---------------------------------------------------------------------------
+# linear-time word arithmetic against the left-to-right fold it replaced
+
+class _LeftFold(GroupOps):
+    """Multiplies factors and powers one at a time, left to right."""
+
+    def product(self, factors):
+        out = self.identity
+        for f in factors:
+            out = self.mul(out, f)
+        return out
+
+    def power(self, x, n):
+        if n < 0:
+            x, n = self.inv(x), -n
+        out = self.identity
+        for _ in range(n):
+            out = self.mul(out, x)
+        return out
+
+
+def _random_reduced(rng, names, length):
+    return free_reduce([(rng.choice(names), rng.choice((1, -1))) for _ in range(length)])
+
+
+def test_seam_product_equals_full_reduction():
+    rng = random.Random(11)
+    names = "ab"
+    for _ in range(2000):
+        x = _random_reduced(rng, names, rng.randint(0, 12))
+        r = rng.random()
+        if r < 0.2:
+            y = invert_word(x)                              # total cancellation
+        elif r < 0.5:
+            cut = rng.randint(0, len(x))
+            y = invert_word(x[cut:]) + _random_reduced(rng, names, rng.randint(0, 6))
+            y = free_reduce(y)
+        else:
+            y = _random_reduced(rng, names, rng.randint(0, 12))
+        assert reduced_product(x, y) == free_reduce(x + y), (x, y)
+    assert reduced_product((), ()) == ()
+
+
+def _expr(rng, names, depth=0):
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.random()
+        if r < 0.5 or depth > 1:
+            x = rng.choice(names)
+        elif r < 0.7:
+            x = "(" + _expr(rng, names, depth + 1) + ")"
+        elif r < 0.85:
+            x = "[" + _expr(rng, names, depth + 1) + "," + _expr(rng, names, depth + 1) + "]"
+        else:
+            x = rng.choice(names) + "^(" + _expr(rng, names, depth + 1) + ")"
+        if rng.random() < 0.4:
+            x += f"^{rng.randint(-12, 12)}"
+        parts.append(x)
+    return "*".join(parts)
+
+
+def _hnn_expr(rng, names):
+    """Words in t, T and the generators whose sigma-depth stays small."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        w = _expr(rng, names, 1)
+        k = rng.randint(1, 3)
+        n = rng.randint(-12, 12)
+        parts.append(rng.choice([
+            f"({w})", f"t^{k}", f"T^{k}", "t", "T", f"(T^{k}*({w})*t^{k})^{n}",
+            f"(t*({w}))^{rng.randint(-4, 4)}", f"({w})^t", f"({w})^T", f"[t,{w}]",
+            f"(T{rng.choice(names)}t)^{n}"]))
+    return "*".join(parts)
+
+
+def test_balanced_fold_and_squaring_match_left_fold_on_tree_words():
+    rng = random.Random(12)
+    for gid in ("grigorchuk", "basilica", "gs3"):
+        entry = cat.get(gid)
+        aut = entry.automaton
+        names = set(aut.states)
+        ops = _LeftFold((), lambda s: ((s, 1),) if s != "1" else (),
+                        lambda x, y: free_reduce(x + y), invert_word)
+        for _ in range(200):
+            text = _expr(rng, list(entry.generators))
+            assert parse_word_factors(text, names) == evaluate(text, ops, names), text
+        for _ in range(20):
+            g = aut.element(_random_reduced(rng, entry.generators, rng.randint(0, 8)))
+            for n in range(-12, 13):
+                expected = aut.identity()
+                for _ in range(abs(n)):
+                    expected = expected * (g if n > 0 else g.inverse())
+                assert (g ** n).word == expected.word
+
+
+def _hnn_multiply_full(e1, e2, action):
+    """The extension's product with the whole middle word reduced again."""
+    if e1.tpos >= e2.tneg:
+        k = e1.tpos - e2.tneg
+        word = free_reduce(e1.word + action.sigma_word(e2.word, k))
+        return HnnElement(e1.tneg, word, k + e2.tpos)
+    k = e2.tneg - e1.tpos
+    word = free_reduce(action.sigma_word(e1.word, k) + e2.word)
+    return HnnElement(e1.tneg + k, word, e2.tpos)
+
+
+def test_balanced_fold_and_squaring_match_left_fold_on_hnn_words():
+    rng = random.Random(13)
+    for gid in ("grigorchuk", "basilica", "lamplighter", "bs13"):
+        action = cat.get(gid).action()
+        names = set(action.automaton.states) | {"t", "T"}
+
+        def atom(name):
+            return {"t": HnnElement(0, (), 1), "T": HnnElement(1, (), 0),
+                    "1": HNN_IDENTITY}.get(name) or HnnElement(0, ((name, 1),), 0)
+
+        ops = _LeftFold(HNN_IDENTITY, atom, lambda x, y: _hnn_multiply_full(x, y, action),
+                        hnn_inverse)
+        gens = list(action.generators())
+        for _ in range(60):
+            text = _hnn_expr(rng, gens)
+            assert parse_hnn(text, action) == evaluate(text, ops, names), (gid, text)
+        for _ in range(10):
+            e = parse_hnn(_hnn_expr(rng, gens), action)
+            for n in range(-12, 13):
+                if abs(e.displacement * n) > 6:
+                    continue    # sigma^k words grow exponentially in k
+                assert hnn_power(e, n, action) == ops.power(e, n), (gid, e, n)
+
+
+def test_balanced_fold_and_squaring_match_left_fold_on_lamplighter():
+    rng = random.Random(14)
+    ops = _LeftFold(cat.LAMP_IDENTITY,
+                    lambda name: {"x": cat.lamplighter_x(), "s": cat.lamplighter_s(),
+                                  "1": cat.LAMP_IDENTITY}[name],
+                    lambda a, b: a * b, lambda a: a.inverse())
+    for _ in range(300):
+        text = _expr(rng, ["x", "s"])
+        assert cat.lamplighter_word(text) == evaluate(text, ops, {"x", "s", "1"}), text
+
+
+def test_long_powers_and_juxtapositions_parse_in_linear_time():
+    names = {"a", "d"}
+    t0 = time.process_time()
+    word = parse_word_factors("(ad)^200000", names)
+    assert time.process_time() - t0 < 1
+    assert len(word) == 400000 and word[:2] == (("a", 1), ("d", 1))
+    t0 = time.process_time()
+    word = parse_word_factors("ad" * 50000, names)
+    assert time.process_time() - t0 < 2
+    assert word == (("a", 1), ("d", 1)) * 50000
+
+
+def test_nesting_is_bounded():
+    deep = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_word_factors(deep, NAMES) == (("a", 1),)
+    with pytest.raises(WordSyntaxError, match="nested"):
+        parse_word_factors("(" + deep + ")", NAMES)
+    with pytest.raises(WordSyntaxError, match="nested"):
+        parse_word_factors("(" * 3000 + "a" + ")" * 3000, NAMES)
+    with pytest.raises(WordSyntaxError, match="nested"):
+        parse_word_factors("[a," * 3000 + "b" + "]" * 3000, NAMES)

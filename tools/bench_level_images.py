@@ -14,21 +14,17 @@ point is the median over the repeats of:
 - `cli_wall_s` (cli points): wall seconds of a whole
   `python -m arboreal.cli perm-group-on-level` process.
 
-A point that runs past the timeout is recorded as "timeout" and is not
-repeated: the chains are deterministic, so it would time out again.
+The fresh interpreters, the alternation and the timeouts are those of
+`tools/benchlib.py`.
 """
 
 import argparse
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
-import sys
 import time
 
-TIMEOUT_S = 60
+import benchlib
+
 ORDER_POINTS = ([("grigorchuk", n) for n in range(3, 9)]
                 + [("basilica", n) for n in range(3, 9)]
                 + [("gs3", n) for n in range(2, 5)]
@@ -43,6 +39,7 @@ def child(kind, gid, n):
     """One point, measured in this interpreter; returns a dict."""
     from arboreal import catalog
     from arboreal.levels import level_perm, perm_group_on_level
+    n = int(n)
     entry = catalog.get(gid)
     gens = list(entry.elements().values())
     t0 = time.process_time()
@@ -65,45 +62,16 @@ def child(kind, gid, n):
     return out
 
 
-def run_point(src, kind, gid, n):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0")
+def measure(src, point):
+    kind, gid, n = point
     if kind == "cli":
-        cmd = [sys.executable, "-s", "-m", "arboreal.cli", "perm-group-on-level",
-               "--group", gid, "--level", str(n), "--format", "json"]
-    else:
-        cmd = [sys.executable, "-s", __file__, "--child", kind, gid, str(n)]
-    t0 = time.perf_counter()
-    try:
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S, check=True)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    wall = time.perf_counter() - t0
-    result = json.loads(proc.stdout)
-    if kind == "cli":
+        got = benchlib.run_cli(src, "perm-group-on-level", "--group", gid, "--level", n,
+                               "--format", "json")
+        if got == "timeout":
+            return got
+        wall, result = got
         return {"cli_wall_s": wall, "order": str(result["order"])}
-    return result
-
-
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def summarise(samples):
-    if "timeout" in samples:
-        return "timeout"
-    out = {"repeats": len(samples), "order": samples[0]["order"]}
-    for key in samples[0]:
-        if key != "order":
-            out[key] = round(statistics.median(s[key] for s in samples), 6)
-    return out
+    return benchlib.run_child(__file__, src, kind, gid, n)
 
 
 def main():
@@ -117,50 +85,24 @@ def main():
               + [("sift", gid, n) for gid, n in SIFT_POINTS]
               + [("cli", gid, n) for gid, n in CLI_POINTS])
     sides = {"parent": args.parent, "change": args.change}
-    samples = {(side, point): [] for side in sides for point in points}
-    for rep in range(args.repeats):
-        order = list(sides) if rep % 2 == 0 else list(reversed(list(sides)))
-        for point in points:
-            for side in order:
-                got = samples[(side, point)]
-                if "timeout" not in got:
-                    got.append(run_point(sides[side], *point))
-                    print(side, *point, got[-1], file=sys.stderr, flush=True)
+    results = benchlib.compare(sides, points, args.repeats, measure)
     curves = []
-    for point in points:
-        kind, gid, n = point
-        row = {"kind": kind, "group": gid, "level": n}
-        for side in sides:
-            row[side] = summarise(samples[(side, point)])
-        if "timeout" not in (row["parent"], row["change"]):
-            if row["parent"]["order"] != row["change"]["order"]:
-                raise AssertionError(f"orders differ at {point}")
-        curves.append(row)
-    by_point = {(row["kind"], row["group"], row["level"]): row["change"] for row in curves}
-    grig8 = by_point[("order", "grigorchuk", 8)]
-    gs7 = by_point[("cli", "gs7", 3)]
-    report = {
-        "harness": "tools/bench_level_images.py",
-        "python": platform.python_version(),
-        "host": {"cpu": cpu_model(), "cpus": os.cpu_count(), "machine": platform.machine(),
-                 "system": f"{platform.system()} {platform.release()}"},
-        "timeout_s": TIMEOUT_S,
-        "repeats": args.repeats,
-        "gates": {
-            "grigorchuk level 8 order_cpu_s <= 2":
-                grig8 != "timeout" and grig8["order_cpu_s"] <= 2,
-            "perm-group-on-level --group gs7 --level 3 cli_wall_s < 1":
-                gs7 != "timeout" and gs7["cli_wall_s"] < 1,
-        },
-        "curves": curves,
+    for (kind, gid, n), row in results.items():
+        benchlib.same_answers(row, ("order",))
+        curves.append({"kind": kind, "group": gid, "level": n, **row})
+    grig8 = results[("order", "grigorchuk", 8)]["change"]
+    gs7 = results[("cli", "gs7", 3)]["change"]
+    report = benchlib.report_header("tools/bench_level_images.py", args.repeats)
+    report["gates"] = {
+        "grigorchuk level 8 order_cpu_s <= 2":
+            isinstance(grig8, dict) and grig8["order_cpu_s"] <= 2,
+        "perm-group-on-level --group gs7 --level 3 cli_wall_s < 1":
+            isinstance(gs7, dict) and gs7["cli_wall_s"] < 1,
     }
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+    report["curves"] = curves
+    benchlib.write_report(args.output, report)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 5 and sys.argv[1] == "--child":
-        print(json.dumps(child(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
-    else:
+    if not benchlib.child_main(child):
         main()

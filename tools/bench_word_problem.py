@@ -1,0 +1,93 @@
+"""Scaling curves of word parsing and the word problem, for two source trees.
+
+    python3 tools/bench_word_problem.py --parent PARENT/src --change src \
+        --repeats 3 -o BENCH_word_problem.json
+
+The fresh interpreters, the alternation of parent and change and the
+timeouts are those of `tools/benchlib.py`.  A point is the median over
+the repeats of:
+
+- `parse_cpu_s` (curves `(ad)^N` and `juxtaposition`): CPU seconds of
+  `parse_word_factors` on `(ad)^N`, or on `adad...` with N letters, in
+  the Grigorchuk group; `factors` and `digest` (a hash of the word) let
+  the two trees' words be compared;
+- `decide_cpu_s` and `memo_words` (curve `bs13 c^-1 r c`): CPU seconds of
+  `word_is_trivial` on c^-1 r c in BS(1,3), for the longer stated
+  relator r and a seeded positive conjugator c of length L that starts
+  with the letter c, on a fresh automaton; `memo_words` is the size of
+  the trivial and nontrivial memos afterwards.
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+import time
+
+import benchlib
+
+POWER_N = (250, 500, 1000, 2000, 4000, 8000, 16000, 32000, 64000, 200000)
+JUXTAPOSITION_N = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 100000)
+BS13_L = (4, 5, 6, 7, 8, 9)
+
+
+def child(curve, n):
+    from arboreal import catalog
+    n = int(n)
+    if curve == "bs13":
+        entry = catalog.get("bs13")
+        aut = entry.automaton
+        rng = random.Random(n)
+        c = (("c", 1),) + tuple((rng.choice(entry.generators), 1) for _ in range(n - 1))
+        relator = max((w for _, w in entry.relators(0)), key=len)
+        word = tuple((s, -e) for s, e in reversed(c)) + relator + c
+        t0 = time.process_time()
+        verdict = aut.word_is_trivial(word)
+        return {"decide_cpu_s": time.process_time() - t0, "trivial": verdict,
+                "memo_words": len(aut._trivial) + len(aut._nontrivial)}
+    from arboreal.words import parse_word_factors
+    text = f"(ad)^{n}" if curve == "power" else "ad" * (n // 2)
+    t0 = time.process_time()
+    word = parse_word_factors(text, {"a", "b", "c", "d"})
+    cpu = time.process_time() - t0
+    return {"parse_cpu_s": cpu, "factors": len(word),
+            "digest": hashlib.sha256(repr(word).encode()).hexdigest()[:16]}
+
+
+def measure(src, point):
+    return benchlib.run_child(__file__, src, *point)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="source tree of the parent commit")
+    parser.add_argument("--change", required=True, help="source tree of the change")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("-o", "--output", required=True)
+    args = parser.parse_args()
+    points = ([("power", n) for n in POWER_N]
+              + [("juxtaposition", n) for n in JUXTAPOSITION_N]
+              + [("bs13", n) for n in BS13_L])
+    sides = {"parent": args.parent, "change": args.change}
+    results = benchlib.compare(sides, points, args.repeats, measure)
+    names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c"}
+    curves = []
+    for (curve, n), row in results.items():
+        benchlib.same_answers(row, ("factors", "digest", "trivial", "memo_words"))
+        curves.append({"curve": names[curve], "n": n, **row})
+    power = results[("power", 200000)]["change"]
+    juxt = results[("juxtaposition", 100000)]["change"]
+    report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
+    report["gates"] = {
+        "(ad)^200000 gives 400000 factors, parse_cpu_s < 1":
+            isinstance(power, dict) and power["factors"] == 400000 and power["parse_cpu_s"] < 1,
+        "100000-letter juxtaposition parse_cpu_s < 2":
+            isinstance(juxt, dict) and juxt["parse_cpu_s"] < 2,
+    }
+    report["curves"] = curves
+    benchlib.write_report(args.output, report)
+
+
+if __name__ == "__main__":
+    if not benchlib.child_main(child):
+        sys.exit(main())
