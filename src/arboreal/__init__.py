@@ -48,6 +48,7 @@ from .hnn import (
     HNN_IDENTITY,
     ScaleAction,
     UnrootedVertex,
+    canonical_vertices,
     canonicalize,
     hnn_inverse,
     hnn_is_trivial,

@@ -12,7 +12,6 @@ matching check and stays as code: a single counterexample fails it.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -20,8 +19,7 @@ from . import catalog as _catalog
 from .checks import CheckReport, DEFAULT_SEED, run_check
 from .hnn import (
     HnnElement,
-    UnrootedVertex,
-    canonicalize,
+    canonical_vertices,
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
@@ -130,16 +128,10 @@ def _random_hnn(action, rng, max_len):
 
 def _moved_vertex(e, action, start, stop):
     """A vertex moved by a decided-nontrivial element, searching outward."""
-    d = action.automaton.size
     for bound in range(start, stop + 1):
-        for n in range(bound + 1):
-            for m in range(bound + 1):
-                for w in itertools.product(range(d), repeat=n):
-                    v = UnrootedVertex(m, w)
-                    if canonicalize(v, action.letter) != v:
-                        continue
-                    if theta_apply(e, v, action) != v:
-                        return v
+        for v in canonical_vertices(action, bound, bound):
+            if theta_apply(e, v, action) != v:
+                return v
     return None
 
 
@@ -197,15 +189,8 @@ def criterion_9_property_suites():
     # theta is a homomorphism (sampled), and triviality agrees with the action
     for entry in _catalog.entries_with_sigma():
         action = entry.action()
-        d = action.automaton.size
-        w_max = 4 if d == 2 else 2
-        vertices = []
-        for n in range(w_max + 1):
-            for m in range(5):
-                for w in itertools.product(range(d), repeat=n):
-                    v = UnrootedVertex(m, w)
-                    if canonicalize(v, action.letter) == v:
-                        vertices.append(v)
+        w_max = 4 if action.automaton.size == 2 else 2
+        vertices = list(canonical_vertices(action, 4, w_max))
         hom_good = True
         for _ in range(100):
             e1 = _random_hnn(action, rng, 6)

@@ -88,24 +88,24 @@ class CatalogEntry:
         }
 
 
-def _entry(id, note, spec, sigmas=None, default=None, presentation=None,
-           relator_texts=None, hnn_presentations=None, liftable="yes",
+def _entry(id, note, wreath, substitutions=None, default_sigma=None, presentation=None,
+           hnn_presentations=None, relator_texts=None, liftable="yes",
            aliases=(), separation=None):
-    automaton = parse_wreath_spec(spec)
-    subs = {}
-    for name, (images, letter) in (sigmas or {}).items():
-        subs[name] = Substitution.parse(automaton, images, letter)
+    """An entry from the spec-bundle schema that `load_spec` documents."""
+    automaton = parse_wreath_spec(wreath)
+    subs = {name: Substitution.parse(automaton, cfg["images"], cfg.get("letter"))
+            for name, cfg in (substitutions or {}).items()}
     pres = None
     if presentation is not None:
         pres = LPresentation.parse(
             automaton, automaton.generators,
             fixed=presentation.get("fixed", ()),
             iterated=presentation.get("iterated", ()),
-            phi=Substitution.parse(automaton, presentation["phi"]) if "phi" in presentation else None,
+            phi=presentation.get("phi"),
         )
     return CatalogEntry(
-        id=id, note=note, wreath_spec=spec, automaton=automaton,
-        substitutions=subs, default_sigma=default, presentation=pres,
+        id=id, note=note, wreath_spec=wreath, automaton=automaton,
+        substitutions=subs, default_sigma=default_sigma, presentation=pres,
         relator_texts=relator_texts, hnn_presentations=dict(hnn_presentations or {}),
         liftable=liftable, aliases=tuple(aliases), separation=separation,
     )
@@ -129,8 +129,9 @@ def _build():
             "grigorchuk",
             "the first Grigorchuk group; lifting into the stabilizer of 1",
             "a=(1,1)(1,2),b=(a,c),c=(a,d),d=(1,b)",
-            sigmas={"sigma": ({"a": "a*c*a", "b": "d", "c": "b", "d": "c"}, 1)},
-            default="sigma",
+            substitutions={"sigma": {"letter": 1, "images": {"a": "a*c*a", "b": "d", "c": "b",
+                                                             "d": "c"}}},
+            default_sigma="sigma",
             presentation={
                 "fixed": ["a^2", "b^2", "c^2", "d^2", "b*c*d"],
                 "iterated": ["(a*d)^4", "(a*d*a*c*a*c)^4"],
@@ -152,8 +153,8 @@ def _build():
             "basilica",
             "the Basilica group",
             "a=(b,1)(1,2),b=(a,1)",
-            sigmas={"sigma": ({"a": "b", "b": "a^2"}, 0)},
-            default="sigma",
+            substitutions={"sigma": {"letter": 0, "images": {"a": "b", "b": "a^2"}}},
+            default_sigma="sigma",
             presentation={
                 "iterated": ["[b,b^a]"],
                 "phi": {"a": "b", "b": "a^2"},
@@ -167,8 +168,8 @@ def _build():
             "img_z2i",
             "the iterated monodromy group of z^2+i",
             "a=(1,1)(1,2),b=(a,c),c=(b,1)",
-            sigmas={"sigma": ({"a": "b", "b": "c", "c": "a*b*a"}, 0)},
-            default="sigma",
+            substitutions={"sigma": {"letter": 0, "images": {"a": "b", "b": "c", "c": "a*b*a"}}},
+            default_sigma="sigma",
             presentation={
                 "iterated": ["a^2", "(a*c)^4", "[c,a*b]^2", "[c,b*a*b]^2",
                              "[c,a*b*a*b*a]^2", "[c,a*b*a*b*a*b]^2",
@@ -184,11 +185,11 @@ def _build():
             "lamplighter",
             "the lamplighter group Z/2 wr Z; both first-level liftings",
             "a=(a,b)(1,2),b=(a,b)",
-            sigmas={
-                "sigma0": ({"a": "b", "b": "b^a"}, 0),
-                "sigma1": ({"a": "b^a", "b": "b"}, 1),
+            substitutions={
+                "sigma0": {"letter": 0, "images": {"a": "b", "b": "b^a"}},
+                "sigma1": {"letter": 1, "images": {"a": "b^a", "b": "b"}},
             },
-            default="sigma0",
+            default_sigma="sigma0",
             relator_texts=_lamplighter_relators,
             aliases=("L", "lamp"),
         ),
@@ -196,8 +197,9 @@ def _build():
             "bs13",
             "the Baumslag-Solitar group BS(1,3) as a self-similar group",
             "a=(c,b)(1,2),b=(a,c),c=(b,a)",
-            sigmas={"sigma": ({"a": "b", "b": "c", "c": "b*c^-1*b"}, 0)},
-            default="sigma",
+            substitutions={"sigma": {"letter": 0, "images": {"a": "b", "b": "c",
+                                                             "c": "b*c^-1*b"}}},
+            default_sigma="sigma",
             relator_texts=_bs13_relators,
             aliases=("bs(1,3)", "baumslag-solitar"),
         ),
@@ -205,8 +207,9 @@ def _build():
             "g01inf",
             "Erschler's group G_(01)^inf; certified by quotient separation",
             "a=(1,1)(1,2),b=(a,c),c=(1,b),d=(a,d)",
-            sigmas={"sigma": ({"a": "a*b*a", "b": "c", "c": "b", "d": "d"}, 1)},
-            default="sigma",
+            substitutions={"sigma": {"letter": 1, "images": {"a": "a*b*a", "b": "c", "c": "b",
+                                                             "d": "d"}}},
+            default_sigma="sigma",
             separation={
                 "complement": ["(1,a)", "(1,c)"],
                 "complement_order": 8,
@@ -294,31 +297,21 @@ def load_spec(path):
     with open(path) as fh:
         text = fh.read().strip()
     if not text.startswith("{"):
-        automaton = parse_wreath_spec(text)
-        return CatalogEntry(id=f"spec:{path}", note="loaded from wreath text",
-                            wreath_spec=text, automaton=automaton)
+        return _entry(f"spec:{path}", "loaded from wreath text", text)
     data = json.loads(text)
-    automaton = parse_wreath_spec(data["wreath"])
-    subs = {}
-    for name, cfg in data.get("substitutions", {}).items():
-        subs[name] = Substitution.parse(automaton, cfg["images"], cfg.get("letter"))
-    pres = None
-    if "presentation" in data:
-        p = data["presentation"]
-        pres = LPresentation.parse(
-            automaton, automaton.generators,
-            fixed=p.get("fixed", ()), iterated=p.get("iterated", ()),
-            phi=Substitution.parse(automaton, p["phi"]) if "phi" in p else None)
-    return CatalogEntry(
-        id=data.get("id", f"spec:{path}"),
-        note=data.get("note", "loaded from JSON spec"),
-        wreath_spec=data["wreath"],
-        automaton=automaton,
-        substitutions=subs,
-        default_sigma=data.get("default_sigma"),
-        presentation=pres,
-        hnn_presentations=data.get("hnn_presentations", {}),
-    )
+    return _entry(data.get("id", f"spec:{path}"), data.get("note", "loaded from JSON spec"),
+                  data["wreath"], data.get("substitutions"), data.get("default_sigma"),
+                  data.get("presentation"), data.get("hnn_presentations"))
+
+
+def resolve(params):
+    """The entry that params names: the spec file params["spec"], else the
+    catalog group params["group"]."""
+    if params.get("spec"):
+        return load_spec(params["spec"])
+    if not params.get("group"):
+        raise ValueError("name a group with --group or a spec file with --spec")
+    return get(params["group"])
 
 
 def separation_complement(entry):

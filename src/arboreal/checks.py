@@ -10,16 +10,15 @@ sampling is driven by a seeded generator.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
 
 from . import catalog as _catalog
-from .core import fmt_word, parse_vertex
+from .core import fmt_word, invert_word, parse_vertex
 from .hnn import (
     UnrootedVertex,
-    canonicalize,
+    canonical_vertices,
     hnn_is_trivial,
     parse_hnn,
     spine_vertex,
@@ -78,11 +77,16 @@ def _timed(check_id, body):
     return CheckReport(check_id, status, evidence, time.perf_counter() - t0)
 
 
-def _entry(params):
-    spec = params.get("spec")
-    if spec:
-        return _catalog.load_spec(spec)
-    return _catalog.get(params["group"])
+def _int(params, key, default, low):
+    """params[key], or the default, as an int of at least `low`.
+
+    Below `low` the range a check runs over would be empty (or undefined),
+    and an empty check must not pass.
+    """
+    value = int(params.get(key, default))
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +94,8 @@ def _entry(params):
 
 def check_lifting_certificate(params):
     """check_lifting plus the entry's endomorphism certificate."""
-    entry = _entry(params)
-    depth = int(params.get("depth", 5))
+    entry = _catalog.resolve(params)
+    depth = _int(params, "depth", 5, 0)
     sigma_name = params.get("sigma")
 
     def body():
@@ -129,7 +133,7 @@ def check_lifting_certificate(params):
 
 
 def check_perm_order(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
     level = int(params["level"])
     gen_names = params.get("gens")
 
@@ -152,7 +156,7 @@ def check_perm_order(params):
 
 
 def check_stabilizer_words(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
     vertex = params.get("vertex")
     target = parse_vertex(str(vertex)) if vertex else "first-level"
 
@@ -164,7 +168,7 @@ def check_stabilizer_words(params):
 
 
 def check_separation(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
 
     def body():
         if entry.separation is None:
@@ -184,9 +188,9 @@ def check_separation(params):
 
 
 def check_hnn_relators(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
     which = params.get("presentation", "all")
-    depth = int(params.get("depth", 3))
+    depth = _int(params, "depth", 3, 0)
 
     def body():
         action = entry.action()
@@ -212,26 +216,20 @@ def check_hnn_relators(params):
 
 
 def check_transitivity(params):
-    entry = _entry(params)
-    copies = int(params.get("copies", 3))
-    length = int(params.get("length", 3))
+    entry = _catalog.resolve(params)
+    copies = _int(params, "copies", 3, 0)
+    length = _int(params, "length", 3, 0)
 
     def body():
         action = entry.action()
-        d = entry.automaton.size
         lam = UnrootedVertex(0, ())
         tried = 0
         missing = []
-        for m in range(copies + 1):
-            for n in range(length + 1):
-                for w in itertools.product(range(d), repeat=n):
-                    v = UnrootedVertex(m, w)
-                    if canonicalize(v, action.letter) != v:
-                        continue
-                    tried += 1
-                    e = transitivity_witness(v, action)
-                    if e is None or theta_apply(e, lam, action) != v:
-                        missing.append(str(v))
+        for v in canonical_vertices(action, copies, length):
+            tried += 1
+            e = transitivity_witness(v, action)
+            if e is None or theta_apply(e, lam, action) != v:
+                missing.append(str(v))
         evidence = {"vertices": tried, "missing": missing}
         if missing:
             return "inconclusive", evidence
@@ -240,8 +238,8 @@ def check_transitivity(params):
 
 
 def check_two_transitivity(params):
-    entry = _entry(params)
-    top = int(params.get("level", 6))
+    entry = _catalog.resolve(params)
+    top = _int(params, "level", 6, 1)
 
     def body():
         gens = list(entry.elements().values())
@@ -252,8 +250,8 @@ def check_two_transitivity(params):
 
 
 def check_spine(params):
-    entry = _entry(params)
-    depth = int(params.get("depth", 20))
+    entry = _catalog.resolve(params)
+    depth = _int(params, "depth", 20, 0)
 
     def body():
         action = entry.action()
@@ -269,7 +267,7 @@ def check_spine(params):
 
 
 def check_dilation(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
     element = params.get("element", "t")
     samples = int(params.get("samples", 1000))
     seed = int(params.get("seed", DEFAULT_SEED))
@@ -289,8 +287,8 @@ def check_dilation(params):
 
 
 def check_stabilizer_projection(params):
-    entry = _entry(params)
-    depth = int(params.get("depth", 4))
+    entry = _catalog.resolve(params)
+    depth = _int(params, "depth", 4, 0)
 
     def body():
         action = entry.action()
@@ -325,13 +323,12 @@ def check_grig_recursions(params):
                 string_ok.append(fmt_word(word).replace("*", "") == _catalog.grig_P(n))
             if n <= group_bound:
                 p_word = tuple((c, 1) for c in _catalog.grig_P(n))
-                from .core import invert_word
-                group_ok.append(aut.word_is_trivial(aut.reduce(word + invert_word(p_word))))
+                group_ok.append(aut.word_is_trivial(word + invert_word(p_word)))
             if n <= alpha_bound:
                 sec = aut.section_word(word, (0,))
                 alpha = _catalog.grig_alpha(n)
                 alpha_word = tuple((c, -1) for c in reversed(alpha)) if alpha != "1" else ()
-                alpha_ok.append(aut.word_is_trivial(aut.reduce(sec + alpha_word)))
+                alpha_ok.append(aut.word_is_trivial(sec + alpha_word))
         ok = all(string_ok) and all(group_ok) and all(alpha_ok)
         return ("pass" if ok else "fail"), {
             "P_n_as_string": f"{sum(string_ok)}/{string_bound}",
@@ -342,7 +339,7 @@ def check_grig_recursions(params):
 
 
 def check_lamplighter_alpha(params):
-    bound = int(params.get("bound", 10))
+    bound = _int(params, "bound", 10, 0)
 
     def body():
         x = _catalog.lamplighter_x()
@@ -355,8 +352,8 @@ def check_lamplighter_alpha(params):
 
 
 def check_lamplighter_core(params):
-    n_min = int(params.get("n_min", 3))
-    n_max = int(params.get("n_max", 8))
+    n_min = _int(params, "n_min", 3, 0)
+    n_max = _int(params, "n_max", 8, n_min)
     trials = int(params.get("trials", 1000))
     seed = int(params.get("seed", DEFAULT_SEED))
 
@@ -389,7 +386,7 @@ def check_ggs(params):
 
 
 def check_witnesses(params):
-    entry = _entry(params)
+    entry = _catalog.resolve(params)
     bound = int(params.get("bound", 5))
 
     def body():

@@ -41,14 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _entry(args):
-    if getattr(args, "spec", None):
-        return _catalog.load_spec(args.spec)
-    if not getattr(args, "group", None):
-        raise SystemExit(USAGE_ERROR)
-    return _catalog.get(args.group)
-
-
 def _parse_elements(text, entry):
     """Comma-separated words or first-level tuples like (1,a)(1,2)."""
     automaton = entry.automaton
@@ -68,14 +60,8 @@ def _parse_elements(text, entry):
 
 
 def cmd_run(args):
-    params = {}
-    for key in ("group", "spec", "level", "depth", "bound", "seed", "samples",
-                "element", "presentation", "sigma", "gens", "expect", "p", "e",
-                "j", "letter", "trials", "n_min", "n_max", "copies", "length",
-                "vertex"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    params = {key: value for key, value in vars(args).items()
+              if value is not None and key not in ("command", "check", "format", "func")}
     try:
         report = run_check(args.check, params)
     except KeyError as err:
@@ -86,7 +72,7 @@ def cmd_run(args):
 
 
 def cmd_portrait(args):
-    entry = _entry(args)
+    entry = _catalog.resolve(vars(args))
     try:
         element = entry.element(args.element)
     except (WordSyntaxError, WreathSpecError) as err:
@@ -141,7 +127,7 @@ def _render_unrooted(nodes, labels, fmt):
 
 
 def cmd_perm_group(args):
-    entry = _entry(args)
+    entry = _catalog.resolve(vars(args))
     elements = entry.elements()
     if args.gens:
         gens = [elements[n.strip()] for n in args.gens.split(",")]
@@ -162,7 +148,7 @@ def cmd_perm_group(args):
 
 
 def cmd_stabilizer(args):
-    entry = _entry(args)
+    entry = _catalog.resolve(vars(args))
     target = "first-level" if not args.vertex else parse_vertex(args.vertex)
     words = stabilizer_words(entry.elements(), target)
     formatted = [fmt_word(w) for w in words]
@@ -175,7 +161,7 @@ def cmd_stabilizer(args):
 
 
 def cmd_intersection(args):
-    entry = _entry(args)
+    entry = _catalog.resolve(vars(args))
     side_a = _parse_elements(args.gens_a, entry)
     side_b = _parse_elements(args.gens_b, entry)
     group_a = perm_group_on_level(side_a, args.level)

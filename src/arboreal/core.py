@@ -315,14 +315,8 @@ class MealyAutomaton:
     def act_word(self, word, v):
         return self.walk(word, v)[0]
 
-    def act_state(self, s, e, v):
-        return self.walk(((s, e),), v)[0]
-
     def section_word(self, word, v):
         return self.walk(word, v)[1]
-
-    def section_state(self, s, e, v):
-        return self.walk(((s, e),), v)[1]
 
     def root_perm(self, word):
         p = identity_perm(self.size)
@@ -422,9 +416,6 @@ class TreeAutomorphism:
     def inverse(self):
         return TreeAutomorphism(self.automaton, invert_word(self.word))
 
-    def __invert__(self):
-        return self.inverse()
-
     def __pow__(self, n):
         return power_by_squaring(self, n, self.automaton.identity(),
                                  TreeAutomorphism.__mul__, TreeAutomorphism.inverse)
@@ -436,16 +427,10 @@ class TreeAutomorphism:
             raise ValueError(f"vertex {v} has letters outside the alphabet")
         return self.automaton.walk(self.word, tuple(v))[0]
 
-    def __call__(self, v):
-        return self.act(v)
-
     def section(self, v):
         if isinstance(v, str):
             v = parse_vertex(v)
         return TreeAutomorphism(self.automaton, self.automaton.walk(self.word, tuple(v))[1])
-
-    def root_perm(self):
-        return self.automaton.root_perm(self.word)
 
     def first_level(self):
         """First-level decomposition (sections tuple, root permutation)."""
@@ -580,12 +565,13 @@ def _matching_paren(text):
     raise WreathSpecError(f"unbalanced '(' in {text!r}")
 
 
-def parse_tuple_automorphism(text, automaton, name=None):
+def parse_tuple_automorphism(text, automaton):
     """First-level tuple like "(1,a)" or "(a*c,1)(1,2)" over existing states.
 
-    Adjoins one new state to (a copy of) the automaton and returns its
-    TreeAutomorphism together with the extended automaton.  Section entries
-    may be arbitrary words in the existing states.
+    Adjoins one new state, the first free name q0, q1, ..., to (a copy of)
+    the automaton and returns its TreeAutomorphism together with the
+    extended automaton.  Section entries may be arbitrary words in the
+    existing states.
     """
     from .words import parse_word_factors
     text = text.strip()
@@ -599,12 +585,10 @@ def parse_tuple_automorphism(text, automaton, name=None):
     known = set(automaton.states)
     sections = tuple(parse_word_factors(t, known) for t in section_texts)
     perm = _parse_perm_part(text[close + 1:], d)
-    if name is None:
-        base = "q"
-        k = 0
-        while f"{base}{k}" in known:
-            k += 1
-        name = f"{base}{k}"
+    k = 0
+    while f"q{k}" in known:
+        k += 1
+    name = f"q{k}"
     ext = automaton.extend({name: (perm, sections)})
     return ext.state(name), ext
 
@@ -635,7 +619,7 @@ def match_label(automaton, word, candidates):
     if automaton.word_is_trivial(word):
         return IDENTITY
     for name, cand in candidates.items():
-        if automaton.word_is_trivial(automaton.reduce(word + invert_word(cand.word))):
+        if automaton.word_is_trivial(word + invert_word(cand.word)):
             return name
     return None
 

@@ -17,6 +17,7 @@ word problem (Britton uniqueness is never needed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex,
                    power_by_squaring, reduced_product)
@@ -56,6 +57,20 @@ def canonicalize(v, letter):
         m -= 1
         w = w[1:]
     return UnrootedVertex(m, w)
+
+
+def canonical_vertices(action, copies, length):
+    """The canonical vertices (m, w) with m <= copies and |w| <= length.
+
+    In order of m, then |w|, then w lexicographically.  A vertex (m, w) is
+    canonical unless m >= 1 and w starts with the spine letter.
+    """
+    d = action.automaton.size
+    for m in range(copies + 1):
+        for n in range(length + 1):
+            for w in product(range(d), repeat=n):
+                if not (m and w and w[0] == action.letter):
+                    yield UnrootedVertex(m, w)
 
 
 def spine_vertex(level, letter):
@@ -111,22 +126,20 @@ HNN_IDENTITY = HnnElement(0, (), 0)
 class ScaleAction:
     """A certified lifting packaged with the machinery to act on the tree.
 
-    Construction verifies the lifting conditions (exactly) unless
-    certify=False; sigma-power actions are memoized so that spines of
-    depth 20 cost nothing even when sigma^20(g) would be astronomically
-    long as a word.
+    Construction verifies the lifting conditions (exactly); sigma-power
+    actions are memoized so that spines of depth 20 cost nothing even when
+    sigma^20(g) would be astronomically long as a word.
     """
 
-    def __init__(self, automaton, sigma, certify=True):
+    def __init__(self, automaton, sigma):
         if sigma.letter is None:
             raise LiftingError("scale action needs a distinguished letter")
         self.automaton = automaton
         self.sigma = sigma
         self.letter = sigma.letter
-        if certify:
-            report = check_lifting(sigma)
-            if not report.ok:
-                raise LiftingError(f"sigma is not a lifting; failures: {report.failures}")
+        report = check_lifting(sigma)
+        if not report.ok:
+            raise LiftingError(f"sigma is not a lifting; failures: {report.failures}")
         self._act_cache = {}
 
     def generators(self):

@@ -29,7 +29,7 @@ from math import isqrt
 from operator import getitem
 from dataclasses import dataclass, field
 
-from .core import identity_perm, invert_word, pinv, pmul, reduced_product
+from .core import identity_perm, invert_word, pinv, pmul, power_by_squaring, reduced_product
 
 DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
@@ -98,13 +98,6 @@ class LevelPermGroup:
         self.gens = tuple(p for p in perms if p != ident)
         self._built = None
 
-    @classmethod
-    def on_level(cls, gens, n):
-        if not gens:
-            raise ValueError("need at least one generator (use the identity element)")
-        d = gens[0].automaton.size
-        return cls(d, n, [level_perm(g, n) for g in gens])
-
     # -- chain --------------------------------------------------------------
 
     def _chain(self):
@@ -125,14 +118,13 @@ class LevelPermGroup:
         """All elements, multiplied out of the chain; deterministic order."""
         return self._chain().elements()
 
-    def orbit(self, point):
-        return orbit(point, self.gens)
-
     def orbit_vertices(self, v):
-        idx = vertex_index(v, self.d)
         if len(v) != self.level:
             raise ValueError(f"vertex {v} is not on level {self.level}")
-        return {index_vertex(i, self.d, self.level) for i in self.orbit(idx)}
+        if any(not 0 <= x < self.d for x in v):
+            raise ValueError(f"vertex {v} has letters outside 0..{self.d - 1}")
+        return {index_vertex(i, self.d, self.level)
+                for i in orbit(vertex_index(v, self.d), self.gens)}
 
 
 def schreier_tree(root, label, gens, act, extend):
@@ -238,7 +230,7 @@ class _TreeChain:
             shift = ((v & -v).bit_length() - 1) & ~7
             k = pow(v >> shift & 255, -1, p)
             if k != 1:
-                g = _power(g, k, self._ident)
+                g = power_by_squaring(g, k, self._ident, pmul, pinv)
                 v = self._vector(g, j)
             inverses = [self._ident, pinv(g)]
             for _ in range(p - 2):
@@ -247,7 +239,7 @@ class _TreeChain:
             # g^p lies in St(j+1); [St(i), St(j)] lies in St(max(i, j)), and in
             # St(j+1) when i == j; so these sifts start below the top layers
             if j + 1 < n:
-                work.append((j + 1, _power(g, p, self._ident)))
+                work.append((j + 1, power_by_squaring(g, p, self._ident, pmul, pinv)))
             for i, h, h_inv in added:
                 low = max(i, j) + (i == j)
                 if low < n:
@@ -300,13 +292,6 @@ class _TreeChain:
                     yield h
                     h = pmul(h, steps[i])
         return rec(0)
-
-
-def _power(g, k, ident):
-    out = ident
-    for _ in range(k):
-        out = pmul(out, g)
-    return out
 
 
 def _strip(perm, layers, start, degree):
@@ -414,7 +399,10 @@ def perm_group_on_level(gens, n):
     """The image of <gens> on level n, mirroring GAP's PermGroupOnLevel."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    return LevelPermGroup.on_level(list(gens), n)
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator (use the identity element)")
+    return LevelPermGroup(gens[0].automaton.size, n, [level_perm(g, n) for g in gens])
 
 
 def orbit_on_level(group, v):

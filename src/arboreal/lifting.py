@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, fmt_word, free_reduce, invert_word
-from .levels import intersection_trivial_on_level, orbit, perm_group_on_level, stabilizer_words
+from .levels import (_is_prime, intersection_trivial_on_level, orbit, perm_group_on_level,
+                     stabilizer_words)
 from .words import parse_word_factors
 
 
@@ -54,9 +55,6 @@ class Substitution:
     def domain(self):
         return tuple(name for name, _ in self.images)
 
-    def image_map(self):
-        return dict(self.images)
-
     def image(self, name, e=1):
         """sigma(name), or its inverse for e = -1."""
         return self._table[(name, e)]
@@ -81,9 +79,6 @@ class Substitution:
             word = self.apply_word(word)
         return word
 
-    def apply(self, g):
-        return TreeAutomorphism(self.automaton, self.apply_word(g.word))
-
 
 @dataclass
 class LiftingReport:
@@ -97,28 +92,32 @@ class LiftingReport:
         return not self.failures
 
 
-def check_lifting(sigma, gens=None):
+def _lifting_condition(automaton, word, i, name):
+    """(word fixes the vertex (i,), its section there equals the state name).
+
+    The section is compared exactly, by triviality of section * name^-1;
+    it is not compared when the vertex moves.
+    """
+    image, section = automaton.walk(word, (i,))
+    if image != (i,):
+        return False, False
+    return True, automaton.word_is_trivial(section + ((name, -1),))
+
+
+def check_lifting(sigma):
     """Verify the lifting conditions of a substitution, exactly.
 
     For every generator s: (1) sigma(s) fixes the vertex (i,); (2) the
-    section of sigma(s) at i equals s, decided by triviality of the
-    quotient.  Returns a report listing any failures.
+    section of sigma(s) at i equals s.  Returns a report listing any
+    failures.
     """
     if sigma.letter is None:
         raise LiftingError("substitution has no distinguished letter")
-    aut = sigma.automaton
     i = sigma.letter
-    names = gens if gens is not None else sigma.domain
     report = LiftingReport(letter=i, fixes={}, sections_match={})
-    for name in names:
-        image = sigma.image(name)
-        fixes = aut.act_word(image, (i,)) == (i,)
+    for name in sigma.domain:
+        fixes, match = _lifting_condition(sigma.automaton, sigma.image(name), i, name)
         report.fixes[name] = fixes
-        if fixes:
-            quotient = aut.reduce(aut.section_word(image, (i,)) + ((name, -1),))
-            match = aut.word_is_trivial(quotient)
-        else:
-            match = False
         report.sections_match[name] = match
         if not (fixes and match):
             report.failures.append(name)
@@ -236,17 +235,6 @@ def verify_endomorphism_by_quotient_separation(gens, complement, complement_orde
 
 class GgsError(ValueError):
     pass
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -387,9 +375,7 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
     if sigma is not None:
         for name, _ in items:
             image = sigma.image(name)
-            fixes = automaton.act_word(image, (i,)) == (i,)
-            quotient = automaton.reduce(automaton.section_word(image, (i,)) + ((name, -1),))
-            if fixes and automaton.word_is_trivial(quotient):
+            if all(_lifting_condition(automaton, image, i, name)):
                 report.witnesses[name] = image
                 report.source[name] = "sigma"
         if report.ok:
@@ -410,11 +396,8 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
                     continue
                 seen_words.add(cand)
                 nxt.append(cand)
-                if automaton.act_word(cand, (i,)) != (i,):
-                    continue
-                sec = automaton.section_word(cand, (i,))
                 for name in sorted(targets):
-                    if automaton.word_is_trivial(automaton.reduce(sec + ((name, -1),))):
+                    if all(_lifting_condition(automaton, cand, i, name)):
                         report.witnesses[name] = cand
                         targets.discard(name)
                         break

@@ -111,17 +111,16 @@ def distance_value(x, y):
     return Fraction(x.size) ** (-l + 1)
 
 
-def phi_value(x, p=None):
+def phi_value(x):
     """Exact rational value of the label: digit at position i weighs p^(i-1).
 
     Defined for points padded with the letter 0 (the p-adic picture); the
-    construction is d-adic, so p defaults to the alphabet size and need
-    not be prime.
+    construction is d-adic, so p is the alphabet size and need not be
+    prime.
     """
     if x.pad != 0:
         raise ValueError("phi needs 0-padding; this point follows a different spine")
-    if p is None:
-        p = x.size
+    p = x.size
     total = Fraction(0)
     for k, digit in enumerate(x.digits):
         i = x.offset + k
@@ -166,21 +165,26 @@ class DilationMismatch(RuntimeError):
     property of the groups."""
 
 
-def dilation_factor_empirical(e, action, samples=1000, seed=0, margin=4, tail=4):
+DILATION_MARGIN = 4
+DILATION_TAIL = 4
+
+
+def dilation_factor_empirical(e, action, samples=1000, seed=0):
     """Exponent m with dist(e x, e y) = d^m dist(x, y), from sampled pairs.
 
     Pairs are generated (seeded) to disagree at a known position; the
-    window extends `margin` digits left of the branch (covering the
-    t-shifts of e) and `tail` digits past it.  Branch positions stay in a
-    small band around the dot: the exponent is position-invariant, while
-    acting far below the spine costs sigma-powers of that depth.  The
-    exponent must be constant across samples; for elements of theta(G) it
-    is 0, for t it is the net displacement.
+    window extends DILATION_MARGIN digits left of the branch (more when
+    the t-shifts of e need it) and DILATION_TAIL digits past it.  Branch
+    positions stay in a small band around the dot: the exponent is
+    position-invariant, while acting far below the spine costs
+    sigma-powers of that depth.  The exponent must be constant across
+    samples; for elements of theta(G) it is 0, for t it is the net
+    displacement.
     """
     import random
     if samples < 2:
         raise ValueError("need at least 2 sample pairs")
-    margin = max(margin, e.tneg + e.tpos + 1)
+    margin = max(DILATION_MARGIN, e.tneg + e.tpos + 1)
     rng = random.Random(seed)
     d = action.automaton.size
     pad = action.letter
@@ -191,8 +195,8 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0, margin=4, tail=4)
         common = [rng.randrange(d) for _ in range(margin)]
         a_digit = rng.randrange(d)
         b_digit = (a_digit + rng.randrange(1, d)) % d
-        rest_a = [rng.randrange(d) for _ in range(tail)]
-        rest_b = [rng.randrange(d) for _ in range(tail)]
+        rest_a = [rng.randrange(d) for _ in range(DILATION_TAIL)]
+        rest_b = [rng.randrange(d) for _ in range(DILATION_TAIL)]
         x = BoundaryPoint(offset, tuple(common) + (a_digit,) + tuple(rest_a), d, pad)
         y = BoundaryPoint(offset, tuple(common) + (b_digit,) + tuple(rest_b), d, pad)
         before = boundary_distance(x, y)

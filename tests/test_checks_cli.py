@@ -131,6 +131,14 @@ def test_cli_perm_group_orbit(capsys):
     assert payload["orbit_size"] == 16
 
 
+@pytest.mark.parametrize("level,vertex", [("2", "03"), ("1", "5")])
+def test_cli_perm_group_orbit_rejects_letters_outside_alphabet(capsys, level, vertex):
+    code, out, err = run_cli(capsys, "perm-group-on-level", "--group", "grigorchuk",
+                             "--level", level, "--orbit", vertex)
+    assert code == 3
+    assert out == "" and "outside 0..1" in err
+
+
 def test_cli_stabilizer(capsys):
     code, out, _ = run_cli(capsys, "stabilizer-of-first-level", "--group", "g01inf")
     assert code == 0
@@ -255,3 +263,22 @@ def test_cli_portrait_deep_nesting_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "portrait", "--group", "grigorchuk", "--element", element)
     assert code == 3
     assert out == "" and "nested deeper" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-transitivity", "--group", "grigorchuk", "--level", "0"],
+    ["spine", "--group", "grigorchuk", "--depth", "-3"],
+    ["transitivity", "--group", "grigorchuk", "--copies", "-1"],
+    ["transitivity", "--group", "grigorchuk", "--length", "-1"],
+    ["lamplighter-core", "--n-min", "5", "--n-max", "3"],
+    ["lamplighter-core", "--n-min", "-1", "--n-max", "0"],
+    ["lamplighter-alpha", "--bound", "-1"],
+    ["lamplighter-alpha", "--bound", "-2"],
+    ["lifting", "--group", "basilica", "--depth", "-1"],
+    ["hnn-relators", "--group", "grigorchuk", "--depth", "-1"],
+    ["stabilizer-projection", "--group", "basilica", "--depth", "-1"],
+])
+def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert code == 3
+    assert out == "" and err.startswith("arboreal: ") and "must be >=" in err

@@ -1,0 +1,38 @@
+"""The benchmark's trace hooks still find every function and method they patch."""
+
+import importlib.util
+import pathlib
+import time
+
+import arboreal
+import arboreal.acceptance  # noqa: F401  (the tracer patches names in every module)
+import arboreal.cli  # noqa: F401
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_every_traced_name():
+    tracing = _load_tracing()
+    functions = {key: getattr(getattr(arboreal, key[0]), key[1]) for key in tracing.FUNCTIONS}
+    methods = {key: vars(getattr(getattr(arboreal, key[0]), key[1]))[key[2]]
+               for key in tracing.METHODS}
+    tracer = tracing.Tracer(time.perf_counter)
+    tracer.install(arboreal)
+    try:
+        for (mod, name), original in functions.items():
+            assert getattr(getattr(arboreal, mod), name) is not original, (mod, name)
+        for (mod, cls, name), original in methods.items():
+            assert vars(getattr(getattr(arboreal, mod), cls))[name] is not original, (cls, name)
+    finally:
+        tracer.uninstall()
+    for (mod, name), original in functions.items():
+        assert getattr(getattr(arboreal, mod), name) is original, (mod, name)
+    for (mod, cls, name), original in methods.items():
+        assert vars(getattr(getattr(arboreal, mod), cls))[name] is original, (cls, name)
