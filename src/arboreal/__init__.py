@@ -62,6 +62,7 @@ from .hnn import (
     theta_apply,
     transitivity_witness,
     two_transitivity_level_check,
+    window_apply,
 )
 from .padic import (
     BoundaryPoint,

@@ -354,7 +354,7 @@ def check_lamplighter_alpha(params):
 def check_lamplighter_core(params):
     n_min = _int(params, "n_min", 3, 0)
     n_max = _int(params, "n_max", 8, n_min)
-    trials = int(params.get("trials", 1000))
+    trials = _int(params, "trials", 1000, 1)
     seed = int(params.get("seed", DEFAULT_SEED))
 
     def body():

@@ -297,7 +297,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WordSyntaxError, WreathSpecError, KeyError, ValueError) as err:
+    except (WordSyntaxError, WreathSpecError, KeyError, ValueError, OSError) as err:
         print(f"arboreal: {err}", file=sys.stderr)
         return USAGE_ERROR
 

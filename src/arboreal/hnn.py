@@ -6,6 +6,8 @@ distinguished letter (0 for most groups, 1 for the Grigorchuk group).  A
 vertex is a pair (m, w): the word w inside the copy T^(m).  Its level is
 len(w) - m; the spine vertex at level -n is (n, ()) and at level n >= 0 is
 (0, (i,)*n).  Lambda = (0, ()) is the distinguished level-0 vertex.
+(m, w) is the digit window w at offset 1 - m, the coordinate of `padic`,
+and theta and the boundary action share one routine, `window_apply`.
 
 theta sends g in G to the automorphism acting on T^(m) as sigma^m(g), and
 the stable letter t to the shift tau toward the fixed end: tau(m, w) =
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex,
-                   power_by_squaring, reduced_product)
+                   portrait, power_by_squaring, reduced_product)
 from .lifting import LiftingError, check_lifting
 from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
@@ -52,11 +54,25 @@ def parse_unrooted(text):
 
 def canonicalize(v, letter):
     """Minimal representative: (m, i w) == (m-1, w), strip while m >= 1."""
-    m, w = v.copy, v.word
-    while m >= 1 and w and w[0] == letter:
-        m -= 1
-        w = w[1:]
-    return UnrootedVertex(m, w)
+    return _vertex(1 - v.copy, v.word, letter)
+
+
+def _spine_run(offset, digits, letter):
+    """(offset, digits, r): the window padded with the spine letter up to
+    position 1, and the length r of its leading spine run below position 1."""
+    if offset > 1:
+        digits = (letter,) * (offset - 1) + digits
+        offset = 1
+    r = 0
+    while r < 1 - offset and r < len(digits) and digits[r] == letter:
+        r += 1
+    return offset, digits, r
+
+
+def _vertex(offset, digits, letter):
+    """The canonical vertex whose digit window sits at the given offset."""
+    offset, digits, r = _spine_run(offset, digits, letter)
+    return UnrootedVertex(1 - offset - r, digits[r:])
 
 
 def canonical_vertices(action, copies, length):
@@ -75,19 +91,12 @@ def canonical_vertices(action, copies, length):
 
 def spine_vertex(level, letter):
     """The spine vertex at a given (possibly negative) level."""
-    if level <= 0:
-        return UnrootedVertex(-level, ())
-    return UnrootedVertex(0, (letter,) * level)
+    return _vertex(1 + level, (), letter)
 
 
 def tau_apply(v, k, letter):
     """The shift tau^k; tau moves toward the fixed end (level - 1)."""
-    m = v.copy + k
-    w = v.word
-    if m < 0:
-        w = (letter,) * (-m) + w
-        m = 0
-    return canonicalize(UnrootedVertex(m, w), letter)
+    return _vertex(1 - v.copy - k, v.word, letter)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +186,23 @@ class ScaleAction:
         return self.element(word)
 
 
+def window_apply(e, offset, digits, action):
+    """theta(e) on the digit window at the given offset: (offset, digits).
+
+    t^-m raises the positions by m; the window is padded with the spine
+    letter to start at position 1 or below, a word in the copy T^k with
+    k = 1 - offset, where g acts as sigma^k(g); t^n lowers the positions
+    by n.  A leading run i^r with r <= k is left fixed and never expanded,
+    because the lifting gives sigma^k(g)(i^r w) = i^r sigma^(k-r)(g)(w).
+    """
+    offset, digits, r = _spine_run(offset + e.tneg, digits, action.letter)
+    digits = digits[:r] + action.act_sigma(e.word, 1 - offset - r, digits[r:])
+    return offset - e.tpos, digits
+
+
 def theta_apply(e, v, action):
     """Apply theta(e) to an unrooted vertex, factors left to right."""
-    v = canonicalize(v, action.letter)
-    v = tau_apply(v, -e.tneg, action.letter)
-    v = UnrootedVertex(v.copy, action.act_sigma(e.word, v.copy, v.word))
-    return tau_apply(v, e.tpos, action.letter)
+    return _vertex(*window_apply(e, 1 - v.copy, v.word, action), action.letter)
 
 
 def hnn_multiply(e1, e2, action):
@@ -305,12 +325,12 @@ def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=
     i = action.letter
     lam = UnrootedVertex(0, ())
     report = StabilizerProjectionReport({}, [])
-    vertices = _subtree(aut.size, depth)
+    vertices = list(canonical_vertices(action, 0, depth))
     for name in action.generators():
         e = action.element(((name, 1),))
         ok = theta_apply(e, lam, action) == lam
         for v in vertices:
-            if theta_apply(e, UnrootedVertex(0, v), action) != UnrootedVertex(0, aut.act_word(((name, 1),), v)):
+            if theta_apply(e, v, action) != UnrootedVertex(0, aut.act_word(((name, 1),), v.word)):
                 ok = False
                 break
         report.generator_projections[name] = ok
@@ -323,20 +343,9 @@ def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=
             fixes = theta_apply(e, lam, action) == lam
             projection = aut.section_word(word, (i,) * k)
             residual = hnn_multiply(e, hnn_inverse(action.theta(projection)), action)
-            kernel_ok = all(
-                theta_apply(residual, UnrootedVertex(0, v), action) == UnrootedVertex(0, v)
-                for v in vertices)
+            kernel_ok = all(theta_apply(residual, v, action) == v for v in vertices)
             report.sampled.append((f"t^-{k}*{fmt_word(word)}*t^{k}", fixes, projection, kernel_ok))
     return report
-
-
-def _subtree(d, depth):
-    out = [()]
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [v + (x,) for v in frontier for x in range(d)]
-        out.extend(frontier)
-    return out
 
 
 def theta_portrait(g, action, up, down):
@@ -347,7 +356,6 @@ def theta_portrait(g, action, up, down):
     the node map is that element's rooted portrait transported into
     unrooted coordinates.  Returns {UnrootedVertex: root permutation}.
     """
-    from .core import portrait
     if up < 0 or down < -up:
         raise ValueError("need up >= 0 and down >= -up")
     word = g.word if isinstance(g, TreeAutomorphism) else tuple(g)

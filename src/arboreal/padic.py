@@ -9,6 +9,10 @@ window are unknown.  All metric statements are exponent-exact; there is
 no floating point anywhere, and "equal to precision" is a distinct
 outcome, never silently distance zero.
 
+The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m
+(`vertex_label`); `boundary_apply` and `hnn.theta_apply` share one
+routine, `hnn.window_apply`.
+
 The p-adic value of a label gives the digit at position i the weight
 p^(i-1), which makes the spine 0, the uniformizer label ".010..." the
 element p, and the identification an isometry onto Q_p.
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hnn import canonicalize
+from .hnn import _spine_run, canonicalize, window_apply
 
 
 class PrecisionError(ValueError):
@@ -38,7 +42,7 @@ class BoundaryPoint:
     def __post_init__(self):
         if not 0 <= self.pad < self.size:
             raise ValueError("padding letter outside the alphabet")
-        if any(not 0 <= x < self.size for x in self.digits):
+        if self.digits and not (0 <= min(self.digits) and max(self.digits) < self.size):
             raise ValueError("digit outside the alphabet")
 
     @property
@@ -54,25 +58,10 @@ class BoundaryPoint:
             raise PrecisionError(f"position {i} is beyond the stored range")
         return self.digits[i - self.offset]
 
-    def with_offset(self, offset):
-        """Same point, window extended to the left with padding."""
-        if offset > self.offset:
-            raise ValueError("can only extend to the left")
-        return BoundaryPoint(offset, (self.pad,) * (self.offset - offset) + self.digits,
-                             self.size, self.pad)
-
     def __str__(self):
-        digits = self.digits
-        offset = self.offset
-        while digits and offset <= 0 and digits[0] == self.pad:
-            digits = digits[1:]
-            offset += 1
-        if offset > 1:
-            digits = (self.pad,) * (offset - 1) + digits
-            offset = 1
-        head = "".join(map(str, digits[:max(0, 1 - offset)]))
-        tail = "".join(map(str, digits[max(0, 1 - offset):]))
-        return f"{head}.{tail}"
+        offset, digits, r = _spine_run(self.offset, self.digits, self.pad)
+        dot = 1 - offset   # digits[dot] is at position 1
+        return "".join(map(str, digits[r:dot])) + "." + "".join(map(str, digits[dot:]))
 
 
 def parse_point(text, size=2, pad=0):
@@ -96,9 +85,10 @@ def boundary_distance(x, y):
     if x.pad != y.pad:
         raise ValueError("points follow different spines; no common puncture")
     lo = min(x.offset, y.offset)
-    hi = min(x.end, y.end)
-    for i in range(lo, hi + 1):
-        if x.digit(i) != y.digit(i):
+    a = (x.pad,) * (x.offset - lo) + x.digits
+    b = (y.pad,) * (y.offset - lo) + y.digits
+    for i, (p, q) in enumerate(zip(a, b), lo):
+        if p != q:
             return i
     return None
 
@@ -148,16 +138,15 @@ def boundary_apply(e, x, action):
 
     theta(t) moves the dot right (digit indices drop by one); theta(g)
     rewrites the digits below the spine through the appropriate
-    sigma^m(g) section.  The output window has the same length.
+    sigma^m(g) section.  The output window is the input's, padded with
+    the spine letter up to position 1 when t^-m lifts it past the dot.
     """
     if x.pad != action.letter:
         raise ValueError("point's padding letter does not match the action's spine")
-    # t^-m first (dot left, indices up), then theta(g), then t^n (dot right)
-    x = BoundaryPoint(x.offset + e.tneg, x.digits, x.size, x.pad)
-    m = max(0, 1 - x.offset)
-    x = x.with_offset(1 - m)
-    x = BoundaryPoint(x.offset, action.act_sigma(e.word, m, x.digits), x.size, x.pad)
-    return BoundaryPoint(x.offset - e.tpos, x.digits, x.size, x.pad)
+    if x.size != action.automaton.size:
+        raise ValueError("point's alphabet size does not match the action's")
+    offset, digits = window_apply(e, x.offset, x.digits, action)
+    return BoundaryPoint(offset, digits, x.size, x.pad)
 
 
 class DilationMismatch(RuntimeError):

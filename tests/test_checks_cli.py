@@ -265,6 +265,12 @@ def test_cli_portrait_deep_nesting_is_a_usage_error(capsys):
     assert out == "" and "nested deeper" in err
 
 
+def test_cli_missing_spec_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(tmp_path / "missing.json"))
+    assert code == 3
+    assert out == "" and err.startswith("arboreal: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["two-transitivity", "--group", "grigorchuk", "--level", "0"],
     ["spine", "--group", "grigorchuk", "--depth", "-3"],
@@ -277,6 +283,8 @@ def test_cli_portrait_deep_nesting_is_a_usage_error(capsys):
     ["lifting", "--group", "basilica", "--depth", "-1"],
     ["hnn-relators", "--group", "grigorchuk", "--depth", "-1"],
     ["stabilizer-projection", "--group", "basilica", "--depth", "-1"],
+    ["lamplighter-core", "--trials", "0"],
+    ["lamplighter-core", "--trials", "-3"],
 ])
 def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "run", *argv)

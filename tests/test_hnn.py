@@ -108,6 +108,24 @@ def test_theta_fixes_spine(grig_action):
             assert theta_apply(e, v, grig_action) == v
 
 
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_lifting_shortcut(gid, sigma_name):
+    # sigma^k(g) acts on i^r w as i^r sigma^(k-r)(g)(w) for r <= k, which
+    # lets window_apply leave a leading spine run unexpanded
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    i, d = action.letter, action.automaton.size
+    rng = random.Random(17)
+    for _ in range(40):
+        g = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
+                  for _ in range(rng.randrange(1, 6)))
+        k = rng.randrange(5)
+        r = rng.randrange(k + 1)
+        w = tuple(rng.randrange(d) for _ in range(rng.randrange(6)))
+        assert action.act_sigma(g, k, (i,) * r + w) == (i,) * r + action.act_sigma(g, k - r, w)
+
+
 def test_theta_fixes_deep_vertex(grig_action):
     v = UnrootedVertex(0, (1,) * 5000)
     assert theta_apply(grig_action.element((("b", 1),)), v, grig_action) == v

@@ -102,7 +102,7 @@ def random_tree_perm(rng, d, n):
     return tuple(images)
 
 
-# generic-chain orders take 24 s for gs3 at level 5 and 35 s for gs7 at level 3
+# generic-chain orders take about 6.8 s of CPU for gs3 at level 5 and 9.1 s for gs7 at level 3
 GENERIC_TOP_LEVEL = {"gs3": 4, "gs5": 3, "gs7": 2}
 
 

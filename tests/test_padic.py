@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.hnn import UnrootedVertex, parse_hnn, hnn_multiply
+from arboreal.hnn import UnrootedVertex, canonical_vertices, hnn_multiply, parse_hnn, theta_apply
 from arboreal.padic import (
     BoundaryPoint,
     boundary_apply,
@@ -120,6 +120,35 @@ def test_identity_leaves_points():
     e = parse_hnn("1", action)
     x = parse_point(".0110")
     assert boundary_apply(e, x, action) == x
+
+
+def test_boundary_apply_rejects_another_alphabet():
+    gs5 = cat.get("gs5").action()
+    with pytest.raises(ValueError, match="alphabet size"):
+        boundary_apply(parse_hnn("t", gs5), BoundaryPoint(1, (0, 1, 0, 1)), gs5)
+    basilica = cat.get("basilica").action()
+    with pytest.raises(ValueError, match="alphabet size"):
+        boundary_apply(parse_hnn("a*b", basilica), BoundaryPoint(1, (2, 1, 0), size=3), basilica)
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_theta_and_boundary_agree_on_vertex_labels(gid, sigma_name):
+    # theta_apply and boundary_apply read one vertex in two coordinates:
+    # the label of theta(e)v agrees with theta(e) of v's label through
+    # the level of theta(e)v
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    symbols = [f"{n}^-1" for n in entry.generators] + list(entry.generators) + ["t", "T"]
+    vertices = list(canonical_vertices(action, 3, 3))
+    rng = random.Random(21)
+    for _ in range(60):
+        e = parse_hnn("*".join(rng.choice(symbols) for _ in range(rng.randrange(1, 7))), action)
+        v = rng.choice(vertices)
+        image = theta_apply(e, v, action)
+        l = boundary_distance(boundary_apply(e, vertex_label(v, action), action),
+                              vertex_label(image, action))
+        assert l is None or l > image.level
 
 
 def test_grigorchuk_theta_a_on_rooted_points():
