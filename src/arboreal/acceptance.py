@@ -1,31 +1,19 @@
 """The acceptance suite: the finite computations the toolkit must reproduce.
 
-Criteria 1-8 are rows over the named checks: each row is (check id,
-params, expected status, budget in seconds or None) and runs through
-`checks.run_check`, so `arboreal run <check>` with the same params
-reproduces it.  A criterion passes when every row ends in its expected
-status within its budget; its evidence maps each check's report name to
-that report's evidence.  Criterion 9, the seeded property suites, has no
-matching check and stays as code: a single counterexample fails it.
-`run_all` prints one pass/fail line per criterion.
+Every criterion is a set of rows over the named checks: each row is
+(check id, params, expected status, budget in seconds or None) and runs
+through `checks.run_check`, so `arboreal run <check>` with the same
+params reproduces it.  A criterion passes when every row ends in its
+expected status within its budget; its evidence maps each check's report
+name to that report's evidence.  `run_all` prints one pass/fail line per
+criterion.
 """
 
 from __future__ import annotations
 
-import random
 import time
 
-from . import catalog as _catalog
-from .checks import CheckReport, DEFAULT_SEED, run_check
-from .hnn import (
-    HnnElement,
-    canonical_vertices,
-    hnn_inverse,
-    hnn_is_trivial,
-    hnn_multiply,
-    theta_apply,
-)
-from .padic import BoundaryPoint, boundary_distance
+from .checks import CheckReport, run_check
 
 # the groups with a lifting, and the product of each one's generators
 GENERATOR_PRODUCTS = {
@@ -74,6 +62,9 @@ TABLE = [
         ("lamplighter-alpha", {"bound": 10}, "pass", None),
         ("lamplighter-core", {}, "pass", None),
     ]),
+    ("criterion_9_property_suites", "9 property suites (seeded)", [
+        ("properties", {}, "pass", None),
+    ]),
 ]
 
 
@@ -104,128 +95,7 @@ def _criterion(name, title, rows):
     return criterion
 
 
-def _random_word(automaton, names, rng, max_len):
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        word.append((rng.choice(names), rng.choice((1, -1))))
-    return automaton.reduce(tuple(word))
-
-
-def _random_hnn(action, rng, max_len):
-    names = list(action.generators()) + ["t", "T"]
-    e = HnnElement(0, (), 0)
-    for _ in range(rng.randint(1, max_len)):
-        sym = rng.choice(names)
-        if sym == "t":
-            step = HnnElement(0, (), 1)
-        elif sym == "T":
-            step = HnnElement(1, (), 0)
-        else:
-            step = HnnElement(0, ((sym, rng.choice((1, -1))),), 0)
-        e = hnn_multiply(e, step, action)
-    return e
-
-
-def _moved_vertex(e, action, start, stop):
-    """A vertex moved by a decided-nontrivial element, searching outward."""
-    for bound in range(start, stop + 1):
-        for v in canonical_vertices(action, bound, bound):
-            if theta_apply(e, v, action) != v:
-                return v
-    return None
-
-
-def criterion_9_property_suites():
-    """Algebra laws, ultrametric, theta homomorphism, triviality agreement."""
-    t0 = time.perf_counter()
-    rng = random.Random(DEFAULT_SEED)
-    evidence = {}
-    ok = True
-
-    # tree-core algebra laws on every catalog group
-    for entry in _catalog.entries_with_sigma():
-        aut = entry.automaton
-        names = list(entry.generators)
-        good = True
-        for _ in range(60):
-            g = aut.element(_random_word(aut, names, rng, 6))
-            h = aut.element(_random_word(aut, names, rng, 6))
-            level = rng.randint(1, 6)
-            v = tuple(rng.randrange(aut.size) for _ in range(level))
-            if (g * h).act(v) != h.act(g.act(v)):
-                good = False
-            left = (g * h).section(v)
-            right = g.section(v) * h.section(g.act(v))
-            if not left.same_action(right):
-                good = False
-            if g.inverse().inverse().act(v) != g.act(v):
-                good = False
-            if not (g * g.inverse()).is_trivial():
-                good = False
-        evidence[f"{entry.id}.algebra"] = good
-        ok &= good
-
-    # ultrametric inequality at the exponent level
-    d = 2
-    good = True
-    for _ in range(300):
-        pts = []
-        for _ in range(3):
-            offset = rng.randint(-6, 1)
-            digits = tuple(rng.randrange(d) for _ in range(10))
-            pts.append(BoundaryPoint(offset, digits, d, 0))
-        x, y, z = pts
-        lxz = boundary_distance(x, z)
-        lxy = boundary_distance(x, y)
-        lyz = boundary_distance(y, z)
-        if None in (lxz, lxy, lyz):
-            continue
-        # distance d^(-l+1) is monotone decreasing in l
-        if not lxz >= min(lxy, lyz):
-            good = False
-    evidence["ultrametric"] = good
-    ok &= good
-
-    # theta is a homomorphism (sampled), and triviality agrees with the action
-    for entry in _catalog.entries_with_sigma():
-        action = entry.action()
-        w_max = 4 if action.automaton.size == 2 else 2
-        vertices = list(canonical_vertices(action, 4, w_max))
-        hom_good = True
-        for _ in range(100):
-            e1 = _random_hnn(action, rng, 6)
-            e2 = _random_hnn(action, rng, 6)
-            prod = hnn_multiply(e1, e2, action)
-            v = rng.choice(vertices)
-            if theta_apply(prod, v, action) != theta_apply(e2, theta_apply(e1, v, action), action):
-                hom_good = False
-        evidence[f"{entry.id}.theta-hom"] = hom_good
-        ok &= hom_good
-
-        agree = True
-        for k in range(500):
-            e = _random_hnn(action, rng, 10)
-            if k % 7 == 0:
-                # fold in elements that are trivial by construction
-                e = hnn_multiply(e, hnn_inverse(e), action)
-            decided = hnn_is_trivial(e, action)
-            acted = all(theta_apply(e, v, action) == v for v in vertices)
-            if decided and not acted:
-                agree = False       # decision says trivial but a vertex moved
-            elif not decided and acted:
-                # nontrivial per the decision but quiet on the window: the
-                # witness must exist deeper (e.g. a^4 in the Basilica group
-                # first moves level 5); escalate until it is found
-                if _moved_vertex(e, action, start=w_max + 1, stop=16) is None:
-                    agree = False
-        evidence[f"{entry.id}.triviality-agreement"] = agree
-        ok &= agree
-
-    return CheckReport("9 property suites (seeded)", "pass" if ok else "fail", evidence,
-                       time.perf_counter() - t0)
-
-
-CRITERIA = [_criterion(*entry) for entry in TABLE] + [criterion_9_property_suites]
+CRITERIA = [_criterion(*row) for row in TABLE]
 
 
 def run_all(verbose=True):

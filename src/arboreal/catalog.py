@@ -47,6 +47,17 @@ class CatalogEntry:
     def element(self, text):
         return self.automaton.element(text)
 
+    def generator_list(self, text=None):
+        """The generators named in comma-separated text; all of them without text."""
+        elements = self.elements()
+        if not text:
+            return list(elements.values())
+        names = [n.strip() for n in str(text).split(",")]
+        for name in names:
+            if name not in elements:
+                raise ValueError(f"unknown generator {name!r}; known: {', '.join(elements)}")
+        return [elements[n] for n in names]
+
     def sigma(self, name=None):
         name = name or self.default_sigma
         if name is None or name not in self.substitutions:
@@ -226,23 +237,14 @@ def _build():
         catalog[entry.id] = entry
     for p in (5, 7):
         catalog[f"gs{p}"] = _gupta_sidki(p)
-    catalog["gs3"] = CatalogEntry(
-        id="gs3",
-        note="the Gupta-Sidki 3-group; liftability unknown, no sigma stored",
-        wreath_spec="a=(1,1,1)(1,2,3),b=(a,a^-1,b)",
-        automaton=_gs3_automaton(),
+    catalog["gs3"] = _entry(
+        "gs3",
+        "the Gupta-Sidki 3-group; liftability unknown, no sigma stored",
+        "a=(1,1,1)(1,2,3),b=(a,a^-1,b)",
         liftable="unknown",
         aliases=("gupta-sidki-3",),
     )
     return catalog
-
-
-def _gs3_automaton():
-    from .core import MealyAutomaton
-    return MealyAutomaton(3, {
-        "a": ((1, 2, 0), ((), (), ())),
-        "b": ((0, 1, 2), ((("a", 1),), (("a", -1),), (("b", 1),))),
-    })
 
 
 def _gupta_sidki(p):
@@ -430,17 +432,20 @@ def lamplighter_normal_form(word):
 def lamplighter_alpha(e, k=1):
     """alpha: x -> x x^s, s -> s, applied k times symbolically.
 
-    A lamp at i becomes lamps at {i, i+1}; iterating k times sends it to
-    the mod-2 binomial pattern, with cancellation across the lamp set.
+    A lamp at i becomes lamps at {i, i+1}: alpha multiplies the lamp
+    polynomial by 1 + t over F_2.  Since (1 + t)^k is the product of
+    1 + t^(2^j) over the set bits j of k, alpha^k costs one symmetric
+    difference per bit of k.
     """
     if k < 0:
         raise ValueError("alpha is not invertible")
     lamps = set(e.lamps)
-    for _ in range(k):
-        out = set()
-        for i in lamps:
-            out ^= {i, i + 1}
-        lamps = out
+    step = 1
+    while k:
+        if k & 1:
+            lamps ^= {i + step for i in lamps}
+        k >>= 1
+        step <<= 1
     return LamplighterElement.make(lamps, e.shift)
 
 

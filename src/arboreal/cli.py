@@ -62,11 +62,7 @@ def _parse_elements(text, entry):
 def cmd_run(args):
     params = {key: value for key, value in vars(args).items()
               if value is not None and key not in ("command", "check", "format", "func")}
-    try:
-        report = run_check(args.check, params)
-    except KeyError as err:
-        print(err.args[0], file=sys.stderr)
-        return USAGE_ERROR
+    report = run_check(args.check, params)
     print(report.to_json() if args.format == "json" else report.text())
     return report.exit_code()
 
@@ -128,12 +124,7 @@ def _render_unrooted(nodes, labels, fmt):
 
 def cmd_perm_group(args):
     entry = _catalog.resolve(vars(args))
-    elements = entry.elements()
-    if args.gens:
-        gens = [elements[n.strip()] for n in args.gens.split(",")]
-    else:
-        gens = list(elements.values())
-    group = perm_group_on_level(gens, args.level)
+    group = perm_group_on_level(entry.generator_list(args.gens), args.level)
     payload = {"group": entry.id, "level": args.level, "order": group.order()}
     if args.orbit is not None:
         orbit = sorted(group.orbit_vertices(parse_vertex(args.orbit)))
@@ -298,7 +289,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (WordSyntaxError, WreathSpecError, KeyError, ValueError, OSError) as err:
-        print(f"arboreal: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"arboreal: {message}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -504,9 +504,10 @@ def parse_wreath_spec(text, alphabet=None):
     """Build an automaton from text like "a=(1,1)(1,2),b=(a,c),c=(1,b),d=(a,d)".
 
     Each entry is name=(s_0,...,s_{d-1})pi with section entries that are
-    state names or 1, and pi a permutation in cycle notation (1-based, as
-    in GAP) or image notation (0-based bracket list).  The arity d is read
-    off the entries and must be uniform; an explicit alphabet must agree.
+    state names, inverses s^-1 of state names, or 1, and pi a permutation
+    in cycle notation (1-based, as in GAP) or image notation (0-based
+    bracket list).  The arity d is read off the entries and must be
+    uniform; an explicit alphabet must agree.
     """
     entries = []
     for chunk in _split_top(text.strip()):
@@ -547,6 +548,8 @@ def parse_wreath_spec(text, alphabet=None):
                 sections.append(())
             elif s in names:
                 sections.append(((s, 1),))
+            elif s.endswith("^-1") and s[:-3] in names:
+                sections.append(((s[:-3], -1),))
             else:
                 raise WreathSpecError(f"state {name} references unknown name {s!r}")
         rules[name] = (_parse_perm_part(perm_part, d), tuple(sections))

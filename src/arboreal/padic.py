@@ -120,6 +120,8 @@ def phi_value(x):
 
 def padic_valuation(q, p):
     """v_p of a nonzero rational, exactly."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     if q == 0:
         raise ValueError("the valuation of 0 is infinite")
     num, den = q.numerator, q.denominator

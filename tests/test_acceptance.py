@@ -18,6 +18,23 @@ def test_criterion(criterion):
     assert report.ok, report.text()
 
 
+def test_criteria_are_the_table_rows():
+    assert [f.__name__ for f in acceptance.CRITERIA] == [
+        "criterion_1_gap_session_facts",
+        "criterion_2_lifting_certificates",
+        "criterion_3_grigorchuk_recursions",
+        "criterion_4_hnn_relators",
+        "criterion_5_vertex_transitivity",
+        "criterion_6_two_transitivity",
+        "criterion_7_end_and_dilation",
+        "criterion_8_lamplighter_lemmas",
+        "criterion_9_property_suites",
+    ]
+    assert [(f.__name__, f.__doc__) for f in acceptance.CRITERIA] == [
+        (name, title) for name, title, _ in acceptance.TABLE]
+    assert acceptance.TABLE[-1][2] == [("properties", {}, "pass", None)]
+
+
 def test_rows_cover_every_group_with_a_lifting():
     groups = cat.entries_with_sigma()
     assert list(acceptance.GENERATOR_PRODUCTS) == [e.id for e in groups]

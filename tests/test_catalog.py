@@ -134,6 +134,30 @@ def test_gs3_negative_entry():
     assert entry.automaton.word_is_trivial((("a", 1),) * 3)
 
 
+@pytest.mark.parametrize("gid", sorted(cat.catalog()))
+def test_catalog_wreath_text_loads_as_spec(gid, tmp_path):
+    from arboreal.levels import perm_group_on_level
+    entry = cat.get(gid)
+    spec = tmp_path / f"{gid}.txt"
+    spec.write_text(entry.wreath_spec)
+    loaded = cat.load_spec(str(spec))
+    assert loaded.generators == entry.generators
+    # gs5/gs7 store a^-1 as a power of a, so compare their level images
+    orders = [perm_group_on_level(e.generator_list(), 3).order() for e in (loaded, entry)]
+    assert orders[0] == orders[1]
+    if gid == "gs3":
+        assert loaded.automaton._rules == entry.automaton._rules
+
+
+def test_wreath_spec_sections_stay_single_factors():
+    from arboreal.core import WreathSpecError, parse_wreath_spec
+    aut = parse_wreath_spec("a=(1,1,1)(1,2,3),b=(a,a^-1,b)")
+    assert aut.state("b").section((1,)).word == (("a", -1),)
+    for text in ("x=(x*x,1)(1,2)", "x=(y^-1,1)(1,2)", "x=(x^2,1)(1,2)"):
+        with pytest.raises(WreathSpecError):
+            parse_wreath_spec(text)
+
+
 def test_catalog_json_roundtrip():
     data = json.loads(cat.catalog_json())
     assert "grigorchuk" in data
@@ -172,6 +196,30 @@ def test_lamplighter_alpha_images():
     assert lamplighter_alpha(x, 1) == LamplighterElement((0, 1), 0)
     with pytest.raises(ValueError):
         lamplighter_alpha(x, -1)
+
+
+def test_lamplighter_alpha_power_equals_single_steps():
+    import random
+    rng = random.Random(7)
+    for _ in range(20):
+        e = LamplighterElement.make({rng.randint(-6, 6) for _ in range(rng.randint(0, 5))},
+                                    rng.randint(-3, 3))
+        lamps = set(e.lamps)
+        for k in range(65):
+            assert lamplighter_alpha(e, k) == LamplighterElement.make(lamps, e.shift), k
+            stepped = set()
+            for i in lamps:
+                stepped ^= {i, i + 1}
+            lamps = stepped
+
+
+def test_lamplighter_alpha_check_at_bound_40_is_fast():
+    import time
+    from arboreal.checks import run_check
+    t0 = time.perf_counter()
+    report = run_check("lamplighter-alpha", {"bound": 40})
+    assert report.ok and report.evidence["bad_n"] == []
+    assert time.perf_counter() - t0 < 1
 
 
 def test_lamplighter_alpha_is_endomorphism_sampled():

@@ -72,9 +72,9 @@ def test_cli_run_ggs(capsys):
 
 
 def test_cli_unknown_group_usage_error(capsys):
-    code, _, err = run_cli(capsys, "run", "lifting", "--group", "bogus")
+    code, out, err = run_cli(capsys, "run", "lifting", "--group", "bogus")
     assert code == 3
-    assert "unknown group" in err
+    assert out == "" and err.startswith("arboreal: unknown group 'bogus'")
 
 
 def test_cli_portrait_deterministic(capsys):
@@ -290,3 +290,30 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "run", *argv)
     assert code == 3
     assert out == "" and err.startswith("arboreal: ") and "must be >=" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "perm-order", "--group", "grigorchuk"], "--level"),
+    (["run", "ggs", "--p", "5"], "--e"),
+    (["run", "ggs", "--e", "1,-1"], "--p"),
+    (["run", "perm-order", "--group", "grigorchuk", "--level", "3", "--gens", "a,x"],
+     "unknown generator 'x'; known: a, b, c, d"),
+    (["perm-group-on-level", "--group", "grigorchuk", "--level", "3", "--gens", "a,x"],
+     "unknown generator 'x'; known: a, b, c, d"),
+    (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no substitution"),
+])
+def test_usage_errors_name_what_is_wrong(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith(f"arboreal: {message}")
+
+
+def test_run_properties_matches_acceptance_criterion_9(capsys):
+    code, out, _ = run_cli(capsys, "run", "properties", "--format", "json")
+    assert code == 0
+    check = json.loads(out)
+    code, out, _ = run_cli(capsys, "acceptance", "--criterion", "9", "--format", "json")
+    assert code == 0
+    criterion = json.loads(out)
+    assert check["check"] == "properties" and check["status"] == "pass"
+    assert criterion["evidence"] == {"properties": check["evidence"]}

@@ -105,6 +105,9 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(3, 4), 2) == -2
     with pytest.raises(ValueError):
         padic_valuation(Fraction(0), 2)
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            padic_valuation(Fraction(3, 4), p)
 
 
 def test_theta_t_moves_dot():
