@@ -60,7 +60,9 @@ class CatalogEntry:
 
     def sigma(self, name=None):
         name = name or self.default_sigma
-        if name is None or name not in self.substitutions:
+        if name is None:
+            raise KeyError(f"{self.id} has no lifting")
+        if name not in self.substitutions:
             raise KeyError(f"{self.id} has no substitution {name!r}")
         return self.substitutions[name]
 

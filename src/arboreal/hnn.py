@@ -11,15 +11,18 @@ and theta and the boundary action share one routine, `window_apply`.
 
 theta sends g in G to the automorphism acting on T^(m) as sigma^m(g), and
 the stable letter t to the shift tau toward the fixed end: tau(m, w) =
-(m+1, w), dropping the level by one.  Elements of the extension are kept
-in the form t^-m g t^n; equality is decided exactly through the group's
-word problem (Britton uniqueness is never needed).
+(m+1, w), dropping the level by one.  sigma^m(g) is never written out:
+`ScaleAction` memoizes sigma^m(s) by its sections on the m digits above
+the dot, so the memo grows with the prefixes visited, not with whole
+windows.  Elements of the extension are kept in the form t^-m g t^n;
+equality is decided exactly through the group's word problem (Britton
+uniqueness is never needed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex,
                    portrait, power_by_squaring, reduced_product)
@@ -135,9 +138,13 @@ HNN_IDENTITY = HnnElement(0, (), 0)
 class ScaleAction:
     """A certified lifting packaged with the machinery to act on the tree.
 
-    Construction verifies the lifting conditions (exactly); sigma-power
-    actions are memoized so that spines of depth 20 cost nothing even when
-    sigma^20(g) would be astronomically long as a word.
+    Construction verifies the lifting conditions (exactly).  sigma-power
+    actions are memoized by sections: an entry is keyed on a state, its
+    exponent, a depth k and the k digits above the dot, and holds their
+    image under sigma^k of the state and its reduced section there.  The
+    digits below the dot never enter a key, so random windows share
+    entries; prefixes are interned as (parent id, digit), so an entry has
+    constant size however deep the copy.
     """
 
     def __init__(self, automaton, sigma):
@@ -149,29 +156,81 @@ class ScaleAction:
         report = check_lifting(sigma)
         if not report.ok:
             raise LiftingError(f"sigma is not a lifting; failures: {report.failures}")
-        self._act_cache = {}
+        self._act_cache = {}   # (s, e, k, prefix id) -> (image prefix id, reduced section)
+        self._prefixes = {}    # prefix id -> (parent id, last digit); 0 is the empty prefix
+        self._prefix_ids = {}  # (parent id, digit) -> prefix id
+        self._next_id = count(1)
 
     def generators(self):
         return self.sigma.domain
 
     def act_sigma(self, word, k, v):
-        """act(sigma^k(word), v) without materializing sigma^k(word)."""
-        if k == 0:
-            return self.automaton.act_word(word, v)
-        for s, e in word:
-            v = self._act_sigma_state(s, e, k, v)
-        return v
+        """act(sigma^k(word), v) without materializing sigma^k(word).
 
-    def _act_sigma_state(self, s, e, k, v):
-        if not v:
+        The letters of word carry the first k digits through the memo; the
+        sections they reach there, joined, walk the digits below.  A window
+        shorter than k is padded with the spine letter and cut back.
+        """
+        n = len(v)
+        if not (n and word):
             return v
-        key = (s, e, k, v)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
-        out = self.act_sigma(self.sigma.image(s, e), k - 1, v)
-        self._act_cache[key] = out
-        return out
+        ids, node = self._prefix_ids, 0
+        for x in (v + (self.letter,) * (k - n))[:k]:
+            node = ids.get((node, x)) or self._prefix(node, x)
+        below = []
+        for s, e in word:
+            node, section = self._act_cache.get((s, e, k, node)) or self._section((s, e, k, node))
+            below += section
+        image = []
+        while node:
+            node, x = self._prefixes[node]
+            image.append(x)
+        image = tuple(reversed(image))
+        if n <= k:
+            return image[:n]
+        return image + self.automaton.act_word(below, v[k:])
+
+    def _prefix(self, parent, digit):
+        """The id of the prefix `parent` followed by `digit`.
+
+        A new id is recorded before it is published, and setdefault picks
+        one id per prefix, so concurrent callers agree without a lock.
+        """
+        key = (parent, digit)
+        node = self._prefix_ids.get(key)
+        if node is None:
+            node = next(self._next_id)
+            self._prefixes[node] = key
+            node = self._prefix_ids.setdefault(key, node)
+        return node
+
+    def _section(self, key):
+        """Build and return the memo entry of key = (s, e, k, prefix id).
+
+        sigma^k(s^e) is the product of sigma^(k-1)(f) over the letters f
+        of sigma(s^e): their entries on the parent prefix, chained, then
+        one step on the last digit.  Missing entries wait on an explicit
+        stack, so the copy depth k costs no Python stack.
+        """
+        cache, stack = self._act_cache, [key]
+        while stack:
+            s, e, k, node = stack[-1]
+            if not k:
+                cache[stack.pop()] = 0, ((s, e),)
+                continue
+            x, digit = self._prefixes[node]
+            below = []
+            for f, g in self.sigma.image(s, e):
+                entry = cache.get((f, g, k - 1, x))
+                if entry is None:
+                    stack.append((f, g, k - 1, x))
+                    break
+                x, section = entry
+                below += section
+            else:
+                digit, section = self.automaton.step(below, digit)
+                cache[stack.pop()] = self._prefix(x, digit), section
+        return cache[key]
 
     def sigma_word(self, word, k):
         """sigma^k(word) materialized; fine for the small k used in algebra."""

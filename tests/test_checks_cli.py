@@ -300,12 +300,20 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "unknown generator 'x'; known: a, b, c, d"),
     (["perm-group-on-level", "--group", "grigorchuk", "--level", "3", "--gens", "a,x"],
      "unknown generator 'x'; known: a, b, c, d"),
-    (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no substitution"),
+    (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no lifting"),
+    (["run", "spine", "--group", "gs3"], "gs3 has no lifting"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and err.startswith(f"arboreal: {message}")
+
+
+def test_dilation_at_a_deep_copy(capsys):
+    # copy depth must cost no Python stack: at two frames per level, 600 copies overflow it
+    code, out, err = run_cli(capsys, "run", "dilation", "--group", "grigorchuk",
+                             "--element", "T^600*a*t^600", "--samples", "3")
+    assert code == 0 and "PASS" in out and err == ""
 
 
 def test_run_properties_matches_acceptance_criterion_9(capsys):

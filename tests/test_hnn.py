@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import fmt_word
+from arboreal.core import fmt_word, invert_word
 from arboreal.hnn import (
     HNN_IDENTITY,
     HnnElement,
@@ -124,6 +126,75 @@ def test_lifting_shortcut(gid, sigma_name):
         r = rng.randrange(k + 1)
         w = tuple(rng.randrange(d) for _ in range(rng.randrange(6)))
         assert action.act_sigma(g, k, (i,) * r + w) == (i,) * r + action.act_sigma(g, k - r, w)
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_act_sigma_matches_materialized_word(gid, sigma_name):
+    # the section memo against the oracle: sigma^k(word) written out and
+    # acted on directly, on windows shorter than, equal to and longer than k
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    aut, d = action.automaton, action.automaton.size
+    rng = random.Random(23)
+    for k in range(7):
+        for n in (0, max(k - 2, 1), k, k + 1, k + 5):
+            for _ in range(4):
+                g = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
+                          for _ in range(rng.randrange(4)))
+                w = tuple(rng.randrange(d) for _ in range(n))
+                assert action.act_sigma(g, k, w) == aut.act_word(action.sigma_word(g, k), w)
+
+
+@pytest.mark.parametrize("gid", ["lamplighter", "bs13"])
+def test_deep_copy_memo_stays_small(gid):
+    # a memo keyed on whole windows grows about 2^m on these liftings
+    entry = cat.get(gid)
+    action = ScaleAction(entry.automaton, entry.sigma())
+    e = action.element(entry.element("a*b").word)
+    v = theta_apply(e, UnrootedVertex(24, (1,) * 26), action)
+    assert v.copy == 24 and len(v.word) == 26
+    assert len(action._act_cache) < 10_000
+
+
+def test_theta_at_deep_copy_needs_no_recursion():
+    entry = cat.get("grigorchuk")
+    action = ScaleAction(entry.automaton, entry.sigma())
+    g = entry.element("a*b").word
+    deep = UnrootedVertex(3000, (0,) * 3006)
+    v = theta_apply(action.element(g), deep, action)
+    assert v != deep and v.copy == 3000
+    assert theta_apply(action.element(invert_word(g)), v, action) == deep
+
+
+def test_act_sigma_memo_shared_by_threads():
+    # the memo and the prefix ids are shared state; threads that fill them
+    # at once must agree with one thread filling a memo of its own
+    entry = cat.get("lamplighter")
+    rng = random.Random(31)
+    cases = [(tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(3)), rng.randrange(9),
+              tuple(rng.randrange(2) for _ in range(rng.randrange(1, 14)))) for _ in range(300)]
+    alone = ScaleAction(entry.automaton, entry.sigma())
+    expected = [alone.act_sigma(*case) for case in cases]
+    shared = ScaleAction(entry.automaton, entry.sigma())
+    results = [None] * 6
+
+    def work(slot):
+        results[slot] = [shared.act_sigma(*case) for case in cases[slot:] + cases[:slot]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot, got in enumerate(results):
+        assert got == expected[slot:] + expected[:slot]
 
 
 def test_theta_fixes_deep_vertex(grig_action):

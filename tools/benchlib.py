@@ -9,20 +9,26 @@ change alternating in order from one repeat to the next, and reduces
 each side's samples to medians.
 
 A point that runs past the timeout is recorded as "timeout" and is not
-repeated: the work is deterministic, so it would time out again.  Points
-of one curve (same tuple but for the last entry, the size) that are
-larger than a timed-out point are recorded as "skipped".
+repeated: the work is deterministic, so it would time out again.  A child
+runs with its address space capped at MEMORY_CAP_BYTES, so that a point
+whose memory grows without bound stops before it crowds the host; one
+that runs out is recorded as "memory", like a timeout.  Points of one
+curve (same tuple but for the last entry, the size) that are larger than
+a point that timed out or ran out of memory are recorded as "skipped".
 """
 
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
 
 TIMEOUT_S = 60
+MEMORY_CAP_BYTES = 2 ** 31
+FAILED = ("timeout", "memory", "skipped")
 
 
 def _env(src):
@@ -53,16 +59,24 @@ def run_cli(src, *argv, timeout=TIMEOUT_S):
 
 
 def child_main(child):
-    """Run `child(*args)` and print its dict when invoked with --child ARGS."""
+    """Run `child(*args)` and print its dict when invoked with --child ARGS.
+
+    Prints "memory" instead when the point exceeds MEMORY_CAP_BYTES.
+    """
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        print(json.dumps(child(*sys.argv[2:])))
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
+        try:
+            out = child(*sys.argv[2:])
+        except MemoryError:
+            out = "memory"
+        print(json.dumps(out))
         return True
     return False
 
 
 def summarise(samples):
     """Median of every numeric entry; other entries are taken from the first sample."""
-    for bad in ("timeout", "skipped"):
+    for bad in FAILED:
         if bad in samples:
             return bad
     out = {"repeats": len(samples)}
@@ -82,10 +96,10 @@ def compare(sides, points, repeats, measure):
         for point in points:
             for side in order:
                 got = samples[(side, point)]
-                if got and got[0] in ("timeout", "skipped"):
+                if got and got[0] in FAILED:
                     continue
                 if any(p[:-1] == point[:-1] and p[-1] < point[-1]
-                       and samples[(side, p)][:1] in (["timeout"], ["skipped"])
+                       and next(iter(samples[(side, p)]), None) in FAILED
                        for p in points):
                     got.append("skipped")
                 else:
@@ -121,6 +135,7 @@ def report_header(harness, repeats):
         "host": {"cpu": cpu_model(), "cpus": os.cpu_count(), "machine": platform.machine(),
                  "system": f"{platform.system()} {platform.release()}"},
         "timeout_s": TIMEOUT_S,
+        "memory_cap_bytes": MEMORY_CAP_BYTES,
         "repeats": repeats,
     }
 
