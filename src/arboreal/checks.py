@@ -2,8 +2,9 @@
 
 Each check reproduces one family of computations: a plain function of
 its params that returns (report name, status, evidence), the status
-being pass/fail/inconclusive.  `run_check` is the one place a check
-runs; it times the check and builds its CheckReport.  The command line
+being pass/fail/inconclusive.  `CHECKS` names each check's params, and
+`run_check` is the one place a check runs; it rejects other params,
+times the check and builds its CheckReport.  The command line
 and the acceptance suite are thin layers over this module, so a check
 behaves identically everywhere; the group-free check `properties` holds
 the seeded property suites, where a single counterexample fails.
@@ -249,7 +250,7 @@ def check_spine(params):
 def check_dilation(params):
     entry = _catalog.resolve(params)
     element = params.get("element", "t")
-    samples = int(params.get("samples", 1000))
+    samples = _int(params, "samples", 1000, 2)
     seed = int(params.get("seed", DEFAULT_SEED))
     action = entry.action()
     e = parse_hnn(element, action)
@@ -492,30 +493,39 @@ def check_properties(params):
     return "properties", ("pass" if ok else "fail"), evidence
 
 
+# check id -> (check, the params it reads); `--group` and `--spec` name the entry
+ENTRY = ("group", "spec")
 CHECKS = {
-    "lifting": check_lifting_certificate,
-    "perm-order": check_perm_order,
-    "stabilizer-of-first-level": check_stabilizer_words,
-    "separation": check_separation,
-    "hnn-relators": check_hnn_relators,
-    "transitivity": check_transitivity,
-    "two-transitivity": check_two_transitivity,
-    "spine": check_spine,
-    "dilation": check_dilation,
-    "stabilizer-projection": check_stabilizer_projection,
-    "grig-recursions": check_grig_recursions,
-    "lamplighter-alpha": check_lamplighter_alpha,
-    "lamplighter-core": check_lamplighter_core,
-    "ggs": check_ggs,
-    "witnesses": check_witnesses,
-    "properties": check_properties,
+    "lifting": (check_lifting_certificate, (*ENTRY, "depth", "sigma")),
+    "perm-order": (check_perm_order, (*ENTRY, "level", "gens", "expect")),
+    "stabilizer-of-first-level": (check_stabilizer_words, (*ENTRY, "vertex")),
+    "separation": (check_separation, (*ENTRY, "level")),
+    "hnn-relators": (check_hnn_relators, (*ENTRY, "presentation", "depth")),
+    "transitivity": (check_transitivity, (*ENTRY, "copies", "length")),
+    "two-transitivity": (check_two_transitivity, (*ENTRY, "level")),
+    "spine": (check_spine, (*ENTRY, "depth")),
+    "dilation": (check_dilation, (*ENTRY, "element", "samples", "seed", "expect")),
+    "stabilizer-projection": (check_stabilizer_projection, (*ENTRY, "depth")),
+    "grig-recursions": (check_grig_recursions, ("string_bound", "group_bound", "alpha_bound")),
+    "lamplighter-alpha": (check_lamplighter_alpha, ("bound",)),
+    "lamplighter-core": (check_lamplighter_core, ("n_min", "n_max", "trials", "seed")),
+    "ggs": (check_ggs, ("p", "e", "j")),
+    "witnesses": (check_witnesses, (*ENTRY, "bound", "sigma", "letter")),
+    "properties": (check_properties, ()),
 }
 
 
 def run_check(check_id, params):
-    """The one place a check runs: it is timed here and its report built."""
+    """The one place a check runs: it is timed here and its report built.
+
+    A param the check does not read is a usage error, never ignored.
+    """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(sorted(CHECKS))}")
+    check, takes = CHECKS[check_id]
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"{check_id} does not take --{key.replace('_', '-')}")
     t0 = time.perf_counter()
-    name, status, evidence = CHECKS[check_id](params)
+    name, status, evidence = check(params)
     return CheckReport(name, status, evidence, time.perf_counter() - t0)

@@ -77,6 +77,17 @@ def parse_point(text, size=2, pad=0):
     return BoundaryPoint(offset, digits, size, pad)
 
 
+def _first_difference(a_offset, a, b_offset, b, pad):
+    """First position where two windows over one spine disagree, or None."""
+    lo = min(a_offset, b_offset)
+    a = (pad,) * (a_offset - lo) + a
+    b = (pad,) * (b_offset - lo) + b
+    for i, (p, q) in enumerate(zip(a, b), lo):
+        if p != q:
+            return i
+    return None
+
+
 def boundary_distance(x, y):
     """Smallest position where the points disagree, or None ("equal to
     precision": all comparable digits agree).  The distance is d^(-l+1)."""
@@ -84,13 +95,7 @@ def boundary_distance(x, y):
         raise ValueError("points live over different alphabets")
     if x.pad != y.pad:
         raise ValueError("points follow different spines; no common puncture")
-    lo = min(x.offset, y.offset)
-    a = (x.pad,) * (x.offset - lo) + x.digits
-    b = (y.pad,) * (y.offset - lo) + y.digits
-    for i, (p, q) in enumerate(zip(a, b), lo):
-        if p != q:
-            return i
-    return None
+    return _first_difference(x.offset, x.digits, y.offset, y.digits, x.pad)
 
 
 def distance_value(x, y):
@@ -171,6 +176,13 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     sigma-powers of that depth.  The exponent must be constant across
     samples; for elements of theta(G) it is 0, for t it is the net
     displacement.
+
+    Each pair is one draw rng.randrange(N) read off in mixed radix: the
+    branch (9 values), x's window (base d), y's digit at the branch (one
+    of the d - 1 others), y's tail (base d).  The fields are uniform and
+    independent, so a seed's pairs differ from those of the earlier
+    per-digit draws but the exponent does not.  Pairs stay raw (offset,
+    digits) windows through `window_apply`; no point is built per sample.
     """
     import random
     if samples < 2:
@@ -179,19 +191,22 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     rng = random.Random(seed)
     d = action.automaton.size
     pad = action.letter
+    width = margin + 1 + DILATION_TAIL
+    x_weights = [9 * d ** k for k in range(width)]
+    y_weights = [(d - 1) * d ** k for k in range(DILATION_TAIL)]
+    y_field = 9 * d ** width
+    draws = y_field * (d - 1) * d ** DILATION_TAIL
     exponents = set()
     for _ in range(samples):
-        branch = rng.randint(-2, 6)
-        offset = branch - margin
-        common = [rng.randrange(d) for _ in range(margin)]
-        a_digit = rng.randrange(d)
-        b_digit = (a_digit + rng.randrange(1, d)) % d
-        rest_a = [rng.randrange(d) for _ in range(DILATION_TAIL)]
-        rest_b = [rng.randrange(d) for _ in range(DILATION_TAIL)]
-        x = BoundaryPoint(offset, tuple(common) + (a_digit,) + tuple(rest_a), d, pad)
-        y = BoundaryPoint(offset, tuple(common) + (b_digit,) + tuple(rest_b), d, pad)
-        before = boundary_distance(x, y)
-        after = boundary_distance(boundary_apply(e, x, action), boundary_apply(e, y, action))
+        r = rng.randrange(draws)
+        offset = r % 9 - 2 - margin
+        x = tuple([r // w % d for w in x_weights])
+        r //= y_field
+        y = (x[:margin] + ((x[margin] + 1 + r % (d - 1)) % d,)
+             + tuple([r // w % d for w in y_weights]))
+        before = _first_difference(offset, x, offset, y, pad)
+        after = _first_difference(*window_apply(e, offset, x, action),
+                                  *window_apply(e, offset, y, action), pad)
         if before is None or after is None:
             raise PrecisionError("sample pair lost its disagreement; widen the window")
         exponents.add(before - after)

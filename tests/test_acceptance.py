@@ -8,6 +8,7 @@ import pytest
 
 from arboreal import acceptance
 from arboreal import catalog as cat
+from arboreal.checks import CHECKS
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
@@ -40,6 +41,12 @@ def test_rows_cover_every_group_with_a_lifting():
     assert list(acceptance.GENERATOR_PRODUCTS) == [e.id for e in groups]
     for entry in groups:
         assert acceptance.GENERATOR_PRODUCTS[entry.id] == "*".join(entry.action().generators())
+
+
+def test_rows_pass_only_params_their_check_reads():
+    for _, _, rows in acceptance.TABLE:
+        for check_id, params, _, _ in rows:
+            assert set(params) <= set(CHECKS[check_id][1]), (check_id, params)
 
 
 def test_row_with_other_status_or_over_budget_fails():

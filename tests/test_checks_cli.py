@@ -302,6 +302,12 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "unknown generator 'x'; known: a, b, c, d"),
     (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no lifting"),
     (["run", "spine", "--group", "gs3"], "gs3 has no lifting"),
+    (["run", "spine", "--group", "basilica", "--seed", "5", "--samples", "3", "--trials", "9"],
+     "spine does not take --seed"),
+    (["run", "properties", "--seed", "5"], "properties does not take --seed"),
+    (["run", "transitivity", "--group", "basilica", "--n-max", "4"],
+     "transitivity does not take --n-max"),
+    (["run", "dilation", "--group", "basilica", "--samples", "1"], "samples must be >= 2"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

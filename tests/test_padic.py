@@ -1,12 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.hnn import UnrootedVertex, canonical_vertices, hnn_multiply, parse_hnn, theta_apply
+from arboreal import padic
+from arboreal.hnn import (
+    ScaleAction,
+    UnrootedVertex,
+    canonical_vertices,
+    hnn_multiply,
+    parse_hnn,
+    theta_apply,
+    window_apply,
+)
+from arboreal.lifting import GgsVector, ggs_lifting
 from arboreal.padic import (
+    DILATION_MARGIN,
+    DILATION_TAIL,
     BoundaryPoint,
+    DilationMismatch,
+    PrecisionError,
     boundary_apply,
     boundary_distance,
     dilation_factor_empirical,
@@ -215,6 +230,105 @@ def test_dilation_sample_guard():
     action = cat.get("basilica").action()
     with pytest.raises(ValueError):
         dilation_factor_empirical(parse_hnn("t", action), action, samples=1)
+
+
+def _sampled_pairs(monkeypatch, e, action, samples, seed):
+    """The sampler's pairs as ((offset, x), x image, (offset, y), y image)."""
+    calls = []
+
+    def recording(e, offset, digits, action):
+        image = window_apply(e, offset, digits, action)
+        calls.append(((offset, digits), image))
+        return image
+
+    with monkeypatch.context() as patch:
+        patch.setattr(padic, "window_apply", recording)
+        dilation_factor_empirical(e, action, samples=samples, seed=seed)
+    assert len(calls) == 2 * samples
+    return [(*a, *b) for a, b in zip(calls[::2], calls[1::2])]
+
+
+def _ternary_action():
+    built = ggs_lifting(GgsVector(3, (1, 0)))
+    return ScaleAction(built.automaton, built.sigma)
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_sampled_pairs_match_boundary_apply(monkeypatch, gid, sigma_name):
+    # oracle: each pair's raw window images are boundary_apply's images of
+    # the matching points; the pair agrees below its branch and differs at it
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    d, pad = action.automaton.size, action.letter
+    for text in ("t", "*".join(entry.generators), "t^-2*a*t^5"):
+        e = parse_hnn(text, action)
+        margin = max(DILATION_MARGIN, e.tneg + e.tpos + 1)
+        branches = set()
+        for (ox, x), x_image, (oy, y), y_image in _sampled_pairs(monkeypatch, e, action, 100, 4):
+            assert ox == oy and len(x) == len(y) == margin + 1 + DILATION_TAIL
+            assert x[:margin] == y[:margin] and x[margin] != y[margin]
+            branches.add(ox + margin)
+            for offset, digits, image in ((ox, x, x_image), (oy, y, y_image)):
+                point = BoundaryPoint(offset, digits, d, pad)
+                assert boundary_apply(e, point, action) == BoundaryPoint(*image, d, pad)
+        assert branches == set(range(-2, 7))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_sampled_pairs_cover_every_ordered_pair_of_branch_digits(monkeypatch, d):
+    action = {2: cat.get("grigorchuk").action(), 3: _ternary_action(),
+              5: cat.get("gs5").action(), 7: cat.get("gs7").action()}[d]
+    assert action.automaton.size == d
+    pairs = _sampled_pairs(monkeypatch, parse_hnn("t", action), action, 500, 6)
+    seen = {(x[DILATION_MARGIN], y[DILATION_MARGIN]) for (_, x), _, (_, y), _ in pairs}
+    assert seen == {(a, b) for a in range(d) for b in range(d) if a != b}
+
+
+def test_draws_read_off_onto_every_pair_once(monkeypatch):
+    # with a one-digit margin and tail, the draws 0 .. N-1 give every
+    # (branch, x, y) exactly once: the fields are uniform and independent
+    monkeypatch.setattr(padic, "DILATION_MARGIN", 1)
+    monkeypatch.setattr(padic, "DILATION_TAIL", 1)
+    draws = 9 * 3 ** 3 * 2 * 3
+
+    class Counting:
+        def __init__(self, seed):
+            self.draws = iter(range(draws))
+
+        def randrange(self, n):
+            assert n == draws
+            return next(self.draws)
+
+    action = _ternary_action()
+    monkeypatch.setattr(random, "Random", Counting)
+    pairs = _sampled_pairs(monkeypatch, parse_hnn("1", action), action, draws, 0)
+    assert sorted((ox, x, y) for (ox, x), _, (_, y), _ in pairs) == sorted(
+        (branch - 1, x, (x[0], b, tail))
+        for branch in range(-2, 7) for x in product(range(3), repeat=3)
+        for b in range(3) if b != x[1] for tail in range(3))
+
+
+@pytest.mark.parametrize("fault, error", [("collapse", PrecisionError),
+                                          ("shift", DilationMismatch)])
+@pytest.mark.parametrize("gid, text", [("basilica", "a*b"), ("gs7", "t^-2*a*t^5")])
+def test_dilation_catches_a_broken_action(monkeypatch, fault, error, gid, text):
+    # collapse: each pair's second image is its first; shift: every other
+    # image moves up one position
+    action = cat.get(gid).action()
+    images = []
+
+    def broken(e, offset, digits, action):
+        images.append(window_apply(e, offset, digits, action))
+        if len(images) % 2:
+            return images[-1]
+        if fault == "collapse":
+            return images[-2]
+        return images[-1][0] + 1, images[-1][1]
+
+    monkeypatch.setattr(padic, "window_apply", broken)
+    with pytest.raises(error):
+        dilation_factor_empirical(parse_hnn(text, action), action, samples=200, seed=3)
 
 
 def test_ultrametric_inequality():

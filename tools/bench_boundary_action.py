@@ -3,21 +3,26 @@
     python3 tools/bench_boundary_action.py --parent PARENT/src --change src \
         --repeats 3 -o BENCH_boundary_action.json
 
-A point applies theta(a*b) with `padic.boundary_apply` to WINDOWS seeded
-random digit windows at offset 1 - m, the digit window of the copy
-T^(m), on a new `ScaleAction` of the group's default lifting.  Two
-curves, each over Grigorchuk, the lamplighter (sigma0) and BS(1,3):
+Every point runs on a new `ScaleAction` of the group's default lifting
+(sigma0 for the lamplighter).  A `window` or `depth` point applies
+theta(a*b) with `padic.boundary_apply` to WINDOWS seeded random digit
+windows at offset 1 - m, the digit window of the copy T^(m); these two
+curves run over Grigorchuk, the lamplighter and BS(1,3):
 
 - `window`: window lengths 10 .. 1000 at the fixed copy depth
   WINDOW_DEPTH;
 - `depth`: copy depths m = 0 .. 40, each window m + BELOW digits long.
 
+A `dilation` point calls the public `padic.dilation_factor_empirical`
+on DILATION_ELEMENT with 250 .. 4000 sample pairs, over Grigorchuk, the
+lamplighter and gs7, so both trees run the same child code.
+
 A point is the median over the repeats of `cpu_s` (CPU seconds of the
-WINDOWS applications), `entries` (size of the sigma-power memo
-afterwards) and `peak_rss_mb`; `digest` (a hash of the images) lets the
-two trees' answers be compared.  The fresh interpreters, the alternation
-of parent and change, the timeouts and the memory cap are those of
-`tools/benchlib.py`.
+applications or of the sampling), `entries` (size of the sigma-power
+memo afterwards) and `peak_rss_mb`; `digest` (a hash of the images, or
+the sampled exponent) lets the two trees' answers be compared.  The
+fresh interpreters, the alternation of parent and change, the timeouts
+and the memory cap are those of `tools/benchlib.py`.
 """
 
 import argparse
@@ -35,28 +40,38 @@ WINDOW_DEPTH = 10
 DEPTHS = (0, 5, 10, 20, 30, 40)
 BELOW = 10
 WINDOWS = 20
+DILATION_GROUPS = ("grigorchuk", "lamplighter", "gs7")
+DILATION_ELEMENT = "t^-2*a*t^5"
+SAMPLES = (250, 500, 1000, 2000, 4000)
 
 
 def child(curve, gid, n):
     from arboreal import catalog
-    from arboreal.hnn import ScaleAction
-    from arboreal.padic import BoundaryPoint, boundary_apply
+    from arboreal.hnn import ScaleAction, parse_hnn
+    from arboreal.padic import BoundaryPoint, boundary_apply, dilation_factor_empirical
     n = int(n)
-    m, length = (WINDOW_DEPTH, n) if curve == "window" else (n, n + BELOW)
     entry = catalog.get(gid)
     action = ScaleAction(entry.automaton, entry.sigma())
-    e = action.element(entry.element("a*b").word)
-    d, letter = entry.automaton.size, action.letter
-    rng = random.Random(f"{curve} {gid} {n}")
-    points = [BoundaryPoint(1 - m, tuple(rng.randrange(d) for _ in range(length)), d, letter)
-              for _ in range(WINDOWS)]
-    t0 = time.process_time()
-    images = [boundary_apply(e, x, action) for x in points]
-    cpu = time.process_time() - t0
+    if curve == "dilation":
+        e = parse_hnn(DILATION_ELEMENT, action)
+        t0 = time.process_time()
+        digest = dilation_factor_empirical(e, action, samples=n, seed=1)
+        cpu = time.process_time() - t0
+    else:
+        m, length = (WINDOW_DEPTH, n) if curve == "window" else (n, n + BELOW)
+        e = action.element(entry.element("a*b").word)
+        d, letter = entry.automaton.size, action.letter
+        rng = random.Random(f"{curve} {gid} {n}")
+        points = [BoundaryPoint(1 - m, tuple(rng.randrange(d) for _ in range(length)), d, letter)
+                  for _ in range(WINDOWS)]
+        t0 = time.process_time()
+        images = [boundary_apply(e, x, action) for x in points]
+        cpu = time.process_time() - t0
+        digest = (hashlib.sha256(repr([(y.offset, y.digits) for y in images]).encode())
+                  .hexdigest()[:16])
     return {"cpu_s": cpu, "entries": len(action._act_cache),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "digest": hashlib.sha256(repr([(y.offset, y.digits) for y in images]).encode())
-            .hexdigest()[:16]}
+            "digest": digest}
 
 
 def measure(src, point):
@@ -71,7 +86,8 @@ def main():
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args()
     points = ([("window", gid, n) for gid in GROUPS for n in WINDOW_LENGTHS]
-              + [("depth", gid, m) for gid in GROUPS for m in DEPTHS])
+              + [("depth", gid, m) for gid in GROUPS for m in DEPTHS]
+              + [("dilation", gid, n) for gid in DILATION_GROUPS for n in SAMPLES])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
     curves = []
@@ -80,12 +96,17 @@ def main():
         curves.append({"curve": curve, "group": gid, "n": n, **row})
     deepest = [results[("depth", gid, DEPTHS[-1])]["change"] for gid in GROUPS]
     report = benchlib.report_header("tools/bench_boundary_action.py", args.repeats)
+    most = [results[("dilation", gid, SAMPLES[-1])] for gid in DILATION_GROUPS]
     report["setup"] = {"element": "a*b", "windows": WINDOWS, "window_depth": WINDOW_DEPTH,
-                       "digits_below_the_dot": BELOW}
+                       "digits_below_the_dot": BELOW, "dilation_element": DILATION_ELEMENT,
+                       "dilation_seed": 1}
     report["gates"] = {
         f"every change point finishes; at depth {DEPTHS[-1]} cpu_s < 1":
             all(isinstance(row["change"], dict) for row in results.values())
             and all(s["cpu_s"] < 1 for s in deepest),
+        f"at {SAMPLES[-1]} dilation samples the change's cpu_s is below the parent's":
+            all(isinstance(side, dict) for row in most for side in row.values())
+            and all(row["change"]["cpu_s"] < row["parent"]["cpu_s"] for row in most),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)
