@@ -54,6 +54,7 @@ from .hnn import (
     hnn_is_trivial,
     hnn_multiply,
     hnn_power,
+    moved_vertex,
     parse_hnn,
     parse_unrooted,
     spine_vertex,

@@ -382,8 +382,11 @@ class LamplighterElement:
         return cls(tuple(sorted(set(lamps))), shift)
 
     def __mul__(self, other):
-        moved = {b - self.shift for b in other.lamps}
-        return LamplighterElement.make(set(self.lamps) ^ moved, self.shift + other.shift)
+        lamps = self.lamps
+        if other.lamps:  # s^k moves no lamp
+            moved = [b - self.shift for b in other.lamps]
+            lamps = tuple(sorted(set(lamps).symmetric_difference(moved)))
+        return LamplighterElement(lamps, self.shift + other.shift)
 
     def inverse(self):
         return LamplighterElement.make({b + self.shift for b in self.lamps}, -self.shift)
@@ -468,15 +471,14 @@ def lamplighter_core_gap_check(n, trials=1000, seed=0):
         raise ValueError("n above 16 is out of the checked range")
     rng = random.Random(seed)
     span = 2 ** n
+    xs = [lamplighter_image_generator(n, i) for i in range(-8, 9)]
+    steps = (lamplighter_s(-1), lamplighter_s(1))
     count = 0
     while count < trials:
         length = rng.randint(1, 12)
         e = LAMP_IDENTITY
         for _ in range(length):
-            if rng.random() < 0.5:
-                e = e * lamplighter_image_generator(n, rng.randint(-8, 8))
-            else:
-                e = e * lamplighter_s(rng.choice((-1, 1)))
+            e = e * (rng.choice(xs) if rng.random() < 0.5 else rng.choice(steps))
         if not e.lamps:
             continue  # inside <s>; outside the lemma's scope
         count += 1

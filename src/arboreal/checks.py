@@ -28,6 +28,7 @@ from .hnn import (
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
+    moved_vertex,
     parse_hnn,
     spine_vertex,
     stabilizer_projection_check,
@@ -79,13 +80,21 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _integer(key, value):
+    """int(value), None for None; a value that is no integer is a usage error naming the flag."""
+    try:
+        return None if value is None else int(value)
+    except ValueError:
+        raise ValueError(f"--{key.replace('_', '-')}: {value!r} is not an integer") from None
+
+
 def _int(params, key, default, low):
     """params[key], or the default, as an int of at least `low`.
 
     Below `low` the range a check runs over would be empty (or undefined),
     and an empty check must not pass.
     """
-    value = int(params.get(key, default))
+    value = _integer(key, params.get(key, default))
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
     return value
@@ -142,14 +151,14 @@ def check_perm_order(params):
     entry = _catalog.resolve(params)
     level = int(_required(params, "level"))
     gen_names = params.get("gens")
+    expect = _integer("expect", params.get("expect"))
     group = perm_group_on_level(entry.generator_list(gen_names), level)
     evidence = {"order": group.order(), "level": level,
                 "gens": gen_names or ",".join(entry.generators)}
     status = "pass"
-    expect = params.get("expect")
     if expect is not None:
-        evidence["expect"] = int(expect)
-        status = "pass" if group.order() == int(expect) else "fail"
+        evidence["expect"] = expect
+        status = "pass" if group.order() == expect else "fail"
     return f"perm-order[{entry.id}]", status, evidence
 
 
@@ -252,15 +261,15 @@ def check_dilation(params):
     element = params.get("element", "t")
     samples = _int(params, "samples", 1000, 2)
     seed = int(params.get("seed", DEFAULT_SEED))
+    expect = _integer("expect", params.get("expect"))
     action = entry.action()
     e = parse_hnn(element, action)
     m = dilation_factor_empirical(e, action, samples=samples, seed=seed)
     evidence = {"element": element, "exponent": m, "samples": samples,
                 "net_t_displacement": e.tpos - e.tneg}
-    expect = params.get("expect")
     if expect is not None:
-        evidence["expect"] = int(expect)
-    target = e.tpos - e.tneg if expect is None else int(expect)
+        evidence["expect"] = expect
+    target = e.tpos - e.tneg if expect is None else expect
     return f"dilation[{entry.id}:{element}]", ("pass" if m == target else "fail"), evidence
 
 
@@ -334,7 +343,7 @@ def check_lamplighter_core(params):
 
 def check_ggs(params):
     p = int(_required(params, "p"))
-    e_vec = tuple(int(x) for x in str(_required(params, "e")).split(","))
+    e_vec = tuple(_integer("e", x) for x in str(_required(params, "e")).split(","))
     j = params.get("j")
     report = f"ggs[p={p}]"
     try:
@@ -396,13 +405,11 @@ def _random_hnn(action, rng, max_len):
     return e
 
 
-def _moved_vertex(e, action, start, stop):
-    """A vertex moved by a decided-nontrivial element, searching outward."""
-    for bound in range(start, stop + 1):
-        for v in canonical_vertices(action, bound, bound):
-            if theta_apply(e, v, action) != v:
-                return v
-    return None
+def _escalation_stop(d):
+    """The deepest b whose box (b, b) over d letters, of (d^(b+1) - 1)/(d - 1)
+    + b d^b canonical vertices, is no larger than the binary box (16, 16)."""
+    size = [(d ** (b + 1) - 1) // (d - 1) + b * d ** b for b in range(17)]
+    return max(b for b in range(17) if size[b] <= 2 ** 17 - 1 + 16 * 2 ** 16)
 
 
 def check_properties(params):
@@ -421,16 +428,12 @@ def check_properties(params):
             h = aut.element(_random_word(aut, names, rng, 6))
             level = rng.randint(1, 6)
             v = tuple(rng.randrange(aut.size) for _ in range(level))
-            if (g * h).act(v) != h.act(g.act(v)):
-                good = False
+            good &= (g * h).act(v) == h.act(g.act(v))
             left = (g * h).section(v)
             right = g.section(v) * h.section(g.act(v))
-            if not left.same_action(right):
-                good = False
-            if g.inverse().inverse().act(v) != g.act(v):
-                good = False
-            if not (g * g.inverse()).is_trivial():
-                good = False
+            good &= left.same_action(right)
+            good &= g.inverse().inverse().act(v) == g.act(v)
+            good &= (g * g.inverse()).is_trivial()
         evidence[f"{entry.id}.algebra"] = good
         ok &= good
 
@@ -472,21 +475,18 @@ def check_properties(params):
         ok &= hom_good
 
         agree = True
+        deeper = [(b, b) for b in range(w_max + 1, _escalation_stop(action.automaton.size) + 1)]
         for k in range(500):
             e = _random_hnn(action, rng, 10)
             if k % 7 == 0:
                 # fold in elements that are trivial by construction
                 e = hnn_multiply(e, hnn_inverse(e), action)
             decided = hnn_is_trivial(e, action)
-            acted = all(theta_apply(e, v, action) == v for v in vertices)
-            if decided and not acted:
-                agree = False       # decision says trivial but a vertex moved
-            elif not decided and acted:
-                # nontrivial per the decision but quiet on the window: the
-                # witness must exist deeper (e.g. a^4 in the Basilica group
-                # first moves level 5); escalate until it is found
-                if _moved_vertex(e, action, start=w_max + 1, stop=16) is None:
-                    agree = False
+            # trivial iff quiet on the window; a nontrivial element may move
+            # only deeper vertices (a^4 in the Basilica group first moves
+            # level 5), so its search escalates through the boxes beyond
+            boxes = [(4, w_max)] + ([] if decided else deeper)
+            agree &= decided == all(moved_vertex(e, action, *box) is None for box in boxes)
         evidence[f"{entry.id}.triviality-agreement"] = agree
         ok &= agree
 

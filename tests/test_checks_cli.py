@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from arboreal.checks import run_check
+from arboreal import catalog
+from arboreal.checks import _escalation_stop, run_check
 from arboreal.cli import main
+from arboreal.hnn import canonical_vertices
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +310,12 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     (["run", "transitivity", "--group", "basilica", "--n-max", "4"],
      "transitivity does not take --n-max"),
     (["run", "dilation", "--group", "basilica", "--samples", "1"], "samples must be >= 2"),
+    (["run", "perm-order", "--group", "grigorchuk", "--level", "3", "--expect", "x"],
+     "--expect: 'x' is not an integer"),
+    (["run", "dilation", "--group", "basilica", "--expect", "x"],
+     "--expect: 'x' is not an integer"),
+    (["run", "ggs", "--p", "3", "--e", "x"], "--e: 'x' is not an integer"),
+    (["run", "ggs", "--p", "3", "--e", "1,-1,y"], "--e: 'y' is not an integer"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -331,3 +339,21 @@ def test_run_properties_matches_acceptance_criterion_9(capsys):
     criterion = json.loads(out)
     assert check["check"] == "properties" and check["status"] == "pass"
     assert criterion["evidence"] == {"properties": check["evidence"]}
+
+
+def test_escalation_stops_at_the_binary_box_size():
+    # the triviality-agreement escalation runs to the deepest box (b, b) no
+    # larger than the binary box (16, 16): 17 * 7^16 vertices would hang gs7
+    assert {d: _escalation_stop(d) for d in (2, 3, 5, 7)} == {2: 16, 3: 10, 5: 7, 7: 6}
+
+    def size(d, b):   # the count _escalation_stop uses, against the enumeration
+        return (d ** (b + 1) - 1) // (d - 1) + b * d ** b
+
+    for gid in ("grigorchuk", "gs5", "gs7"):
+        action = catalog.get(gid).action()
+        d = action.automaton.size
+        for b in range(4):
+            assert sum(1 for _ in canonical_vertices(action, b, b)) == size(d, b)
+    for d in (2, 3, 5, 7):
+        stop = _escalation_stop(d)
+        assert size(d, stop) <= size(2, 16) < size(d, stop + 1)

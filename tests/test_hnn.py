@@ -12,11 +12,13 @@ from arboreal.hnn import (
     HnnElement,
     ScaleAction,
     UnrootedVertex,
+    canonical_vertices,
     canonicalize,
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
     hnn_power,
+    moved_vertex,
     parse_hnn,
     parse_unrooted,
     spine_vertex,
@@ -445,3 +447,56 @@ def test_hnn_triviality_agreement_sampled(basilica_action):
         # nontrivial elements may hide below the window (a^4 moves level 5
         # first); the acceptance suite escalates, here we only require the
         # one-sided implication
+
+
+def _elements_of_each_kind(entry, action, rng):
+    """(kind, element) pairs: unbalanced, t^-m t^m, balanced with a
+    nontrivial word, balanced with a trivial nonempty word."""
+    aut = action.automaton
+
+    def word(n):
+        return aut.reduce(tuple((rng.choice(entry.generators), rng.choice((1, -1)))
+                                for _ in range(n)))
+
+    out = []
+    for _ in range(2):
+        m = rng.randrange(4)
+        out.append(("unbalanced", HnnElement(m, word(rng.randrange(4)), m + rng.randrange(1, 3))))
+        out.append(("unbalanced", HnnElement(m + rng.randrange(1, 3), word(rng.randrange(4)), m)))
+        out.append(("t^-m t^m", HnnElement(m, (), m)))
+        w = ()
+        while not w or aut.word_is_trivial(w):
+            w = word(rng.randrange(1, 5))
+        out.append(("nontrivial", HnnElement(m, w, m)))
+        # g g^-1 left unreduced, and s*s for every involution s (a*a on Grigorchuk)
+        g = word(rng.randrange(1, 4)) or ((entry.generators[0], 1),)
+        out.append(("trivial word", HnnElement(m, g + invert_word(g), m)))
+    for s in entry.generators:
+        if aut.word_is_trivial(((s, 1), (s, 1))):
+            m = rng.randrange(4)
+            out.append(("trivial word", HnnElement(m, ((s, 1), (s, 1)), m)))
+    return out
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_moved_vertex_matches_the_plain_scan(gid, sigma_name):
+    # the exact exits (unbalanced: the first vertex; empty word: None)
+    # against applying theta(e) to every vertex of every box (0..4, 0..4)
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    kinds = set()
+    for kind, e in _elements_of_each_kind(entry, action, random.Random(41)):
+        moved = {}   # vertex -> theta(e) moves it, shared by the boxes
+        for copies in range(5):
+            for length in range(5):
+                expected = None
+                for v in canonical_vertices(action, copies, length):
+                    if v not in moved:
+                        moved[v] = theta_apply(e, v, action) != v
+                    if moved[v]:
+                        expected = v
+                        break
+                assert moved_vertex(e, action, copies, length) == expected, (kind, str(e))
+        kinds.add(kind)
+    assert kinds == {"unbalanced", "t^-m t^m", "nontrivial", "trivial word"}

@@ -1,0 +1,114 @@
+"""Scaling curves of the checks behind acceptance criteria 8 and 9, for two
+source trees side by side.
+
+    python3 tools/bench_acceptance.py --parent PARENT/src --change src \
+        --repeats 5 -o BENCH_acceptance.json
+
+Every point is one `checks.run_check` call in a new interpreter, after
+the catalog is built:
+
+- `trials`: `lamplighter-core --trials 250 .. 4000` (n = 3..8, the
+  default range), the lamplighter core-lemma sampler of criterion 8;
+- `n-max`: `lamplighter-core --n-max 4 .. 12` at the default 1000 trials;
+- `properties`: the seeded property suites of criterion 9, one point;
+- `stabilizer-projection`: `--depth 0 .. 6` on Grigorchuk and Basilica.
+  Its kernel scan runs through `hnn.moved_vertex`, whose empty-word exit
+  skips the box for a residual t^-k t^k (27 of the 30 sampled residuals
+  on Grigorchuk, all 5 on Basilica), so it gains with the box size; at
+  depth 0 the box is one vertex and the point is a control.
+
+A point is the median over the repeats of `cpu_s` (CPU seconds of the
+check, scaled to reference speed by `tools/benchlib.py`) and
+`peak_rss_mb`; `status` and `digest` (a hash of the evidence) let the two
+trees' answers be compared.  The fresh interpreters, the alternation of
+parent and change, the timeouts and the memory cap are those of
+`tools/benchlib.py`.
+"""
+
+import argparse
+import hashlib
+import json
+import resource
+import sys
+import time
+
+import benchlib
+
+TRIALS = (250, 500, 1000, 2000, 4000)
+N_MAX = tuple(range(4, 13))
+CONTROL_GROUPS = ("grigorchuk", "basilica")
+DEPTHS = tuple(range(7))
+
+
+def params(curve, n):
+    if curve == "trials":
+        return "lamplighter-core", {"trials": n}
+    if curve == "n-max":
+        return "lamplighter-core", {"n_max": n}
+    if curve == "properties":
+        return "properties", {}
+    return "stabilizer-projection", {"group": curve, "depth": n}
+
+
+def child(curve, n):
+    from arboreal import catalog
+    from arboreal.checks import run_check
+    catalog.catalog()
+    check, kwargs = params(curve, int(n))
+    t0 = time.process_time()
+    report = run_check(check, kwargs)
+    cpu = time.process_time() - t0
+    evidence = json.dumps(report.evidence, sort_keys=True, default=str)
+    return {"cpu_s": cpu, "status": report.status,
+            "digest": hashlib.sha256(evidence.encode()).hexdigest()[:16],
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def measure(src, point):
+    return benchlib.run_child(__file__, src, *point)
+
+
+def ratio(row):
+    """The change's cpu_s over the parent's, or None when a side did not finish."""
+    if not all(isinstance(side, dict) for side in row.values()):
+        return None
+    return round(row["change"]["cpu_s"] / row["parent"]["cpu_s"], 3)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="source tree of the parent commit")
+    parser.add_argument("--change", required=True, help="source tree of the change")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("-o", "--output", required=True)
+    args = parser.parse_args()
+    points = ([("trials", n) for n in TRIALS] + [("n-max", n) for n in N_MAX]
+              + [("properties", 0)]
+              + [(gid, depth) for gid in CONTROL_GROUPS for depth in DEPTHS])
+    sides = {"parent": args.parent, "change": args.change}
+    results = benchlib.compare(sides, points, args.repeats, measure)
+    curves = []
+    for (curve, n), row in results.items():
+        benchlib.same_answers(row, ("status", "digest"))
+        check, kwargs = params(curve, n)
+        curves.append({"curve": curve, "check": check, "params": kwargs, **row,
+                       "change_over_parent": ratio(row)})
+    report = benchlib.report_header("tools/bench_acceptance.py", args.repeats)
+    properties = ratio(results[("properties", 0)])
+    most = ratio(results[("trials", TRIALS[-1])])
+    report["gates"] = {
+        "every point finishes on both sides with status pass":
+            all(isinstance(side, dict) and side["status"] == "pass"
+                for row in results.values() for side in row.values()),
+        "properties: the change's cpu_s is at least 40% below the parent's":
+            properties is not None and properties <= 0.6,
+        f"lamplighter-core --trials {TRIALS[-1]}: the change's cpu_s is at least 30% below":
+            most is not None and most <= 0.7,
+    }
+    report["curves"] = curves
+    benchlib.write_report(args.output, report)
+
+
+if __name__ == "__main__":
+    if not benchlib.child_main(child):
+        sys.exit(main())

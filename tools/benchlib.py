@@ -15,8 +15,19 @@ whose memory grows without bound stops before it crowds the host; one
 that runs out is recorded as "memory", like a timeout.  Points of one
 curve (same tuple but for the last entry, the size) that are larger than
 a point that timed out or ran out of memory are recorded as "skipped".
+
+Times are scaled to reference speed as `perfbench/run.py` scales them:
+every child also times the benchmark's fixed reference computation
+(`reference_s` in `perfbench/worker.py`, REFERENCE_TIMINGS times after
+its point), and each `*_s` entry of its answer is multiplied by
+`perfbench/run.py`'s REFERENCE_NOMINAL_S over the median of those
+timings, so the host's drift in speed between samples drops out.  A
+sample measured outside a child (`run_cli`) is scaled by a reference
+timed in the harness right after it.
 """
 
+import functools
+import importlib.util
 import json
 import os
 import platform
@@ -29,6 +40,31 @@ import time
 TIMEOUT_S = 60
 MEMORY_CAP_BYTES = 2 ** 31
 FAILED = ("timeout", "memory", "skipped")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+REFERENCE_TIMINGS = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _perfbench(name):
+    """perfbench/NAME.py imported by path; perfbench/ joins the end of sys.path
+    for the modules it imports itself (worker.reference_s imports oracle)."""
+    if PERFBENCH not in sys.path:
+        sys.path.append(PERFBENCH)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_timings():
+    """CPU seconds of REFERENCE_TIMINGS runs of perfbench's reference computation."""
+    worker = _perfbench("worker")
+    return [worker.reference_s() for _ in range(REFERENCE_TIMINGS)]
+
+
+def reference_nominal_s():
+    return _perfbench("run").REFERENCE_NOMINAL_S
 
 
 def _env(src):
@@ -61,12 +97,14 @@ def run_cli(src, *argv, timeout=TIMEOUT_S):
 def child_main(child):
     """Run `child(*args)` and print its dict when invoked with --child ARGS.
 
-    Prints "memory" instead when the point exceeds MEMORY_CAP_BYTES.
+    The dict gains `reference_s`, the reference timings made after the
+    point.  Prints "memory" instead when the point exceeds MEMORY_CAP_BYTES.
     """
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
         try:
             out = child(*sys.argv[2:])
+            out["reference_s"] = reference_timings()
         except MemoryError:
             out = "memory"
         print(json.dumps(out))
@@ -74,11 +112,22 @@ def child_main(child):
     return False
 
 
+def at_reference_speed(sample, nominal_s):
+    """The sample with every `*_s` entry scaled by nominal_s over the median
+    of its reference timings, which become `reference_s`, that median, unscaled."""
+    reference = statistics.median(sample["reference_s"])
+    return {key: (value * nominal_s / reference
+                  if key.endswith("_s") and isinstance(value, (int, float)) else value)
+            for key, value in sample.items() if key != "reference_s"} | {"reference_s": reference}
+
+
 def summarise(samples):
     """Median of every numeric entry; other entries are taken from the first sample."""
     for bad in FAILED:
         if bad in samples:
             return bad
+    nominal_s = reference_nominal_s()
+    samples = [at_reference_speed(s, nominal_s) for s in samples]
     out = {"repeats": len(samples)}
     for key, value in samples[0].items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -103,7 +152,10 @@ def compare(sides, points, repeats, measure):
                        for p in points):
                     got.append("skipped")
                 else:
-                    got.append(measure(sides[side], point))
+                    sample = measure(sides[side], point)
+                    if isinstance(sample, dict) and "reference_s" not in sample:
+                        sample["reference_s"] = reference_timings()
+                    got.append(sample)
                 print(side, *point, got[-1], file=sys.stderr, flush=True)
     return {point: {side: summarise(samples[(side, point)]) for side in sides}
             for point in points}
@@ -137,6 +189,15 @@ def report_header(harness, repeats):
         "timeout_s": TIMEOUT_S,
         "memory_cap_bytes": MEMORY_CAP_BYTES,
         "repeats": repeats,
+        "reference": {
+            "computation": "perfbench/worker.py reference_s: breadth-first closure of a "
+                           "32-cycle and a transposition, stopped at 8000 elements, gc off",
+            "timings_per_sample": REFERENCE_TIMINGS,
+            "nominal_s": reference_nominal_s(),
+            "scaling": "every *_s entry of a sample is multiplied by nominal_s over the "
+                       "median of that sample's reference timings; reference_s is that "
+                       "median, unscaled",
+        },
     }
 
 

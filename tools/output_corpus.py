@@ -6,6 +6,9 @@ The corpus is what a behaviour-preserving change must leave alone:
   default parameters (`perm-order` at level 3; group-free checks once,
   `ggs` with one accepted and one rejected vector), but for the two
   slow pairs in `SLOW`;
+- `run lamplighter-core` at the seeds in `LAMP_SEEDS` and the ranges in
+  `LAMP_RANGES`, so the sampler is compared off its default seed too;
+- `run stabilizer-projection --depth 0..5` for every group with a lifting;
 - `portrait` plain, `--labels`, `--theta` and `--theta --labels` for every
   generator of every group (theta on levels -2..2 for the 5- and 7-ary
   gs5 and gs7, whose default portraits are megabytes);
@@ -19,7 +22,7 @@ of every report is blanked.  Usage:
     PYTHONPATH=/path/to/parent/src python3 tools/output_corpus.py > parent.json
     diff parent.json change.json
 
-The corpus takes about 11 s on a 2-core Xeon.
+The corpus takes about 13 s on a 2-core Xeon.
 """
 
 import contextlib
@@ -35,6 +38,8 @@ GROUP_FREE = ("grig-recursions", "lamplighter-alpha", "lamplighter-core", "prope
 GGS_VECTORS = (("5", "1,-1,0,0"), ("3", "1,-1"))
 # (check, group) pairs that take a minute or more each (levels up to 6: 5^6 and 7^6 points)
 SLOW = {("two-transitivity", "gs5"), ("two-transitivity", "gs7")}
+LAMP_SEEDS = ("1", "77", "123456")
+LAMP_RANGES = (("0", "2"), ("9", "11"))
 
 
 def _blank_seconds(value):
@@ -72,6 +77,10 @@ def corpus():
             level = ["--level", "3"] if check == "perm-order" else []
             runs += [["run", check, "--group", g, *level] for g in groups
                      if (check, g) not in SLOW]
+    runs += [["run", "lamplighter-core", "--seed", seed] for seed in LAMP_SEEDS]
+    runs += [["run", "lamplighter-core", "--n-min", lo, "--n-max", hi] for lo, hi in LAMP_RANGES]
+    runs += [["run", "stabilizer-projection", "--group", entry.id, "--depth", str(depth)]
+             for entry in _catalog.entries_with_sigma() for depth in range(6)]
     calls = [argv + ["--format", "json"] for argv in runs]
     for g in groups:
         entry = _catalog.get(g)
