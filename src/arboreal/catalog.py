@@ -18,6 +18,7 @@ from functools import lru_cache
 from .core import fmt_word, parse_tuple_automorphism, parse_wreath_spec
 from .hnn import ScaleAction
 from .lifting import GgsVector, LPresentation, Substitution, ggs_lifting
+from .padic import AffineModel
 from .words import GroupOps, evaluate
 
 
@@ -103,9 +104,10 @@ class CatalogEntry:
 
 def _entry(id, note, wreath, substitutions=None, default_sigma=None, presentation=None,
            hnn_presentations=None, relator_texts=None, liftable="yes",
-           aliases=(), separation=None):
+           aliases=(), separation=None, affine=None):
     """An entry from the spec-bundle schema that `load_spec` documents."""
     automaton = parse_wreath_spec(wreath)
+    automaton.affine = None if affine is None else AffineModel(automaton, affine)
     subs = {name: Substitution.parse(automaton, cfg["images"], cfg.get("letter"))
             for name, cfg in (substitutions or {}).items()}
     pres = None
@@ -214,6 +216,8 @@ def _build():
                                                              "c": "b*c^-1*b"}}},
             default_sigma="sigma",
             relator_texts=_bs13_relators,
+            affine={"relabel": [[0, 1], [1, 0]],
+                    "maps": {"a": ["1/3", "-1/3"], "b": ["1/3", "-2/3"], "c": ["1/3", "0"]}},
             aliases=("bs(1,3)", "baumslag-solitar"),
         ),
         _entry(
@@ -296,7 +300,8 @@ def load_spec(path):
     The JSON schema mirrors the catalog: {"wreath": "...", "substitutions":
     {"sigma": {"letter": 0, "images": {"a": "b", ...}}}, "default_sigma":
     "sigma", "presentation": {"fixed": [...], "iterated": [...], "phi":
-    {...}}}; relators use the word grammar ([x,y], x^y, powers).
+    {...}}, "affine": {"relabel": [[0, 1], [1, 0]], "maps": {"a": ["1/3",
+    "-1/3"], ...}}}; relators use the word grammar ([x,y], x^y, powers).
     """
     with open(path) as fh:
         text = fh.read().strip()
@@ -305,7 +310,8 @@ def load_spec(path):
     data = json.loads(text)
     return _entry(data.get("id", f"spec:{path}"), data.get("note", "loaded from JSON spec"),
                   data["wreath"], data.get("substitutions"), data.get("default_sigma"),
-                  data.get("presentation"), data.get("hnn_presentations"))
+                  data.get("presentation"), data.get("hnn_presentations"),
+                  affine=data.get("affine"))
 
 
 def resolve(params):

@@ -215,6 +215,7 @@ class MealyAutomaton:
             n for n in rules if n != IDENTITY)
         self._trivial = set()
         self._nontrivial = set()
+        self.affine = None      # a certified padic.AffineModel, set by its owner
 
     @property
     def size(self):
@@ -329,19 +330,23 @@ class MealyAutomaton:
     def word_is_trivial(self, word):
         """Exact triviality via memoized closure over section words.
 
-        A reduced word is trivial iff every word in its section closure
-        fixes the first level.  Each visited word costs one pass over its
-        factors per letter (`step`), which yields the image of the letter
-        and the section below it together; the first moved letter ends the
-        search with "nontrivial".  When every section of a state is a
-        single state, a section of a k-factor word has at most k factors,
+        With `self.affine`, a certified `padic.AffineModel` (None by default,
+        not kept by `extend`), a reduced word is trivial iff its factors' maps
+        compose to x -> x.  Otherwise it is trivial iff every word in its
+        section closure fixes the first level.  Each visited word costs one
+        pass over its factors per letter (`step`), which yields the image of
+        the letter and the section below it together; the first moved letter
+        ends the search with "nontrivial".  When every section of a state is
+        a single state, a section of a k-factor word has at most k factors,
         so the closure is finite and the visited-set search terminates.
-        Word-valued sections (x=(x*x,1)(1,2)) can make the closure
-        infinite; no budget bounds the search yet.
+        Word-valued sections (x=(x*x,1)(1,2)) can make the closure infinite;
+        no budget bounds the search yet.
         """
         word = self.reduce(word)
         if not word:
             return True
+        if self.affine is not None:
+            return self.affine.is_identity(word)
         if word in self._trivial:
             return True
         if word in self._nontrivial:

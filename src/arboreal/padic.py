@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
+from .core import IDENTITY, fmt_word, perm_from_images
 from .hnn import _spine_run, canonicalize, window_apply
 
 
@@ -213,6 +215,63 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
         if len(exponents) > 1:
             raise DilationMismatch(f"inconsistent dilation exponents {sorted(exponents)}")
     return exponents.pop()
+
+
+class AffineModelError(ValueError):
+    """An affine model that its automaton does not follow."""
+
+
+class AffineModel:
+    """A bundle's "affine" key, certified: each state acts on Z_d as x -> alpha x + beta,
+    the letter x at level k being the digit relabel[k % period][x], lowest first.  The
+    certificate follows (reduced word, phase, map) from (s^+-1, 0, its map): digit u goes
+    to v = alpha u + beta mod d and the section acts at the next phase as alpha x + (alpha
+    u + beta - v)/d.  A pair meeting a second map, or VISITS pairs, rejects the model."""
+
+    VISITS, BLOCK = 10_000, 32
+
+    def __init__(self, automaton, spec):
+        d = automaton.size
+        try:
+            relabel = [perm_from_images(row, d) for row in spec["relabel"]]
+            maps = {s: tuple(map(Fraction, m)) for s, m in spec["maps"].items()}
+            stack = [(((s, e),), 0, (a, b) if e == 1 else (1 / a, -b / a))
+                     for s, (a, b) in reversed(maps.items()) for e in (-1, 1)]
+        except (TypeError, ValueError, AttributeError, KeyError, ZeroDivisionError) as err:
+            raise AffineModelError(f"malformed affine model: {err!r}") from err
+        if not relabel or set(maps) != set(automaton.states) - {IDENTITY}:
+            raise AffineModelError("an affine model needs a relabelling and one map per state")
+        seen = {(w, j): f for w, j, f in stack}
+        while stack:
+            w, j, (alpha, beta) = stack.pop()
+            for x in range(d):
+                y, section = automaton.step(w, x)
+                g = (alpha, (alpha * relabel[j][x] + beta - relabel[j][y]) / d)
+                key = (section, (j + 1) % len(relabel))
+                known = seen.setdefault(key, g)
+                if gcd(g[1].denominator, d) > 1 or known != g:
+                    raise AffineModelError(f"the automaton leaves the affine model at word "
+                                           f"{fmt_word(w)}, phase {j}, letter {x}")
+                if known is g:
+                    if len(seen) > self.VISITS:
+                        raise AffineModelError(f"the certificate visited {self.VISITS} pairs")
+                    stack.append((section, key[1], g))
+        self._triples = {w[0]: (a.numerator * b.denominator, b.numerator * a.denominator,
+                                a.denominator * b.denominator) for (w, j), (a, b) in seen.items()
+                         if j == 0 and len(w) == 1}
+
+    def is_identity(self, word):
+        """Whether the maps x -> (ax + b)/n compose to x -> x, in runs of BLOCK, then pairwise."""
+        level = []
+        for i in range(0, len(word) or 1, self.BLOCK):
+            a, b, n = 1, 0, 1
+            for p, q, m in map(self._triples.__getitem__, word[i:i + self.BLOCK]):
+                a, b, n = p * a, p * b + q * n, m * n
+            level.append((a, b, n))
+        while len(level) > 1:
+            level = [(p * a, p * b + q * n, m * n) for (a, b, n), (p, q, m)
+                     in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+        return level[0][1] == 0 and level[0][0] == level[0][2]
 
 
 def vertex_label(v, action, window=8):

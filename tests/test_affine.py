@@ -1,0 +1,115 @@
+"""BS(1,3)'s certified affine model over Z_2 against the closure search."""
+
+import random
+import time
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from arboreal import catalog as cat
+from arboreal.core import MealyAutomaton, invert_word
+
+
+@pytest.fixture(scope="module")
+def bs13():
+    return cat.get("bs13")
+
+
+def _model_free(automaton):
+    """The same recursion with empty memos and no affine model."""
+    return MealyAutomaton(automaton.size, {s: automaton.rule(s)
+                                           for s in automaton.states if s != "1"})
+
+
+def seed2_word(entry):
+    """Four c^-1 r c, with c of 32 mixed-sign letters, drawn from Random(2)."""
+    rng = random.Random(2)
+    relators = entry.relators(1)
+    word = ()
+    for _ in range(4):
+        c = tuple((rng.choice("abc"), rng.choice((1, -1))) for _ in range(32))
+        word += invert_word(c) + rng.choice(relators)[1] + c
+    return word
+
+
+def test_catalog_model_is_certified_and_stays_out_of_the_json(bs13):
+    assert bs13.automaton.affine is not None
+    assert "affine" not in bs13.to_json_dict()
+    assert all(entry.automaton.affine is None
+               for gid, entry in cat.catalog().items() if gid != "bs13")
+
+
+def test_model_maps_match_the_action_on_level_12(bs13):
+    # independent of the certificate: read every vertex of level 12 as a
+    # 2-adic integer with odd levels flipped, and apply x -> alpha x + beta
+    aut = bs13.automaton
+    maps = {"a": (Fraction(1, 3), Fraction(-1, 3)), "b": (Fraction(1, 3), Fraction(-2, 3)),
+            "c": (Fraction(1, 3), Fraction(0))}
+    level = 12
+
+    def value(v):
+        return sum((x ^ (k % 2)) << k for k, x in enumerate(v))
+
+    for v in product((0, 1), repeat=level):
+        x = value(v)
+        for s, (alpha, beta) in maps.items():
+            image = alpha * x + beta
+            expect = image.numerator * pow(image.denominator, -1, 2 ** level) % 2 ** level
+            assert value(aut.act_word(((s, 1),), v)) == expect, (s, v)
+
+
+def test_model_agrees_with_the_closure_search(bs13):
+    aut = bs13.automaton
+    oracle = _model_free(aut)
+    names = list(bs13.generators)
+    relators = [w for _, w in bs13.relators(1)]
+    rng = random.Random(11)
+    words = [((s, 1), (s, 1)) for s in names]      # nontrivial, fixing level 1
+    words += [(("c", 1),), (("c", -1), ("a", 1), ("a", 1))]
+    conjugated = []
+    for k in range(420):
+        if k % 3 == 0:
+            word = tuple((rng.choice(names), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 16)))
+        else:
+            word = ()
+            for _ in range(rng.randint(1, 2)):
+                c = tuple((rng.choice(names), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 6)))
+                word += invert_word(c) + rng.choice(relators) + c
+            if k % 3 == 1:
+                conjugated.append(word)
+            else:       # one letter more: nontrivial, as BS(1,3) is torsion-free
+                word += ((rng.choice(names), rng.choice((1, -1))),)
+        words.append(word)
+    verdicts = [aut.word_is_trivial(w) for w in words]
+    assert verdicts == [oracle.word_is_trivial(w) for w in words]
+    assert len(words) >= 400 and 100 <= sum(verdicts) < len(words)
+    assert all(aut.word_is_trivial(w) for w in conjugated)
+    fixing = [w for w, v in zip(words, verdicts) if not v and aut.root_perm(w) == (0, 1)]
+    assert len(fixing) >= 10
+    assert not aut._trivial and not aut._nontrivial      # the model leaves the memos alone
+
+
+def test_seed2_word_and_a_long_word_decide_fast(bs13):
+    aut = bs13.automaton
+    word = seed2_word(bs13)
+    assert len(word) == 284
+    t0 = time.process_time()
+    assert aut.word_is_trivial(word)
+    assert time.process_time() - t0 < 0.1
+    assert not aut.word_is_trivial(word + (("a", 1),))
+    rng = random.Random(3)
+    c = tuple((rng.choice("abc"), rng.choice((1, -1))) for _ in range(40_000))
+    t0 = time.process_time()
+    assert aut.word_is_trivial(invert_word(c) + bs13.relators(0)[1][1] + c)
+    assert not aut.word_is_trivial(c + c)
+    assert time.process_time() - t0 < 0.5
+
+
+def test_extend_does_not_inherit_the_model(bs13):
+    ext = bs13.automaton.extend({"q": ((1, 0), ((("a", 1),), ()))})
+    assert ext.affine is None
+    assert ext.word_is_trivial(bs13.relators(0)[0][1])
+    assert ext._trivial

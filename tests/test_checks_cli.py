@@ -1,10 +1,13 @@
 import json
+import random
+import time
 
 import pytest
 
 from arboreal import catalog
 from arboreal.checks import _escalation_stop, run_check
 from arboreal.cli import main
+from arboreal.core import fmt_word, invert_word
 from arboreal.hnn import canonical_vertices
 
 
@@ -271,6 +274,62 @@ def test_cli_missing_spec_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(tmp_path / "missing.json"))
     assert code == 3
     assert out == "" and err.startswith("arboreal: ")
+
+
+BS13_BUNDLE = {
+    "wreath": "a=(c,b)(1,2),b=(a,c),c=(b,a)",
+    "substitutions": {"sigma": {"letter": 0, "images": {"a": "b", "b": "c", "c": "b*c^-1*b"}}},
+    "default_sigma": "sigma",
+}
+BS13_AFFINE = {"relabel": [[0, 1], [1, 0]],
+               "maps": {"a": ["1/3", "-1/3"], "b": ["1/3", "-2/3"], "c": ["1/3", "0"]}}
+
+
+def _bs13_seed2_text():
+    """Four c^-1 r c in BS(1,3), with c of 32 mixed-sign letters from Random(2)."""
+    rng = random.Random(2)
+    relators = catalog.get("bs13").relators(1)
+    word = ()
+    for _ in range(4):
+        c = tuple((rng.choice("abc"), rng.choice((1, -1))) for _ in range(32))
+        word += invert_word(c) + rng.choice(relators)[1] + c
+    return fmt_word(word)
+
+
+def test_cli_spec_affine_key_gives_the_model(capsys, tmp_path):
+    spec = tmp_path / "bs13.json"
+    spec.write_text(json.dumps(BS13_BUNDLE | {
+        "affine": BS13_AFFINE, "hnn_presentations": {"seed2": [_bs13_seed2_text()]}}))
+    assert catalog.load_spec(str(spec)).automaton.affine is not None
+    t0 = time.process_time()
+    code, out, _ = run_cli(capsys, "run", "hnn-relators", "--spec", str(spec))
+    assert code == 0 and "seed2: pass" in out
+    assert time.process_time() - t0 < 2
+
+
+def test_cli_spec_uncertifiable_affine_key_is_a_usage_error(capsys, tmp_path):
+    spec = tmp_path / "bs13.json"
+    perturbed = {"relabel": BS13_AFFINE["relabel"],
+                 "maps": BS13_AFFINE["maps"] | {"b": ["1/3", "-1/3"]}}
+    period_1 = {"relabel": [[0, 1]], "maps": BS13_AFFINE["maps"]}
+    for affine, says in ((perturbed, "at word c, phase 1, letter 0"),
+                         (period_1, "at word a, phase 0, letter 0"),
+                         (["x"], "malformed affine model")):
+        spec.write_text(json.dumps(BS13_BUNDLE | {"affine": affine}))
+        code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(spec))
+        assert code == 3 and out == ""
+        assert err.startswith("arboreal: ") and says in err and "Traceback" not in err
+
+
+def test_cli_spec_without_affine_key_keeps_the_closure_search(capsys, tmp_path):
+    spec = tmp_path / "bs13.json"
+    spec.write_text(json.dumps(BS13_BUNDLE))
+    entry = catalog.load_spec(str(spec))
+    assert entry.automaton.affine is None
+    assert entry.element("c*(a*b^-1*a)^-1").is_trivial()
+    assert entry.automaton._trivial
+    code, out, _ = run_cli(capsys, "run", "lifting", "--spec", str(spec))
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv", [

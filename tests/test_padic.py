@@ -19,6 +19,8 @@ from arboreal.lifting import GgsVector, ggs_lifting
 from arboreal.padic import (
     DILATION_MARGIN,
     DILATION_TAIL,
+    AffineModel,
+    AffineModelError,
     BoundaryPoint,
     DilationMismatch,
     PrecisionError,
@@ -353,3 +355,48 @@ def test_vertex_label_consistency():
     assert label.offset == -1
     assert label.digits[:3] == (1, 0, 1)
     assert label.digits[3:] == (0,) * 6
+
+
+BS13_AFFINE = {"relabel": [[0, 1], [1, 0]],
+               "maps": {"a": ["1/3", "-1/3"], "b": ["1/3", "-2/3"], "c": ["1/3", "0"]}}
+
+
+def _with(**changes):
+    spec = {"relabel": BS13_AFFINE["relabel"], "maps": dict(BS13_AFFINE["maps"])}
+    spec["maps"].update(changes.pop("maps", {}))
+    return spec | changes
+
+
+def test_affine_certificate_accepts_bs13():
+    model = AffineModel(cat.get("bs13").automaton, BS13_AFFINE)
+    assert model.is_identity(()) and not model.is_identity((("a", 1),))
+
+
+@pytest.mark.parametrize("gid, spec", [
+    # ROADMAP item 6 gate: the groups that are not affine fail with bs13's maps
+    ("grigorchuk", _with(maps={"d": ["1/3", "0"]})),
+    ("basilica", {"relabel": BS13_AFFINE["relabel"],
+                  "maps": {"a": ["1/3", "-1/3"], "b": ["1/3", "-2/3"]}}),
+    ("bs13", _with(maps={"b": ["1/3", "-1/3"]})),          # perturbed b
+    ("bs13", _with(relabel=[[0, 1]])),                     # period-1 relabelling
+    ("bs13", _with(maps={"a": ["2", "-1/3"]})),            # non-unit alpha on d = 2
+    ("bs13", _with(maps={"a": ["1/3", "1/2"]})),           # non-integral beta
+])
+def test_affine_certificate_rejects_and_names_the_failure(gid, spec):
+    with pytest.raises(AffineModelError, match=r"at word (1|[a-d](\^-1)?), phase [01], letter [01]$"):
+        AffineModel(cat.get(gid).automaton, spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"relabel": [[0, 1]]},
+    {"relabel": [[0, 0]], "maps": BS13_AFFINE["maps"]},
+    {"relabel": [], "maps": BS13_AFFINE["maps"]},
+    _with(maps={"c": ["0", "0"]}),
+    _with(maps={"c": ["1/3"]}),
+    _with(maps={"c": ["x", "0"]}),
+    _with(maps={"d": ["1", "0"]}),
+    [1, 2],
+])
+def test_affine_model_malformed_is_a_typed_error(spec):
+    with pytest.raises(AffineModelError):
+        AffineModel(cat.get("bs13").automaton, spec)

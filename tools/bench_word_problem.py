@@ -11,16 +11,26 @@ the repeats of:
   `parse_word_factors` on `(ad)^N`, or on `adad...` with N letters, in
   the Grigorchuk group; `factors` and `digest` (a hash of the word) let
   the two trees' words be compared;
-- `decide_cpu_s` and `memo_words` (curve `bs13 c^-1 r c`): CPU seconds of
-  `word_is_trivial` on c^-1 r c in BS(1,3), for the longer stated
-  relator r and a seeded positive conjugator c of length L that starts
-  with the letter c, on a fresh automaton; `memo_words` is the size of
-  the trivial and nontrivial memos afterwards.
+- `decide_cpu_s` and `memo_words` (curves `bs13 c^-1 r c` and `bs13
+  4x mixed-sign c^-1 r c`): CPU seconds of `word_is_trivial` in the
+  catalog's BS(1,3), on a fresh automaton.  The first curve decides
+  c^-1 r c for the longer stated relator r and a positive conjugator c of
+  length L that starts with the letter c, seeded by L.  The second decides
+  a product of four c^-1 r c, each with c of L letters of free sign and r
+  one of the stated relators, all drawn from random.Random(2); at L = 32
+  this is the 284-letter word that ROADMAP item 3 names.  `memo_words` is
+  the size of the trivial and nontrivial memos afterwards.  It is a
+  cost, not an answer: the certified affine model decides without the
+  memos, so only `trivial` must agree between the trees.  A BS(1,3) point
+  runs with its address space capped at BS13_MEMORY_CAP_BYTES, so that a
+  closure search which outgrows it stops as "memory" instead of filling
+  the host for the whole timeout.
 """
 
 import argparse
 import hashlib
 import random
+import resource
 import sys
 import time
 
@@ -28,19 +38,31 @@ import benchlib
 
 POWER_N = (250, 500, 1000, 2000, 4000, 8000, 16000, 32000, 64000, 200000)
 JUXTAPOSITION_N = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 100000)
-BS13_L = (4, 5, 6, 7, 8, 9)
+BS13_L = (4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64)
+BS13_MIXED_L = (2, 4, 8, 12, 16, 20, 24, 32, 48, 64)
+BS13_MEMORY_CAP_BYTES = 2 ** 29
 
 
 def child(curve, n):
     from arboreal import catalog
+    from arboreal.core import invert_word
     n = int(n)
-    if curve == "bs13":
+    if curve in ("bs13", "bs13mixed"):
+        resource.setrlimit(resource.RLIMIT_AS, (BS13_MEMORY_CAP_BYTES, BS13_MEMORY_CAP_BYTES))
         entry = catalog.get("bs13")
         aut = entry.automaton
-        rng = random.Random(n)
-        c = (("c", 1),) + tuple((rng.choice(entry.generators), 1) for _ in range(n - 1))
-        relator = max((w for _, w in entry.relators(0)), key=len)
-        word = tuple((s, -e) for s, e in reversed(c)) + relator + c
+        if curve == "bs13":
+            rng = random.Random(n)
+            c = (("c", 1),) + tuple((rng.choice(entry.generators), 1) for _ in range(n - 1))
+            relator = max((w for _, w in entry.relators(0)), key=len)
+            word = invert_word(c) + relator + c
+        else:
+            rng = random.Random(2)
+            relators = entry.relators(1)
+            word = ()
+            for _ in range(4):
+                c = tuple((rng.choice("abc"), rng.choice((1, -1))) for _ in range(n))
+                word += invert_word(c) + rng.choice(relators)[1] + c
         t0 = time.process_time()
         verdict = aut.word_is_trivial(word)
         return {"decide_cpu_s": time.process_time() - t0, "trivial": verdict,
@@ -67,22 +89,27 @@ def main():
     args = parser.parse_args()
     points = ([("power", n) for n in POWER_N]
               + [("juxtaposition", n) for n in JUXTAPOSITION_N]
-              + [("bs13", n) for n in BS13_L])
+              + [("bs13", n) for n in BS13_L]
+              + [("bs13mixed", n) for n in BS13_MIXED_L])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
-    names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c"}
+    names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c",
+             "bs13mixed": "bs13 4x mixed-sign c^-1 r c"}
     curves = []
     for (curve, n), row in results.items():
-        benchlib.same_answers(row, ("factors", "digest", "trivial", "memo_words"))
+        benchlib.same_answers(row, ("factors", "digest", "trivial"))
         curves.append({"curve": names[curve], "n": n, **row})
     power = results[("power", 200000)]["change"]
     juxt = results[("juxtaposition", 100000)]["change"]
+    bs13 = [results[(curve, 64)]["change"] for curve in ("bs13", "bs13mixed")]
     report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
     report["gates"] = {
         "(ad)^200000 gives 400000 factors, parse_cpu_s < 1":
             isinstance(power, dict) and power["factors"] == 400000 and power["parse_cpu_s"] < 1,
         "100000-letter juxtaposition parse_cpu_s < 2":
             isinstance(juxt, dict) and juxt["parse_cpu_s"] < 2,
+        "bs13 conjugates of length 64 (both curves) decided trivial, decide_cpu_s < 0.01":
+            all(isinstance(p, dict) and p["trivial"] and p["decide_cpu_s"] < 0.01 for p in bs13),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)
