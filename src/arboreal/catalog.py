@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from .core import fmt_word, parse_tuple_automorphism, parse_wreath_spec
 from .hnn import ScaleAction
@@ -81,8 +82,7 @@ class CatalogEntry:
         if self.relator_texts is not None:
             known = set(self.automaton.states)
             from .words import parse_word_factors
-            for text in self.relator_texts(depth):
-                out.append((text, parse_word_factors(text, known)))
+            out.extend((t, parse_word_factors(t, known)) for t in self.relator_texts(depth))
         return out
 
     def to_json_dict(self):
@@ -238,9 +238,7 @@ def _build():
             aliases=("erschler", "g_(01)inf"),
         ),
     ]
-    catalog = {}
-    for entry in entries:
-        catalog[entry.id] = entry
+    catalog = {entry.id: entry for entry in entries}
     for p in (5, 7):
         catalog[f"gs{p}"] = _gupta_sidki(p)
     catalog["gs3"] = _entry(
@@ -258,7 +256,7 @@ def _gupta_sidki(p):
     built = ggs_lifting(GgsVector(p, e))
     if not built.ok:
         raise RuntimeError(f"Gupta-Sidki p={p} failed its build-time certificate")
-    entry = CatalogEntry(
+    return CatalogEntry(
         id=f"gs{p}",
         note=f"the Gupta-Sidki {p}-group as the GGS group with e=(1,-1,0,...)",
         wreath_spec=f"a=({','.join(['1'] * p)})({','.join(str(i + 1) for i in range(p))}),"
@@ -268,7 +266,6 @@ def _gupta_sidki(p):
         default_sigma="sigma",
         aliases=(f"gupta-sidki-{p}",),
     )
-    return entry
 
 
 def catalog():
@@ -308,6 +305,10 @@ def load_spec(path):
     if not text.startswith("{"):
         return _entry(f"spec:{path}", "loaded from wreath text", text)
     data = json.loads(text)
+    for key in ("wreath", "substitutions", "presentation", "hnn_presentations"):
+        kind, name = (str, "a string") if key == "wreath" else ((dict, type(None)), "an object")
+        if not isinstance(data.get(key), kind):
+            raise ValueError(f"spec {path}: {key!r} must be {name}, got {data.get(key)!r}")
     return _entry(data.get("id", f"spec:{path}"), data.get("note", "loaded from JSON spec"),
                   data["wreath"], data.get("substitutions"), data.get("default_sigma"),
                   data.get("presentation"), data.get("hnn_presentations"),
@@ -465,6 +466,24 @@ def lamplighter_image_generator(n, i=0):
     return LamplighterElement.make({i, i + 2 ** n}, 0)
 
 
+def _lamplighter_core_samples(n, seed):
+    """The core-lemma sampler's words of 1-12 letters x_{2^n, i} (i in
+    -8..8) or s^(+-1), endlessly, as (lamps, shift): lamp b is bit b + 32,
+    and a word's shift stays within +-12 and its lamps above -21."""
+    import random
+    rng = random.Random(seed)
+    masks = [1 << (i + 32) | 1 << (i + 2 ** n + 32) for i in range(-8, 9)]
+    while True:
+        lamps = shift = 0
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.5:
+                mask = rng.choice(masks)
+                lamps ^= mask >> shift if shift >= 0 else mask << -shift
+            else:
+                shift += rng.choice((-1, 1))
+        yield lamps, shift
+
+
 def lamplighter_core_gap_check(n, trials=1000, seed=0):
     """Sampled check of the core lemma's spacing property.
 
@@ -472,22 +491,8 @@ def lamplighter_core_gap_check(n, trials=1000, seed=0):
     elements x_{2^n, i} and s) lying outside <s> must light two lamps at
     least 2^n apart.  True iff every sample satisfies it.
     """
-    import random
     if n > 16:
         raise ValueError("n above 16 is out of the checked range")
-    rng = random.Random(seed)
-    span = 2 ** n
-    xs = [lamplighter_image_generator(n, i) for i in range(-8, 9)]
-    steps = (lamplighter_s(-1), lamplighter_s(1))
-    count = 0
-    while count < trials:
-        length = rng.randint(1, 12)
-        e = LAMP_IDENTITY
-        for _ in range(length):
-            e = e * (rng.choice(xs) if rng.random() < 0.5 else rng.choice(steps))
-        if not e.lamps:
-            continue  # inside <s>; outside the lemma's scope
-        count += 1
-        if e.gap() < span:
-            return False
-    return True
+    lit = (lamps for lamps, _ in _lamplighter_core_samples(n, seed) if lamps)
+    return all(lamps.bit_length() - (lamps & -lamps).bit_length() >= 2 ** n
+               for lamps in islice(lit, trials))

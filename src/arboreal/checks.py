@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import catalog as _catalog
-from .core import fmt_word, invert_word, parse_vertex
+from .core import fmt_word, invert_word, parse_vertex, reduced_product
 from .hnn import (
     HnnElement,
     UnrootedVertex,
@@ -195,12 +195,8 @@ def check_hnn_relators(params):
     depth = _int(params, "depth", 3, 0)
     report = f"hnn-relators[{entry.id}]"
     action = entry.action()
-    suites = {}
-    if entry.hnn_presentations:
-        for name, rels in entry.hnn_presentations.items():
-            if which not in ("all", name):
-                continue
-            suites[name] = list(rels)
+    suites = {name: list(rels) for name, rels in entry.hnn_presentations.items()
+              if which in ("all", name)}
     if which in ("all", "base") and (entry.presentation or entry.relator_texts):
         # base-group relators hold in the extension as well
         suites["base"] = [fmt_word(r) for _, r in entry.relators(depth)]
@@ -221,20 +217,24 @@ def check_transitivity(params):
     length = _int(params, "length", 3, 0)
     action = entry.action()
     lam = UnrootedVertex(0, ())
-    tried = 0
+    box = list(canonical_vertices(action, copies, length))
     missing = []
-    for v in canonical_vertices(action, copies, length):
-        tried += 1
+    for v in box:
         e = transitivity_witness(v, action)
         if e is None or theta_apply(e, lam, action) != v:
             missing.append(str(v))
     return f"transitivity[{entry.id}]", ("inconclusive" if missing else "pass"), {
-        "vertices": tried, "missing": missing}
+        "vertices": len(box), "missing": missing}
+
+
+def two_transitivity_level(d):
+    """The default top level: the deepest l <= 6 whose d^l vertices are at most 5^5."""
+    return max((l for l in range(1, 7) if d ** l <= 3125), default=1)
 
 
 def check_two_transitivity(params):
     entry = _catalog.resolve(params)
-    top = _int(params, "level", 6, 1)
+    top = _int(params, "level", two_transitivity_level(entry.automaton.size), 1)
     gens = entry.generator_list()
     results = {l: two_transitivity_level_check(gens, l) for l in range(1, top + 1)}
     ok = all(results.values())
@@ -325,8 +325,7 @@ def check_lamplighter_alpha(params):
     bad = [n for n in range(bound + 1)
            if _catalog.lamplighter_alpha(x, 2 ** n).lamps != (0, 2 ** n)]
     s_fixed = _catalog.lamplighter_alpha(_catalog.lamplighter_s(), 2 ** bound).lamps == ()
-    ok = not bad and s_fixed
-    return "lamplighter-alpha", ("pass" if ok else "fail"), {
+    return "lamplighter-alpha", ("pass" if not bad and s_fixed else "fail"), {
         "bound": bound, "bad_n": bad, "s_fixed": s_fixed}
 
 
@@ -384,25 +383,29 @@ def check_witnesses(params):
 # the seeded property suites
 
 def _random_word(automaton, names, rng, max_len):
-    word = []
-    for _ in range(rng.randint(0, max_len)):
-        word.append((rng.choice(names), rng.choice((1, -1))))
-    return automaton.reduce(tuple(word))
+    length = rng.randint(0, max_len)
+    return automaton.reduce(tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(length)))
 
 
 def _random_hnn(action, rng, max_len):
+    """A random word over the generators, t and T, built in normal form: s^e
+    passes t^tpos as sigma^tpos(s^e), and a T no t cancels turns the word
+    into sigma(word)."""
     names = list(action.generators()) + ["t", "T"]
-    e = HnnElement(0, (), 0)
+    tneg, word, tpos = 0, (), 0
     for _ in range(rng.randint(1, max_len)):
         sym = rng.choice(names)
         if sym == "t":
-            step = HnnElement(0, (), 1)
-        elif sym == "T":
-            step = HnnElement(1, (), 0)
+            tpos += 1
+        elif sym != "T":
+            letter = ((sym, rng.choice((1, -1))),)
+            word = reduced_product(word, action.sigma_word(letter, tpos))
+        elif tpos:
+            tpos -= 1
         else:
-            step = HnnElement(0, ((sym, rng.choice((1, -1))),), 0)
-        e = hnn_multiply(e, step, action)
-    return e
+            tneg += 1
+            word = action.sigma_word(word, 1)
+    return HnnElement(tneg, word, tpos)
 
 
 def _escalation_stop(d):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from arboreal import catalog
+from arboreal import catalog, checks
 from arboreal.checks import _escalation_stop, run_check
 from arboreal.cli import main
 from arboreal.core import fmt_word, invert_word
@@ -319,6 +319,34 @@ def test_cli_spec_uncertifiable_affine_key_is_a_usage_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(spec))
         assert code == 3 and out == ""
         assert err.startswith("arboreal: ") and says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bundle, key", [
+    ({"wreath": 5}, "wreath"),
+    (BS13_BUNDLE | {"substitutions": [1]}, "substitutions"),
+    (BS13_BUNDLE | {"presentation": 3}, "presentation"),
+    (BS13_BUNDLE | {"hnn_presentations": ["t*a*T*b^-1"]}, "hnn_presentations"),
+])
+def test_cli_spec_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, bundle, key):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(bundle))
+    code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(spec))
+    assert code == 3 and out == ""
+    assert err.startswith("arboreal: ") and repr(key) in err and "Traceback" not in err
+
+
+def test_two_transitivity_default_level_keeps_the_top_level_small(monkeypatch):
+    # the deepest level <= 6 with at most 5^5 vertices; the level checks are
+    # stubbed, so gs5 and gs7 cost nothing here
+    monkeypatch.setattr(checks, "two_transitivity_level_check", lambda gens, l: True)
+    expected = {gid: 6 for gid in catalog.catalog()} | {"gs5": 5, "gs7": 4}
+    for gid, top in expected.items():
+        report = run_check("two-transitivity", {"group": gid})
+        assert list(report.evidence["levels"]) == list(range(1, top + 1)), gid
+    report = run_check("two-transitivity", {"group": "gs7", "level": 6})
+    assert list(report.evidence["levels"]) == list(range(1, 7))
+    assert {d: checks.two_transitivity_level(d) for d in (2, 3, 5, 7, 3126)} == {
+        2: 6, 3: 6, 5: 5, 7: 4, 3126: 1}
 
 
 def test_cli_spec_without_affine_key_keeps_the_closure_search(capsys, tmp_path):

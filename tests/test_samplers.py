@@ -1,0 +1,88 @@
+"""Oracle tests for the two samplers of the acceptance property rows.
+
+`checks._random_hnn` builds a random HNN element in normal form in one
+pass, and `catalog._lamplighter_core_samples` keeps a lamplighter word as
+an int of lamp bits.  Each is replayed here against the per-letter product
+it replaces, draw for draw, on the same seeds.
+"""
+
+import random
+from itertools import islice
+
+import pytest
+
+from arboreal import catalog
+from arboreal.checks import _random_hnn
+from arboreal.hnn import HnnElement, hnn_multiply
+
+
+def _random_hnn_by_products(action, rng, max_len):
+    """The per-letter fold: one hnn_multiply for each random letter."""
+    names = list(action.generators()) + ["t", "T"]
+    e = HnnElement(0, (), 0)
+    for _ in range(rng.randint(1, max_len)):
+        sym = rng.choice(names)
+        if sym == "t":
+            step = HnnElement(0, (), 1)
+        elif sym == "T":
+            step = HnnElement(1, (), 0)
+        else:
+            step = HnnElement(0, ((sym, rng.choice((1, -1))),), 0)
+        e = hnn_multiply(e, step, action)
+    return e
+
+
+LIFTINGS = [(entry.id, name) for entry in catalog.catalog().values()
+            for name in sorted(entry.substitutions)]
+
+
+@pytest.mark.parametrize("group, sigma", LIFTINGS)
+def test_random_hnn_matches_the_per_letter_products(group, sigma):
+    action = catalog.get(group).action(sigma)
+    fast, slow = random.Random(group + sigma), random.Random(group + sigma)
+    for k in range(1000):
+        max_len = 6 if k % 2 else 10
+        e = _random_hnn(action, fast, max_len)
+        assert e == _random_hnn_by_products(action, slow, max_len), (group, sigma, k)
+        assert fast.random() == slow.random()
+
+
+def _lamplighter_samples_by_products(n, seed):
+    """The core sampler's words multiplied out as LamplighterElements."""
+    rng = random.Random(seed)
+    xs = [catalog.lamplighter_image_generator(n, i) for i in range(-8, 9)]
+    steps = (catalog.lamplighter_s(-1), catalog.lamplighter_s(1))
+    while True:
+        e = catalog.LAMP_IDENTITY
+        for _ in range(rng.randint(1, 12)):
+            e = e * (rng.choice(xs) if rng.random() < 0.5 else rng.choice(steps))
+        yield e
+
+
+def _lit(lamps):
+    """The lamps of a bitmask, lamp b at bit b + 32."""
+    lit = []
+    while lamps:
+        low = lamps & -lamps
+        lit.append(low.bit_length() - 33)
+        lamps ^= low
+    return tuple(lit)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 8, 12, 16])
+def test_lamplighter_samples_match_the_element_products(n):
+    for seed in (0, 7, 20241 + n):
+        pairs = zip(catalog._lamplighter_core_samples(n, seed),
+                    _lamplighter_samples_by_products(n, seed))
+        for k, ((lamps, shift), e) in enumerate(islice(pairs, 400)):
+            assert (_lit(lamps), shift) == (e.lamps, e.shift), (n, seed, k)
+
+
+def test_lamplighter_gap_check_matches_the_element_products():
+    def by_products(n, trials, seed):
+        lit = (e for e in _lamplighter_samples_by_products(n, seed) if e.lamps)
+        return all(e.gap() >= 2 ** n for e in islice(lit, trials))
+
+    for n in range(0, 10):
+        for seed in (1, 2, 20241 + n):
+            assert catalog.lamplighter_core_gap_check(n, 300, seed) == by_products(n, 300, seed)
