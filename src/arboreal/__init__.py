@@ -61,6 +61,7 @@ from .hnn import (
     stabilizer_projection_check,
     tau_apply,
     theta_apply,
+    theta_map,
     transitivity_witness,
     two_transitivity_level_check,
     window_apply,

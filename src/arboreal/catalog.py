@@ -102,26 +102,48 @@ class CatalogEntry:
         }
 
 
+def _strings(key, value, kind=list):
+    """value if it is a list (kind dict: an object) of strings, else a ValueError naming key."""
+    texts = value.values() if isinstance(value, dict) else value
+    if not (isinstance(value, kind) and all(isinstance(text, str) for text in texts)):
+        what = "a list" if kind is list else "an object"
+        raise ValueError(f"{key!r} must be {what} of strings, got {value!r}")
+    return value
+
+
 def _entry(id, note, wreath, substitutions=None, default_sigma=None, presentation=None,
            hnn_presentations=None, relator_texts=None, liftable="yes",
            aliases=(), separation=None, affine=None):
-    """An entry from the spec-bundle schema that `load_spec` documents."""
+    """An entry from the spec-bundle schema that `load_spec` documents; a value
+    of the wrong type inside one of its objects is a ValueError naming its key."""
     automaton = parse_wreath_spec(wreath)
     automaton.affine = None if affine is None else AffineModel(automaton, affine)
-    subs = {name: Substitution.parse(automaton, cfg["images"], cfg.get("letter"))
-            for name, cfg in (substitutions or {}).items()}
+    subs = {}
+    for name, cfg in (substitutions or {}).items():
+        key = f"substitutions.{name}"
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{key!r} must be an object, got {cfg!r}")
+        letter = cfg.get("letter")
+        if not (letter is None or type(letter) is int and 0 <= letter < automaton.size):
+            raise ValueError(f"'{key}.letter' must be null or one of 0..{automaton.size - 1}, "
+                             f"got {letter!r}")
+        subs[name] = Substitution.parse(automaton, _strings(f"{key}.images", cfg.get("images"),
+                                                            dict), letter)
     pres = None
     if presentation is not None:
+        phi = presentation.get("phi")
         pres = LPresentation.parse(
             automaton, automaton.generators,
-            fixed=presentation.get("fixed", ()),
-            iterated=presentation.get("iterated", ()),
-            phi=presentation.get("phi"),
+            fixed=_strings("presentation.fixed", presentation.get("fixed", [])),
+            iterated=_strings("presentation.iterated", presentation.get("iterated", [])),
+            phi=phi if phi is None else _strings("presentation.phi", phi, dict),
         )
+    hnn_presentations = {name: _strings(f"hnn_presentations.{name}", rels)
+                         for name, rels in (hnn_presentations or {}).items()}
     return CatalogEntry(
         id=id, note=note, wreath_spec=wreath, automaton=automaton,
         substitutions=subs, default_sigma=default_sigma, presentation=pres,
-        relator_texts=relator_texts, hnn_presentations=dict(hnn_presentations or {}),
+        relator_texts=relator_texts, hnn_presentations=hnn_presentations,
         liftable=liftable, aliases=tuple(aliases), separation=separation,
     )
 

@@ -6,17 +6,19 @@ distinguished letter (0 for most groups, 1 for the Grigorchuk group).  A
 vertex is a pair (m, w): the word w inside the copy T^(m).  Its level is
 len(w) - m; the spine vertex at level -n is (n, ()) and at level n >= 0 is
 (0, (i,)*n).  Lambda = (0, ()) is the distinguished level-0 vertex.
-(m, w) is the digit window w at offset 1 - m, the coordinate of `padic`,
-and theta and the boundary action share one routine, `window_apply`.
+(m, w) is the digit window w at offset 1 - m, the coordinate of `padic`.
 
 theta sends g in G to the automorphism acting on T^(m) as sigma^m(g), and
 the stable letter t to the shift tau toward the fixed end: tau(m, w) =
 (m+1, w), dropping the level by one.  sigma^m(g) is never written out:
 `ScaleAction` memoizes sigma^m(s) by its sections on the m digits above
 the dot, so the memo grows with the prefixes visited, not with whole
-windows.  Elements of the extension are kept in the form t^-m g t^n;
-equality is decided exactly through the group's word problem (Britton
-uniqueness is never needed).
+windows.  `theta_map` binds theta(e), caching for e alone each prefix's
+image and each section's moves below; `moved_vertex` binds it once per
+box scan, dilation sampling once per call, `window_apply` per window.
+Elements of the extension are kept in the form t^-m g t^n; equality is
+decided exactly through the group's word problem (Britton uniqueness is
+never needed).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product
 
-from .core import (TreeAutomorphism, fmt_vertex, fmt_word, invert_word, parse_vertex,
-                   portrait, power_by_squaring, reduced_product)
+from .core import (TreeAutomorphism, fmt_vertex, fmt_word, free_reduce, invert_word,
+                   parse_vertex, portrait, power_by_squaring, reduced_product)
 from .lifting import LiftingError, check_lifting
 from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
@@ -164,18 +166,11 @@ class ScaleAction:
     def generators(self):
         return self.sigma.domain
 
-    def act_sigma(self, word, k, v):
-        """act(sigma^k(word), v) without materializing sigma^k(word).
-
-        The letters of word carry the first k digits through the memo; the
-        sections they reach there, joined, walk the digits below.  A window
-        shorter than k is padded with the spine letter and cut back.
-        """
-        n = len(v)
-        if not (n and word):
-            return v
+    def prefix_image(self, word, k, v):
+        """(image, reduced section) of the k digits of v above the dot under sigma^k(word),
+        through the memo; a window shorter than k is padded with the spine letter."""
         ids, node = self._prefix_ids, 0
-        for x in (v + (self.letter,) * (k - n))[:k]:
+        for x in (v + (self.letter,) * (k - len(v)))[:k]:
             node = ids.get((node, x)) or self._prefix(node, x)
         below = []
         for s, e in word:
@@ -185,10 +180,7 @@ class ScaleAction:
         while node:
             node, x = self._prefixes[node]
             image.append(x)
-        image = tuple(reversed(image))
-        if n <= k:
-            return image[:n]
-        return image + self.automaton.act_word(below, v[k:])
+        return tuple(reversed(image)), free_reduce(below)
 
     def _prefix(self, parent, digit):
         """The id of the prefix `parent` followed by `digit`.
@@ -245,18 +237,43 @@ class ScaleAction:
         return self.element(word)
 
 
-def window_apply(e, offset, digits, action):
-    """theta(e) on the digit window at the given offset: (offset, digits).
+def theta_map(e, action):
+    """theta(e) bound once: the map (offset, digits) -> (offset, digits).
 
     t^-m raises the positions by m; the window is padded with the spine
     letter to start at position 1 or below, a word in the copy T^k with
     k = 1 - offset, where g acts as sigma^k(g); t^n lowers the positions
     by n.  A leading run i^r with r <= k is left fixed and never expanded,
     because the lifting gives sigma^k(g)(i^r w) = i^r sigma^(k-r)(g)(w).
+
+    For this element only, the map caches each k-digit prefix's image with
+    g's reduced section there (`ScaleAction.prefix_image`), and each move
+    (section, digit) -> (image digit, next section) below; both die with it.
     """
-    offset, digits, r = _spine_run(offset + e.tneg, digits, action.letter)
-    digits = digits[:r] + action.act_sigma(e.word, 1 - offset - r, digits[r:])
-    return offset - e.tpos, digits
+    letter, word, tneg, tpos = action.letter, e.word, e.tneg, e.tpos
+    lifts, moves, step = {}, {}, action.automaton.step
+
+    def apply(offset, digits):
+        offset, digits, r = _spine_run(offset + tneg, digits, letter)
+        k, v = 1 - offset - r, digits[r:]
+        if word and v:
+            image, section = lifts.get((k, v[:k])) or lifts.setdefault(
+                (k, v[:k]), action.prefix_image(word, k, v))
+            out = list(image[:len(v)])
+            for x in v[k:]:
+                if not section:
+                    break
+                y, section = moves.get((section, x)) or moves.setdefault(
+                    (section, x), step(section, x))
+                out.append(y)
+            digits = digits[:r] + tuple(out) + v[len(out):]
+        return offset - tpos, digits
+    return apply
+
+
+def window_apply(e, offset, digits, action):
+    """theta(e) on one digit window at the given offset: a one-shot `theta_map`."""
+    return theta_map(e, action)(offset, digits)
 
 
 def theta_apply(e, v, action):
@@ -271,7 +288,8 @@ def moved_vertex(e, action, copies, length):
     if e.tneg != e.tpos:
         return UnrootedVertex(0, ())
     box = canonical_vertices(action, copies, length) if e.word else ()
-    return next((v for v in box if theta_apply(e, v, action) != v), None)
+    apply = theta_map(e, action)
+    return next((v for v in box if _vertex(*apply(1 - v.copy, v.word), action.letter) != v), None)
 
 
 def hnn_multiply(e1, e2, action):

@@ -10,8 +10,9 @@ no floating point anywhere, and "equal to precision" is a distinct
 outcome, never silently distance zero.
 
 The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m
-(`vertex_label`); `boundary_apply` and `hnn.theta_apply` share one
-routine, `hnn.window_apply`.
+(`vertex_label`).  Windows move under `hnn.theta_map`, whose caches live
+per element: `boundary_apply` binds it for one window (`hnn.window_apply`)
+and dilation sampling once per call.
 
 The p-adic value of a label gives the digit at position i the weight
 p^(i-1), which makes the spine 0, the uniformizer label ".010..." the
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import IDENTITY, fmt_word, perm_from_images
-from .hnn import _spine_run, canonicalize, window_apply
+from .hnn import _spine_run, canonicalize, theta_map, window_apply
 
 
 class PrecisionError(ValueError):
@@ -184,7 +185,7 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     of the d - 1 others), y's tail (base d).  The fields are uniform and
     independent, so a seed's pairs differ from those of the earlier
     per-digit draws but the exponent does not.  Pairs stay raw (offset,
-    digits) windows through `window_apply`; no point is built per sample.
+    digits) windows under one bound `theta_map`; no point is built per sample.
     """
     import random
     if samples < 2:
@@ -198,7 +199,7 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     y_weights = [(d - 1) * d ** k for k in range(DILATION_TAIL)]
     y_field = 9 * d ** width
     draws = y_field * (d - 1) * d ** DILATION_TAIL
-    exponents = set()
+    exponents, apply = set(), theta_map(e, action)
     for _ in range(samples):
         r = rng.randrange(draws)
         offset = r % 9 - 2 - margin
@@ -207,8 +208,7 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
         y = (x[:margin] + ((x[margin] + 1 + r % (d - 1)) % d,)
              + tuple([r // w % d for w in y_weights]))
         before = _first_difference(offset, x, offset, y, pad)
-        after = _first_difference(*window_apply(e, offset, x, action),
-                                  *window_apply(e, offset, y, action), pad)
+        after = _first_difference(*apply(offset, x), *apply(offset, y), pad)
         if before is None or after is None:
             raise PrecisionError("sample pair lost its disagreement; widen the window")
         exponents.add(before - after)

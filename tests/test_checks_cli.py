@@ -335,6 +335,30 @@ def test_cli_spec_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, bun
     assert err.startswith("arboreal: ") and repr(key) in err and "Traceback" not in err
 
 
+SIGMA = BS13_BUNDLE["substitutions"]["sigma"]
+
+
+@pytest.mark.parametrize("inner, key", [
+    ({"substitutions": {"sigma": 1}}, "substitutions.sigma"),
+    ({"substitutions": {"sigma": SIGMA | {"letter": 2}}}, "substitutions.sigma.letter"),
+    ({"substitutions": {"sigma": SIGMA | {"letter": "0"}}}, "substitutions.sigma.letter"),
+    ({"substitutions": {"sigma": SIGMA | {"images": ["b"]}}}, "substitutions.sigma.images"),
+    ({"substitutions": {"sigma": SIGMA | {"images": {"a": 5}}}}, "substitutions.sigma.images"),
+    ({"presentation": {"iterated": 5}}, "presentation.iterated"),
+    ({"presentation": {"fixed": ["a^2", 2]}}, "presentation.fixed"),
+    ({"presentation": {"iterated": ["a^2"], "phi": "b"}}, "presentation.phi"),
+    ({"hnn_presentations": {"x": "t*a*T*b^-1"}}, "hnn_presentations.x"),
+])
+def test_cli_spec_inner_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, inner, key):
+    # a wrong type inside a bundle's object is named, not a traceback, and a
+    # string of relators is not read one relator per character
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(BS13_BUNDLE | inner))
+    code, out, err = run_cli(capsys, "run", "hnn-relators", "--spec", str(spec))
+    assert code == 3 and out == ""
+    assert err.startswith("arboreal: ") and repr(key) in err and "Traceback" not in err
+
+
 def test_two_transitivity_default_level_keeps_the_top_level_small(monkeypatch):
     # the deepest level <= 6 with at most 5^5 vertices; the level checks are
     # stubbed, so gs5 and gs7 cost nothing here

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from arboreal import acceptance
 from arboreal import catalog as cat
 from arboreal.core import fmt_word, invert_word
 from arboreal.hnn import (
@@ -25,9 +26,11 @@ from arboreal.hnn import (
     stabilizer_projection_check,
     tau_apply,
     theta_apply,
+    theta_map,
     theta_portrait,
     transitivity_witness,
     two_transitivity_level_check,
+    window_apply,
 )
 from arboreal.lifting import LiftingError, Substitution
 
@@ -112,14 +115,20 @@ def test_theta_fixes_spine(grig_action):
             assert theta_apply(e, v, grig_action) == v
 
 
+def _act_sigma(action, word, k, v):
+    """act(sigma^k(word), v): the window v of the copy T^k under a one-shot theta_map."""
+    return window_apply(HnnElement(0, word, 0), 1 - k, v, action)[1]
+
+
 @pytest.mark.parametrize("gid, sigma_name", [
     (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
 def test_lifting_shortcut(gid, sigma_name):
     # sigma^k(g) acts on i^r w as i^r sigma^(k-r)(g)(w) for r <= k, which
-    # lets window_apply leave a leading spine run unexpanded
+    # lets theta_map leave a leading spine run unexpanded
     entry = cat.get(gid)
     action = entry.action(sigma_name)
-    i, d = action.letter, action.automaton.size
+    aut = action.automaton
+    i, d = action.letter, aut.size
     rng = random.Random(17)
     for _ in range(40):
         g = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
@@ -127,7 +136,8 @@ def test_lifting_shortcut(gid, sigma_name):
         k = rng.randrange(5)
         r = rng.randrange(k + 1)
         w = tuple(rng.randrange(d) for _ in range(rng.randrange(6)))
-        assert action.act_sigma(g, k, (i,) * r + w) == (i,) * r + action.act_sigma(g, k - r, w)
+        assert aut.act_word(action.sigma_word(g, k), (i,) * r + w) == \
+            (i,) * r + aut.act_word(action.sigma_word(g, k - r), w)
 
 
 @pytest.mark.parametrize("gid, sigma_name", [
@@ -145,7 +155,66 @@ def test_act_sigma_matches_materialized_word(gid, sigma_name):
                 g = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
                           for _ in range(rng.randrange(4)))
                 w = tuple(rng.randrange(d) for _ in range(n))
-                assert action.act_sigma(g, k, w) == aut.act_word(action.sigma_word(g, k), w)
+                assert _act_sigma(action, g, k, w) == aut.act_word(action.sigma_word(g, k), w)
+
+
+def _materialized_window(e, offset, digits, action):
+    """theta(e) on a window with sigma^k(g) written out and the spine run
+    acted on: the oracle of `theta_map`."""
+    offset += e.tneg
+    if offset > 1:
+        digits, offset = (action.letter,) * (offset - 1) + digits, 1
+    word = action.sigma_word(e.word, 1 - offset)
+    return offset - e.tpos, action.automaton.act_word(word, digits)
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.catalog().values() for name in entry.substitutions])
+def test_theta_map_matches_the_materialized_word(gid, sigma_name):
+    # seeded elements, the empty word and t-only elements among them, on
+    # windows that t^-m lifts past the dot, windows shorter than the copy
+    # depth k and windows led by spine runs; one map serves every window of
+    # its element twice, and agrees with a fresh map and window_apply
+    entry = cat.get(gid)
+    action = entry.action(sigma_name)
+    aut, i = action.automaton, action.letter
+    rng = random.Random(53)
+    elements = [HNN_IDENTITY, HnnElement(2, (), 0), HnnElement(0, (), 3), HnnElement(1, (), 1)]
+    for _ in range(12):
+        word = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
+                     for _ in range(rng.randrange(1, 5)))
+        elements.append(HnnElement(rng.randrange(3), aut.reduce(word), rng.randrange(3)))
+    seen = set()
+    for e in elements:
+        windows = [(rng.randint(-5, 4), (i,) * rng.randrange(4)
+                    + tuple(rng.randrange(aut.size) for _ in range(rng.randrange(8))))
+                   for _ in range(30)]
+        expected = [_materialized_window(e, offset, digits, action) for offset, digits in windows]
+        bound = theta_map(e, action)
+        for _ in range(2):
+            assert [bound(*window) for window in windows] == expected
+        assert [theta_map(e, action)(*window) for window in windows] == expected
+        assert [window_apply(e, *window, action) for window in windows] == expected
+        for offset, digits in windows:
+            k = 1 - offset - e.tneg
+            seen |= {("padded", k < 0), ("short", 0 < len(digits) < k),
+                     ("spine run", k > 0 and digits[:1] == (i,)),
+                     ("empty word", not e.word), ("t only", not e.word and e.tneg + e.tpos > 0)}
+    assert {kind for kind, hit in seen if hit} == {
+        "padded", "short", "spine run", "empty word", "t only"}
+
+
+def test_criterion_7_memo_sizes(monkeypatch):
+    # criterion 7 on fresh actions: binding theta(e) once per call reads the
+    # sigma-power memo and adds no entry to it (the sizes of one map per window)
+    entries = cat.entries_with_sigma()
+    for entry in entries:
+        monkeypatch.setattr(entry, "_actions", {})
+    criterion = next(f for f in acceptance.CRITERIA if f.__name__.startswith("criterion_7"))
+    assert criterion().ok
+    assert {entry.id: len(entry.action()._act_cache) for entry in entries} == {
+        "grigorchuk": 488, "basilica": 238, "img_z2i": 357, "lamplighter": 334,
+        "bs13": 452, "g01inf": 488, "gs5": 5058, "gs7": 5645}
 
 
 @pytest.mark.parametrize("gid", ["lamplighter", "bs13"])
@@ -177,12 +246,12 @@ def test_act_sigma_memo_shared_by_threads():
     cases = [(tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(3)), rng.randrange(9),
               tuple(rng.randrange(2) for _ in range(rng.randrange(1, 14)))) for _ in range(300)]
     alone = ScaleAction(entry.automaton, entry.sigma())
-    expected = [alone.act_sigma(*case) for case in cases]
+    expected = [_act_sigma(alone, *case) for case in cases]
     shared = ScaleAction(entry.automaton, entry.sigma())
     results = [None] * 6
 
     def work(slot):
-        results[slot] = [shared.act_sigma(*case) for case in cases[slot:] + cases[:slot]]
+        results[slot] = [_act_sigma(shared, *case) for case in cases[slot:] + cases[:slot]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -13,7 +13,7 @@ from arboreal.hnn import (
     hnn_multiply,
     parse_hnn,
     theta_apply,
-    window_apply,
+    theta_map,
 )
 from arboreal.lifting import GgsVector, ggs_lifting
 from arboreal.padic import (
@@ -235,18 +235,24 @@ def test_dilation_sample_guard():
 
 
 def _sampled_pairs(monkeypatch, e, action, samples, seed):
-    """The sampler's pairs as ((offset, x), x image, (offset, y), y image)."""
-    calls = []
+    """The sampler's pairs as ((offset, x), x image, (offset, y), y image);
+    the sampler binds theta(e) once."""
+    bound, calls = [], []
 
-    def recording(e, offset, digits, action):
-        image = window_apply(e, offset, digits, action)
-        calls.append(((offset, digits), image))
-        return image
+    def binding(e, action):
+        apply = theta_map(e, action)
+        bound.append(e)
+
+        def recording(offset, digits):
+            image = apply(offset, digits)
+            calls.append(((offset, digits), image))
+            return image
+        return recording
 
     with monkeypatch.context() as patch:
-        patch.setattr(padic, "window_apply", recording)
+        patch.setattr(padic, "theta_map", binding)
         dilation_factor_empirical(e, action, samples=samples, seed=seed)
-    assert len(calls) == 2 * samples
+    assert bound == [e] and len(calls) == 2 * samples
     return [(*a, *b) for a, b in zip(calls[::2], calls[1::2])]
 
 
@@ -320,15 +326,19 @@ def test_dilation_catches_a_broken_action(monkeypatch, fault, error, gid, text):
     action = cat.get(gid).action()
     images = []
 
-    def broken(e, offset, digits, action):
-        images.append(window_apply(e, offset, digits, action))
-        if len(images) % 2:
-            return images[-1]
-        if fault == "collapse":
-            return images[-2]
-        return images[-1][0] + 1, images[-1][1]
+    def broken(e, action):
+        apply = theta_map(e, action)
 
-    monkeypatch.setattr(padic, "window_apply", broken)
+        def faulty(offset, digits):
+            images.append(apply(offset, digits))
+            if len(images) % 2:
+                return images[-1]
+            if fault == "collapse":
+                return images[-2]
+            return images[-1][0] + 1, images[-1][1]
+        return faulty
+
+    monkeypatch.setattr(padic, "theta_map", broken)
     with pytest.raises(error):
         dilation_factor_empirical(parse_hnn(text, action), action, samples=200, seed=3)
 
