@@ -64,7 +64,6 @@ from .hnn import (
     theta_map,
     transitivity_witness,
     two_transitivity_level_check,
-    window_apply,
 )
 from .padic import (
     BoundaryPoint,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 from .core import fmt_word, parse_tuple_automorphism, parse_wreath_spec
 from .hnn import ScaleAction
@@ -488,33 +487,26 @@ def lamplighter_image_generator(n, i=0):
     return LamplighterElement.make({i, i + 2 ** n}, 0)
 
 
-def _lamplighter_core_samples(n, seed):
-    """The core-lemma sampler's words of 1-12 letters x_{2^n, i} (i in
-    -8..8) or s^(+-1), endlessly, as (lamps, shift): lamp b is bit b + 32,
-    and a word's shift stays within +-12 and its lamps above -21."""
-    import random
-    rng = random.Random(seed)
-    masks = [1 << (i + 32) | 1 << (i + 2 ** n + 32) for i in range(-8, 9)]
-    while True:
-        lamps = shift = 0
-        for _ in range(rng.randint(1, 12)):
-            if rng.random() < 0.5:
-                mask = rng.choice(masks)
-                lamps ^= mask >> shift if shift >= 0 else mask << -shift
-            else:
-                shift += rng.choice((-1, 1))
-        yield lamps, shift
+def lamplighter_core_gap_check(n):
+    """Decide the core lemma's spacing property at n exactly.
 
+    The lemma: every element of alpha^(2^n)(L) = <alpha^(2^n)(x),
+    alpha^(2^n)(s)> outside <s> lights two lamps at least 2^n apart.
+    Read a lamp set as a Laurent polynomial over F_2, the lamp at i being
+    t^i, and let p_n be the lamps of alpha^(2^n)(x).  True iff alpha^(2^n)
+    fixes s and p_n spans at least 2^n, which proves the lemma at n:
 
-def lamplighter_core_gap_check(n, trials=1000, seed=0):
-    """Sampled check of the core lemma's spacing property.
-
-    Random nontrivial words in the generators of alpha^(2^n)(L) (the
-    elements x_{2^n, i} and s) lying outside <s> must light two lamps at
-    least 2^n apart.  True iff every sample satisfies it.
+    - with s fixed, the lamps of the subgroup's elements are exactly the
+      multiples f*p_n, f in F_2[t, t^-1]: a product XORs shifted lamp
+      polynomials, and s only shifts;
+    - F_2[t, t^-1] is an integral domain, so the lowest and highest terms
+      of f*p are the products of those of f and p, and span(f*p) =
+      span(f) + span(p) for nonzero f and p;
+    - an element outside <s> has f != 0, so its lamps span at least
+      span(p_n), which alpha^(2^n)(x) itself attains.
     """
     if n > 16:
         raise ValueError("n above 16 is out of the checked range")
-    lit = (lamps for lamps, _ in _lamplighter_core_samples(n, seed) if lamps)
-    return all(lamps.bit_length() - (lamps & -lamps).bit_length() >= 2 ** n
-               for lamps in islice(lit, trials))
+    s = lamplighter_s()
+    return (lamplighter_alpha(s, 2 ** n) == s
+            and lamplighter_alpha(lamplighter_x(), 2 ** n).gap() >= 2 ** n)

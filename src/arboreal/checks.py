@@ -24,6 +24,7 @@ from .core import fmt_word, invert_word, parse_vertex, reduced_product
 from .hnn import (
     HnnElement,
     UnrootedVertex,
+    _vertex,
     canonical_vertices,
     hnn_inverse,
     hnn_is_trivial,
@@ -33,6 +34,7 @@ from .hnn import (
     spine_vertex,
     stabilizer_projection_check,
     theta_apply,
+    theta_map,
     transitivity_witness,
     two_transitivity_level_check,
 )
@@ -247,10 +249,10 @@ def check_spine(params):
     action = entry.action()
     bad = []
     for name in action.generators():
-        e = action.element(((name, 1),))
+        apply = theta_map(action.element(((name, 1),)), action)
         for level in range(-depth, 1):
             v = spine_vertex(level, action.letter)
-            if theta_apply(e, v, action) != v:
+            if _vertex(*apply(1 - v.copy, v.word), action.letter) != v:
                 bad.append((name, level))
     return f"spine[{entry.id}]", ("pass" if not bad else "fail"), {
         "depth": depth, "moved": bad}
@@ -332,10 +334,7 @@ def check_lamplighter_alpha(params):
 def check_lamplighter_core(params):
     n_min = _int(params, "n_min", 3, 0)
     n_max = _int(params, "n_max", 8, n_min)
-    trials = _int(params, "trials", 1000, 1)
-    seed = int(params.get("seed", DEFAULT_SEED))
-    results = {n: _catalog.lamplighter_core_gap_check(n, trials, seed=seed + n)
-               for n in range(n_min, n_max + 1)}
+    results = {n: _catalog.lamplighter_core_gap_check(n) for n in range(n_min, n_max + 1)}
     return "lamplighter-core", ("pass" if all(results.values()) else "fail"), {
         "spacing": results}
 
@@ -511,7 +510,7 @@ CHECKS = {
     "stabilizer-projection": (check_stabilizer_projection, (*ENTRY, "depth")),
     "grig-recursions": (check_grig_recursions, ("string_bound", "group_bound", "alpha_bound")),
     "lamplighter-alpha": (check_lamplighter_alpha, ("bound",)),
-    "lamplighter-core": (check_lamplighter_core, ("n_min", "n_max", "trials", "seed")),
+    "lamplighter-core": (check_lamplighter_core, ("n_min", "n_max")),
     "ggs": (check_ggs, ("p", "e", "j")),
     "witnesses": (check_witnesses, (*ENTRY, "bound", "sigma", "letter")),
     "properties": (check_properties, ()),

@@ -209,7 +209,6 @@ def build_parser():
     run.add_argument("--bound", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--samples", type=int)
-    run.add_argument("--trials", type=int)
     run.add_argument("--element")
     run.add_argument("--presentation")
     run.add_argument("--sigma")

@@ -15,7 +15,8 @@ the stable letter t to the shift tau toward the fixed end: tau(m, w) =
 the dot, so the memo grows with the prefixes visited, not with whole
 windows.  `theta_map` binds theta(e), caching for e alone each prefix's
 image and each section's moves below; `moved_vertex` binds it once per
-box scan, dilation sampling once per call, `window_apply` per window.
+box scan, the spine and projection checks once per generator, dilation
+sampling once per call, `theta_apply` and `boundary_apply` per window.
 Elements of the extension are kept in the form t^-m g t^n; equality is
 decided exactly through the group's word problem (Britton uniqueness is
 never needed).
@@ -271,14 +272,9 @@ def theta_map(e, action):
     return apply
 
 
-def window_apply(e, offset, digits, action):
-    """theta(e) on one digit window at the given offset: a one-shot `theta_map`."""
-    return theta_map(e, action)(offset, digits)
-
-
 def theta_apply(e, v, action):
     """Apply theta(e) to an unrooted vertex, factors left to right."""
-    return _vertex(*window_apply(e, 1 - v.copy, v.word, action), action.letter)
+    return _vertex(*theta_map(e, action)(1 - v.copy, v.word), action.letter)
 
 
 def moved_vertex(e, action, copies, length):
@@ -413,9 +409,9 @@ def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=
     lam = UnrootedVertex(0, ())
     report = StabilizerProjectionReport({}, [])
     for name in action.generators():
-        e = action.element(((name, 1),))
+        apply = theta_map(action.element(((name, 1),)), action)
         report.generator_projections[name] = all(  # the box starts at Lambda
-            theta_apply(e, v, action) == UnrootedVertex(0, aut.act_word(((name, 1),), v.word))
+            _vertex(*apply(1, v.word), i) == UnrootedVertex(0, aut.act_word(((name, 1),), v.word))
             for v in canonical_vertices(action, 0, depth))
     for k in powers:
         for w in sample_words:

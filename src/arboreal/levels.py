@@ -85,6 +85,7 @@ class _Layer:
     point: int
     gens: list = field(default_factory=list)
     transversal: dict = field(default_factory=dict)
+    inverses: dict = field(default_factory=dict)  # point -> its transversal element's inverse
 
 
 class LevelPermGroup:
@@ -300,9 +301,9 @@ def _strip(perm, layers, start, degree):
     for i in range(start, len(layers)):
         layer = layers[i]
         target = g[layer.point]
-        if target not in layer.transversal:
+        if target not in layer.inverses:
             return g, i
-        g = pmul(g, pinv(layer.transversal[target]))
+        g = pmul(g, layer.inverses[target])
         if g == ident:
             return g, i + 1
     return g, len(layers)
@@ -313,11 +314,12 @@ def _point_layers(gens, degree):
 
     A strong generator stored at layer k fixes the base points of layers
     < k, so the generating set of layer i's stabilizer is everything
-    stored at layers >= i.  All transversals are rebuilt after every
-    insertion; a failed strip therefore names a point genuinely outside
-    the current basic orbit, each insertion strictly enlarges the product
-    of orbit sizes, and the bottom-up verification sweep terminates with a
-    chain in which every Schreier generator sifts to the identity.
+    stored at layers >= i.  All transversals, with the inverses that
+    stripping multiplies by, are rebuilt after every insertion; a failed
+    strip therefore names a point genuinely outside the current basic
+    orbit, each insertion strictly enlarges the product of orbit sizes,
+    and the bottom-up verification sweep terminates with a chain in which
+    every Schreier generator sifts to the identity.
     """
     ident = identity_perm(degree)
     layers = []
@@ -328,11 +330,12 @@ def _point_layers(gens, degree):
     def rebuild_all():
         for i, layer in enumerate(layers):
             layer.transversal = schreier_tree(layer.point, ident, effective(i), getitem, pmul)
+            layer.inverses = {pt: pinv(t) for pt, t in layer.transversal.items()}
 
     def add_gen(g, level):
         if level == len(layers):
             point = min(i for i in range(degree) if g[i] != i)
-            layers.append(_Layer(point, transversal={point: ident}))
+            layers.append(_Layer(point, transversal={point: ident}, inverses={point: ident}))
         layers[level].gens.append(g)
         rebuild_all()
 
@@ -348,7 +351,7 @@ def _point_layers(gens, degree):
         for pt in sorted(layer.transversal):
             t = layer.transversal[pt]
             for s in effective(i):
-                schreier = pmul(pmul(t, s), pinv(layer.transversal[s[pt]]))
+                schreier = pmul(pmul(t, s), layer.inverses[s[pt]])
                 residue, level = _strip(schreier, layers, i + 1, degree)
                 if residue != ident:
                     add_gen(residue, level)

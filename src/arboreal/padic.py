@@ -11,8 +11,8 @@ outcome, never silently distance zero.
 
 The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m
 (`vertex_label`).  Windows move under `hnn.theta_map`, whose caches live
-per element: `boundary_apply` binds it for one window (`hnn.window_apply`)
-and dilation sampling once per call.
+per element: `boundary_apply` binds it for one window and dilation
+sampling once per call.
 
 The p-adic value of a label gives the digit at position i the weight
 p^(i-1), which makes the spine 0, the uniformizer label ".010..." the
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import IDENTITY, fmt_word, perm_from_images
-from .hnn import _spine_run, canonicalize, theta_map, window_apply
+from .hnn import _spine_run, canonicalize, theta_map
 
 
 class PrecisionError(ValueError):
@@ -155,7 +155,7 @@ def boundary_apply(e, x, action):
         raise ValueError("point's padding letter does not match the action's spine")
     if x.size != action.automaton.size:
         raise ValueError("point's alphabet size does not match the action's")
-    offset, digits = window_apply(e, x.offset, x.digits, action)
+    offset, digits = theta_map(e, action)(x.offset, x.digits)
     return BoundaryPoint(offset, digits, x.size, x.pad)
 
 
@@ -202,16 +202,16 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     exponents, apply = set(), theta_map(e, action)
     for _ in range(samples):
         r = rng.randrange(draws)
-        offset = r % 9 - 2 - margin
+        branch = r % 9 - 2  # x and y share x[:margin] and differ at index margin
+        offset = branch - margin
         x = tuple([r // w % d for w in x_weights])
         r //= y_field
         y = (x[:margin] + ((x[margin] + 1 + r % (d - 1)) % d,)
              + tuple([r // w % d for w in y_weights]))
-        before = _first_difference(offset, x, offset, y, pad)
         after = _first_difference(*apply(offset, x), *apply(offset, y), pad)
-        if before is None or after is None:
+        if after is None:
             raise PrecisionError("sample pair lost its disagreement; widen the window")
-        exponents.add(before - after)
+        exponents.add(branch - after)
         if len(exponents) > 1:
             raise DilationMismatch(f"inconsistent dilation exponents {sorted(exponents)}")
     return exponents.pop()

@@ -266,9 +266,8 @@ def test_lamplighter_image_generator():
 
 
 def test_lamplighter_core_gap():
-    assert lamplighter_core_gap_check(3, trials=500, seed=7)
-    assert lamplighter_core_gap_check(0, trials=200, seed=7)
-    with pytest.raises(ValueError):
+    assert all(lamplighter_core_gap_check(n) for n in range(17))
+    with pytest.raises(ValueError, match="n above 16"):
         lamplighter_core_gap_check(17)
 
 

@@ -396,8 +396,6 @@ def test_cli_spec_without_affine_key_keeps_the_closure_search(capsys, tmp_path):
     ["lifting", "--group", "basilica", "--depth", "-1"],
     ["hnn-relators", "--group", "grigorchuk", "--depth", "-1"],
     ["stabilizer-projection", "--group", "basilica", "--depth", "-1"],
-    ["lamplighter-core", "--trials", "0"],
-    ["lamplighter-core", "--trials", "-3"],
 ])
 def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "run", *argv)
@@ -415,7 +413,7 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "unknown generator 'x'; known: a, b, c, d"),
     (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no lifting"),
     (["run", "spine", "--group", "gs3"], "gs3 has no lifting"),
-    (["run", "spine", "--group", "basilica", "--seed", "5", "--samples", "3", "--trials", "9"],
+    (["run", "spine", "--group", "basilica", "--seed", "5", "--samples", "3"],
      "spine does not take --seed"),
     (["run", "properties", "--seed", "5"], "properties does not take --seed"),
     (["run", "transitivity", "--group", "basilica", "--n-max", "4"],
@@ -427,6 +425,7 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "--expect: 'x' is not an integer"),
     (["run", "ggs", "--p", "3", "--e", "x"], "--e: 'x' is not an integer"),
     (["run", "ggs", "--p", "3", "--e", "1,-1,y"], "--e: 'y' is not an integer"),
+    (["run", "lamplighter-core", "--seed", "5"], "lamplighter-core does not take --seed"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

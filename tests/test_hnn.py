@@ -30,7 +30,6 @@ from arboreal.hnn import (
     theta_portrait,
     transitivity_witness,
     two_transitivity_level_check,
-    window_apply,
 )
 from arboreal.lifting import LiftingError, Substitution
 
@@ -117,7 +116,7 @@ def test_theta_fixes_spine(grig_action):
 
 def _act_sigma(action, word, k, v):
     """act(sigma^k(word), v): the window v of the copy T^k under a one-shot theta_map."""
-    return window_apply(HnnElement(0, word, 0), 1 - k, v, action)[1]
+    return theta_map(HnnElement(0, word, 0), action)(1 - k, v)[1]
 
 
 @pytest.mark.parametrize("gid, sigma_name", [
@@ -174,7 +173,7 @@ def test_theta_map_matches_the_materialized_word(gid, sigma_name):
     # seeded elements, the empty word and t-only elements among them, on
     # windows that t^-m lifts past the dot, windows shorter than the copy
     # depth k and windows led by spine runs; one map serves every window of
-    # its element twice, and agrees with a fresh map and window_apply
+    # its element twice, and agrees with a fresh map per window
     entry = cat.get(gid)
     action = entry.action(sigma_name)
     aut, i = action.automaton, action.letter
@@ -194,7 +193,6 @@ def test_theta_map_matches_the_materialized_word(gid, sigma_name):
         for _ in range(2):
             assert [bound(*window) for window in windows] == expected
         assert [theta_map(e, action)(*window) for window in windows] == expected
-        assert [window_apply(e, *window, action) for window in windows] == expected
         for offset, digits in windows:
             k = 1 - offset - e.tneg
             seen |= {("padded", k < 0), ("short", 0 < len(digits) < k),

@@ -102,7 +102,8 @@ def random_tree_perm(rng, d, n):
     return tuple(images)
 
 
-# generic-chain orders take about 6.8 s of CPU for gs3 at level 5 and 9.1 s for gs7 at level 3
+# generic-chain orders take about 6.1 s of CPU for gs3 at level 5 and 8.0 s for gs7 at level 3
+# (one run each, Python 3.11 on a shared 2-core Xeon)
 GENERIC_TOP_LEVEL = {"gs3": 4, "gs5": 3, "gs7": 2}
 
 
@@ -121,6 +122,16 @@ def test_grigorchuk_order_closed_form():
     gens = list(cat.get("grigorchuk").elements().values())
     for n in range(3, 9):
         assert perm_group_on_level(gens, n).order() == 2 ** (5 * 2 ** (n - 3) + 2)
+
+
+@pytest.mark.parametrize("gid,p,top", [("gs3", 3, 5), ("gs5", 5, 4), ("gs7", 7, 3)])
+def test_ggs_order_closed_form(gid, p, top):
+    # log_p |G_n| = (p-1) p^(n-2) + 1 for n >= 2 (Fernandez-Alcober and
+    # Zugadi-Reizabal, GGS-groups: order of congruence quotients and
+    # Hausdorff dimension, 2014)
+    gens = list(cat.get(gid).elements().values())
+    for n in range(2, top + 1):
+        assert perm_group_on_level(gens, n).order() == p ** ((p - 1) * p ** (n - 2) + 1)
 
 
 @pytest.mark.parametrize("gid,names,level", [

@@ -1,9 +1,11 @@
-"""Oracle tests for the two samplers of the acceptance property rows.
+"""Oracle tests by seeded sampling.
 
 `checks._random_hnn` builds a random HNN element in normal form in one
-pass, and `catalog._lamplighter_core_samples` keeps a lamplighter word as
-an int of lamp bits.  Each is replayed here against the per-letter product
-it replaces, draw for draw, on the same seeds.
+pass; it is replayed here against the per-letter product it replaces,
+draw for draw, on the same seeds.  The lamplighter core lemma, decided
+exactly by `catalog.lamplighter_core_gap_check`, is sampled here on
+random words in its generators, each word kept as an int of lamp bits and
+replayed against the `LamplighterElement` products.
 """
 
 import random
@@ -47,6 +49,31 @@ def test_random_hnn_matches_the_per_letter_products(group, sigma):
         assert fast.random() == slow.random()
 
 
+def _lamplighter_core_samples(n, seed):
+    """Words of 1-12 letters x_{2^n, i} (i in -8..8) or s^(+-1), endlessly,
+    as (lamps, shift): lamp b is bit b + 32, and a word's shift stays within
+    +-12 and its lamps above -21."""
+    rng = random.Random(seed)
+    masks = [1 << (i + 32) | 1 << (i + 2 ** n + 32) for i in range(-8, 9)]
+    while True:
+        lamps = shift = 0
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.5:
+                mask = rng.choice(masks)
+                lamps ^= mask >> shift if shift >= 0 else mask << -shift
+            else:
+                shift += rng.choice((-1, 1))
+        yield lamps, shift
+
+
+def _sampled_gap_check(n, trials, seed):
+    """True iff each of `trials` sampled words that lights a lamp lights two
+    at least 2^n apart."""
+    lit = (lamps for lamps, _ in _lamplighter_core_samples(n, seed) if lamps)
+    return all(lamps.bit_length() - (lamps & -lamps).bit_length() >= 2 ** n
+               for lamps in islice(lit, trials))
+
+
 def _lamplighter_samples_by_products(n, seed):
     """The core sampler's words multiplied out as LamplighterElements."""
     rng = random.Random(seed)
@@ -72,17 +99,15 @@ def _lit(lamps):
 @pytest.mark.parametrize("n", [0, 1, 3, 5, 8, 12, 16])
 def test_lamplighter_samples_match_the_element_products(n):
     for seed in (0, 7, 20241 + n):
-        pairs = zip(catalog._lamplighter_core_samples(n, seed),
+        pairs = zip(_lamplighter_core_samples(n, seed),
                     _lamplighter_samples_by_products(n, seed))
         for k, ((lamps, shift), e) in enumerate(islice(pairs, 400)):
             assert (_lit(lamps), shift) == (e.lamps, e.shift), (n, seed, k)
 
 
-def test_lamplighter_gap_check_matches_the_element_products():
-    def by_products(n, trials, seed):
-        lit = (e for e in _lamplighter_samples_by_products(n, seed) if e.lamps)
-        return all(e.gap() >= 2 ** n for e in islice(lit, trials))
-
-    for n in range(0, 10):
-        for seed in (1, 2, 20241 + n):
-            assert catalog.lamplighter_core_gap_check(n, 300, seed) == by_products(n, 300, seed)
+def test_lamplighter_gap_check_matches_the_sampler():
+    # the exact decision against the sampler, at the corpus and default seeds
+    for n in range(17):
+        exact = catalog.lamplighter_core_gap_check(n)
+        for seed in (1, 2, 77, 123456, 20241 + n):
+            assert exact == _sampled_gap_check(n, 1000, seed), (n, seed)

@@ -7,15 +7,13 @@ source trees side by side.
 Every point is one `checks.run_check` call in a new interpreter, after
 the catalog is built:
 
-- `trials`: `lamplighter-core --trials 250 .. 4000` (n = 3..8, the
-  default range), the lamplighter core-lemma sampler of criterion 8,
-  which keeps each sampled word's lamps as the bits of one int;
-- `n-max`: `lamplighter-core --n-max 4 .. 12` at the default 1000 trials;
+- `n-max`: `lamplighter-core --n-max 4 .. 12`, the lamplighter core
+  lemma of criterion 8, decided exactly per n;
 - `properties`: the seeded property suites of criterion 9, one point;
   their random HNN elements are built in normal form in one pass;
 - `stabilizer-projection`: `--depth 0 .. 6` on Grigorchuk and Basilica,
-  whose kernel scan runs through `hnn.moved_vertex`; neither sampler is
-  on its path, so these points are controls.
+  whose kernel scan runs through `hnn.moved_vertex`; the property
+  sampler is not on its path, so these points are controls.
 
 A point is the median over the repeats of `cpu_s` (CPU seconds of the
 check, scaled to reference speed by `tools/benchlib.py`) and
@@ -34,15 +32,12 @@ import time
 
 import benchlib
 
-TRIALS = (250, 500, 1000, 2000, 4000)
 N_MAX = tuple(range(4, 13))
 CONTROL_GROUPS = ("grigorchuk", "basilica")
 DEPTHS = tuple(range(7))
 
 
 def params(curve, n):
-    if curve == "trials":
-        return "lamplighter-core", {"trials": n}
     if curve == "n-max":
         return "lamplighter-core", {"n_max": n}
     if curve == "properties":
@@ -82,7 +77,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args()
-    points = ([("trials", n) for n in TRIALS] + [("n-max", n) for n in N_MAX]
+    points = ([("n-max", n) for n in N_MAX]
               + [("properties", 0)]
               + [(gid, depth) for gid in CONTROL_GROUPS for depth in DEPTHS])
     sides = {"parent": args.parent, "change": args.change}
@@ -95,7 +90,6 @@ def main():
                        "change_over_parent": ratio(row)})
     report = benchlib.report_header("tools/bench_acceptance.py", args.repeats)
     properties = ratio(results[("properties", 0)])
-    most = ratio(results[("trials", TRIALS[-1])])
     report["gates"] = {
         "every point finishes on both sides with status pass":
             all(isinstance(side, dict) and side["status"] == "pass"
@@ -106,8 +100,6 @@ def main():
                     for row in results.values()),
         "properties: the change's cpu_s is at least 20% below the parent's":
             properties is not None and properties <= 0.8,
-        f"lamplighter-core --trials {TRIALS[-1]}: the change's cpu_s is at least 50% below":
-            most is not None and most <= 0.5,
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)
