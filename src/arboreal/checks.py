@@ -244,6 +244,13 @@ def check_two_transitivity(params):
 
 
 def check_spine(params):
+    """theta(g) fixes the spine vertices at levels -depth..0, per generator g.
+
+    This cannot fail: a spine vertex is an empty digit window, and theta(g)
+    keeps offsets and acts on digits only, so in the window coordinate the
+    statement holds by construction.  The check guards that coordinate
+    code (`theta_map`, `_vertex`) against regressions.
+    """
     entry = _catalog.resolve(params)
     depth = _int(params, "depth", 20, 0)
     action = entry.action()

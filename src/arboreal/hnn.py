@@ -25,7 +25,7 @@ never needed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, product, starmap
 
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, free_reduce, invert_word,
                    parse_vertex, portrait, power_by_squaring, reduced_product)
@@ -87,12 +87,16 @@ def canonical_vertices(action, copies, length):
     In order of m, then |w|, then w lexicographically.  A vertex (m, w) is
     canonical unless m >= 1 and w starts with the spine letter.
     """
-    d = action.automaton.size
+    return starmap(UnrootedVertex, _canonical_pairs(action, copies, length))
+
+
+def _canonical_pairs(action, copies, length):
+    """The vertices of canonical_vertices as raw (m, w) pairs."""
     for m in range(copies + 1):
         for n in range(length + 1):
-            for w in product(range(d), repeat=n):
+            for w in product(range(action.automaton.size), repeat=n):
                 if not (m and w and w[0] == action.letter):
-                    yield UnrootedVertex(m, w)
+                    yield m, w
 
 
 def spine_vertex(level, letter):
@@ -283,9 +287,12 @@ def moved_vertex(e, action, copies, length):
     tau^-m tau^m is the identity, so only a balanced e with a word is applied."""
     if e.tneg != e.tpos:
         return UnrootedVertex(0, ())
-    box = canonical_vertices(action, copies, length) if e.word else ()
     apply = theta_map(e, action)
-    return next((v for v in box if _vertex(*apply(1 - v.copy, v.word), action.letter) != v), None)
+    for m, w in _canonical_pairs(action, copies, length) if e.word else ():
+        offset, digits, r = _spine_run(*apply(1 - m, w), action.letter)
+        if (1 - offset - r, digits[r:]) != (m, w):
+            return UnrootedVertex(m, w)
+    return None
 
 
 def hnn_multiply(e1, e2, action):

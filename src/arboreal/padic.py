@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, prod
 
 from .core import IDENTITY, fmt_word, perm_from_images
 from .hnn import _spine_run, canonicalize, theta_map
@@ -82,12 +83,12 @@ def parse_point(text, size=2, pad=0):
 
 def _first_difference(a_offset, a, b_offset, b, pad):
     """First position where two windows over one spine disagree, or None."""
-    lo = min(a_offset, b_offset)
-    a = (pad,) * (a_offset - lo) + a
-    b = (pad,) * (b_offset - lo) + b
-    for i, (p, q) in enumerate(zip(a, b), lo):
-        if p != q:
-            return i
+    if a_offset != b_offset:
+        lo = min(a_offset, b_offset)
+        a, b, a_offset = (pad,) * (a_offset - lo) + a, (pad,) * (b_offset - lo) + b, lo
+    for i, p in enumerate(a[:len(b)]):
+        if p != b[i]:
+            return a_offset + i
     return None
 
 
@@ -168,6 +169,12 @@ DILATION_MARGIN = 4
 DILATION_TAIL = 4
 
 
+@cache
+def _digit_table(d, n):
+    """The d^n windows of n digits, indexed by their base-d value read lowest digit first."""
+    return ((),) if n == 0 else tuple(t + (x,) for x in range(d) for t in _digit_table(d, n - 1))
+
+
 def dilation_factor_empirical(e, action, samples=1000, seed=0):
     """Exponent m with dist(e x, e y) = d^m dist(x, y), from sampled pairs.
 
@@ -183,9 +190,9 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     Each pair is one draw rng.randrange(N) read off in mixed radix: the
     branch (9 values), x's window (base d), y's digit at the branch (one
     of the d - 1 others), y's tail (base d).  The fields are uniform and
-    independent, so a seed's pairs differ from those of the earlier
-    per-digit draws but the exponent does not.  Pairs stay raw (offset,
-    digits) windows under one bound `theta_map`; no point is built per sample.
+    independent.  Each field is read in chunks of c digits, d^c < 2^10,
+    one divmod and one `_digit_table` index each, joined in order.
+    Pairs stay raw (offset, digits) windows under one bound `theta_map`.
     """
     import random
     if samples < 2:
@@ -194,24 +201,25 @@ def dilation_factor_empirical(e, action, samples=1000, seed=0):
     rng = random.Random(seed)
     d = action.automaton.size
     pad = action.letter
-    width = margin + 1 + DILATION_TAIL
-    x_weights = [9 * d ** k for k in range(width)]
-    y_weights = [(d - 1) * d ** k for k in range(DILATION_TAIL)]
-    y_field = 9 * d ** width
-    draws = y_field * (d - 1) * d ** DILATION_TAIL
+    width, c = margin + 1 + DILATION_TAIL, max(1, 10 // d.bit_length())
+    fields = [(radix ** n, _digit_table(radix, n))
+              for radix, length in ((d, width), (d - 1, 1), (d, DILATION_TAIL))
+              for n in [c] * (length // c) + [length % c] if n]
+    draws = 9 * prod(base for base, _ in fields)
     exponents, apply = set(), theta_map(e, action)
     for _ in range(samples):
-        r = rng.randrange(draws)
-        branch = r % 9 - 2  # x and y share x[:margin] and differ at index margin
-        offset = branch - margin
-        x = tuple([r // w % d for w in x_weights])
-        r //= y_field
-        y = (x[:margin] + ((x[margin] + 1 + r % (d - 1)) % d,)
-             + tuple([r // w % d for w in y_weights]))
+        r, branch = divmod(rng.randrange(draws), 9)
+        offset = branch - 2 - margin  # x and y share x[:margin] and differ at index margin
+        digits = ()
+        for base, table in fields:
+            r, v = divmod(r, base)
+            digits += table[v]
+        x = digits[:width]
+        y = x[:margin] + ((x[margin] + 1 + digits[width]) % d,) + digits[width + 1:]
         after = _first_difference(*apply(offset, x), *apply(offset, y), pad)
         if after is None:
             raise PrecisionError("sample pair lost its disagreement; widen the window")
-        exponents.add(branch - after)
+        exponents.add(branch - 2 - after)
         if len(exponents) > 1:
             raise DilationMismatch(f"inconsistent dilation exponents {sorted(exponents)}")
     return exponents.pop()

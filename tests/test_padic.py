@@ -317,24 +317,57 @@ def test_draws_read_off_onto_every_pair_once(monkeypatch):
         for b in range(3) if b != x[1] for tail in range(3))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("text, margin", [("t", 4), ("t^7", 8), ("t^40", 41)])
+def test_draws_decode_to_the_mixed_radix_fields(monkeypatch, d, text, margin):
+    # oracle: each draw read off one digit at a time; windows of 9, 13 and
+    # 46 digits span several chunks of the digit tables
+    action = _ternary_action() if d == 3 else cat.get(
+        {2: "grigorchuk", 5: "gs5", 7: "gs7"}[d]).action()
+    draws = []
+
+    class Recording(random.Random):
+        def randrange(self, n):
+            draws.append(super().randrange(n))
+            return draws[-1]
+
+    monkeypatch.setattr(random, "Random", Recording)
+    pairs = _sampled_pairs(monkeypatch, parse_hnn(text, action), action, 2000, d)
+    width = margin + 1 + DILATION_TAIL
+    assert len(draws) == len(pairs)
+    for r, ((ox, x), _, (oy, y), _) in zip(draws, pairs):
+        want = tuple(r // (9 * d ** k) % d for k in range(width))
+        q = r // (9 * d ** width)
+        tail = tuple(q // ((d - 1) * d ** k) % d for k in range(DILATION_TAIL))
+        assert ox == oy == r % 9 - 2 - margin and x == want
+        assert y == want[:margin] + ((want[margin] + 1 + q % (d - 1)) % d,) + tail
+
+
 @pytest.mark.parametrize("fault, error", [("collapse", PrecisionError),
-                                          ("shift", DilationMismatch)])
+                                          ("shift", DilationMismatch),
+                                          ("late", DilationMismatch)])
 @pytest.mark.parametrize("gid, text", [("basilica", "a*b"), ("gs7", "t^-2*a*t^5")])
 def test_dilation_catches_a_broken_action(monkeypatch, fault, error, gid, text):
     # collapse: each pair's second image is its first; shift: every other
-    # image moves up one position
+    # image moves up one position; late: every second pair's second image
+    # is its first with the last digit changed, so the pair first differs
+    # at the end of its window (on every pair, that would be one constant
+    # exponent)
     action = cat.get(gid).action()
-    images = []
+    d, images = action.automaton.size, []
 
     def broken(e, action):
         apply = theta_map(e, action)
 
         def faulty(offset, digits):
             images.append(apply(offset, digits))
-            if len(images) % 2:
+            if len(images) % 2 or fault == "late" and len(images) % 4:
                 return images[-1]
             if fault == "collapse":
                 return images[-2]
+            if fault == "late":
+                offset, digits = images[-2]
+                return offset, digits[:-1] + ((digits[-1] + 1) % d,)
             return images[-1][0] + 1, images[-1][1]
         return faulty
 

@@ -19,7 +19,8 @@ Grigorchuk, the lamplighter and gs7, so both trees run the same child
 code.  The generator product `a*b` acts on each window at its own
 offset; `t^-2*a*t^5` lifts it two places first and widens its margin.
 On gs7 both build sigma-power memo entries for most pairs, which binding
-theta(e) once does not save.
+theta(e) once does not save.  `t` applies no word, so its curve is the
+sampler's own cost per pair: the draw, its read-off and the comparison.
 
 A point is the median over the repeats of `cpu_s` (CPU seconds of the
 applications or of the sampling), `entries` (size of the sigma-power
@@ -46,7 +47,7 @@ DEPTHS = (0, 5, 10, 20, 30, 40)
 BELOW = 10
 WINDOWS = 20
 DILATION_GROUPS = ("grigorchuk", "lamplighter", "gs7")
-DILATION_ELEMENTS = ("t^-2*a*t^5", "a*b")
+DILATION_ELEMENTS = ("t^-2*a*t^5", "a*b", "t")
 GAINING = ("grigorchuk", "lamplighter")   # the dilation gate's groups
 SAMPLES = (250, 500, 1000, 2000, 4000)
 
