@@ -2,11 +2,12 @@
 
 Each check reproduces one family of computations: a plain function of
 its params that returns (report name, status, evidence), the status
-being pass/fail/inconclusive.  `CHECKS` names each check's params, and
-`run_check` is the one place a check runs; it rejects other params,
-times the check and builds its CheckReport.  The command line
-and the acceptance suite are thin layers over this module, so a check
-behaves identically everywhere; the group-free check `properties` holds
+being pass/fail/inconclusive.  `CHECKS` holds each check's declared params
+(name, kind, default, lower bound), and `run_check` is the one place a check
+runs: it rejects undeclared params, converts, defaults and bounds the rest,
+times the check and builds its CheckReport.  The command line's `run` flags
+are the declared params, passed as text, so a check behaves identically
+everywhere; the group-free check `properties` holds
 the seeded property suites, where a single counterexample fails.
 Outputs are deterministic for fixed parameters: searches use fixed
 orders and all sampling is driven by a seeded generator.
@@ -18,6 +19,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import catalog as _catalog
 from .core import fmt_word, invert_word, parse_vertex, reduced_product
@@ -82,41 +84,91 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _integer(key, value):
-    """int(value), None for None; a value that is no integer is a usage error naming the flag."""
+# ---------------------------------------------------------------------------
+# declared params, and the one place a check runs
+
+INTS = "ints"          # the kind of a comma list of ints, such as ggs --e 1,-1
+REQUIRED = object()    # the default of a param that must be given
+
+
+class Param(NamedTuple):
+    """A param a check reads: `kind` is int, str or INTS; a default of None means the
+    check derives the value or goes without it; `low`, an int or an earlier param's
+    name, is the least value that leaves the check's range nonempty."""
+    name: str
+    kind: object = str
+    default: object = None
+    low: object = None
+
+
+def flag(name):
+    """The command-line flag of a param: n_min is --n-min."""
+    return "--" + name.replace("_", "-")
+
+
+def _to_int(name, value):
     try:
-        return None if value is None else int(value)
+        return int(value)
     except ValueError:
-        raise ValueError(f"--{key.replace('_', '-')}: {value!r} is not an integer") from None
+        raise ValueError(f"{flag(name)}: {value!r} is not an integer") from None
 
 
-def _int(params, key, default, low):
-    """params[key], or the default, as an int of at least `low`.
+def _resolve(check_id, declared, params):
+    """Every declared param converted, defaulted and bounded; any other is a usage error."""
+    for key in params:
+        if key not in {p.name for p in declared}:
+            raise ValueError(f"{check_id} does not take {flag(key)}")
+    resolved = {}
+    for name, kind, default, low in declared:
+        value = params.get(name)
+        if value is None:
+            if default is REQUIRED:
+                raise ValueError(f"{flag(name)} is required")
+            value = default
+        elif kind is int:
+            value = _to_int(name, value)
+        elif kind == INTS:
+            value = tuple(_to_int(name, x) for x in str(value).split(","))
+        else:
+            value = str(value)
+        low = resolved[low] if isinstance(low, str) else low
+        if low is not None and value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        resolved[name] = value
+    return resolved
 
-    Below `low` the range a check runs over would be empty (or undefined),
-    and an empty check must not pass.
-    """
-    value = _integer(key, params.get(key, default))
-    if value < low:
-        raise ValueError(f"{key} must be >= {low}, got {value}")
-    return value
+
+CHECKS = {}   # check id -> (check, its declared params), filled in by `declare`
+ENTRY = (Param("group"), Param("spec"))   # a catalog group or a spec file names the entry
 
 
-def _required(params, key):
-    """params[key]; without it, a usage error that names the flag."""
-    if params.get(key) is None:
-        raise ValueError(f"--{key} is required")
-    return params[key]
+def declare(check_id, *declared):
+    """Register the decorated check under `check_id` with the params it reads."""
+    def register(check):
+        CHECKS[check_id] = (check, declared)
+        return check
+    return register
+
+
+def run_check(check_id, params):
+    """The one place a check runs: its params resolved, it timed and its report built."""
+    if check_id not in CHECKS:
+        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(sorted(CHECKS))}")
+    check, declared = CHECKS[check_id]
+    resolved = _resolve(check_id, declared, params)
+    t0 = time.perf_counter()
+    name, status, evidence = check(resolved)
+    return CheckReport(name, status, evidence, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # individual checks: each returns (report name, status, evidence)
 
+@declare("lifting", *ENTRY, Param("depth", int, 5, 0), Param("sigma"))
 def check_lifting_certificate(params):
     """check_lifting plus the entry's endomorphism certificate."""
     entry = _catalog.resolve(params)
-    depth = _int(params, "depth", 5, 0)
-    sigma_name = params.get("sigma")
+    depth, sigma_name = params["depth"], params["sigma"]
     report = f"lifting[{entry.id}]"
     if entry.default_sigma is None and not entry.substitutions:
         return report, "inconclusive", {"liftable": entry.liftable}
@@ -149,11 +201,10 @@ def check_lifting_certificate(params):
     return report, ("pass" if ok else "fail"), evidence
 
 
+@declare("perm-order", *ENTRY, Param("level", int, REQUIRED), Param("gens"), Param("expect", int))
 def check_perm_order(params):
     entry = _catalog.resolve(params)
-    level = int(_required(params, "level"))
-    gen_names = params.get("gens")
-    expect = _integer("expect", params.get("expect"))
+    level, gen_names, expect = params["level"], params["gens"], params["expect"]
     group = perm_group_on_level(entry.generator_list(gen_names), level)
     evidence = {"order": group.order(), "level": level,
                 "gens": gen_names or ",".join(entry.generators)}
@@ -164,21 +215,22 @@ def check_perm_order(params):
     return f"perm-order[{entry.id}]", status, evidence
 
 
+@declare("stabilizer-of-first-level", *ENTRY, Param("vertex"))
 def check_stabilizer_words(params):
     entry = _catalog.resolve(params)
-    vertex = params.get("vertex")
-    target = parse_vertex(str(vertex)) if vertex else "first-level"
+    target = parse_vertex(params["vertex"]) if params["vertex"] else "first-level"
     words = stabilizer_words(entry.elements(), target)
     return f"stabilizer-of-first-level[{entry.id}]", "pass", {
         "count": len(words), "words": [fmt_word(w) for w in words]}
 
 
+@declare("separation", *ENTRY, Param("level", int))
 def check_separation(params):
     entry = _catalog.resolve(params)
     report = f"separation[{entry.id}]"
     if entry.separation is None:
         return report, "inconclusive", {"reason": f"{entry.id} has no separation data"}
-    level = int(params.get("level", entry.separation["level"]))
+    level = entry.separation["level"] if params["level"] is None else params["level"]
     gens, comp, order = _catalog.separation_complement(entry)
     rep = verify_endomorphism_by_quotient_separation(gens, comp, order, level)
     evidence = {
@@ -191,15 +243,19 @@ def check_separation(params):
     return report, ("pass" if rep.ok else "fail"), evidence
 
 
+@declare("hnn-relators", *ENTRY, Param("presentation", str, "all"), Param("depth", int, 3, 0))
 def check_hnn_relators(params):
     entry = _catalog.resolve(params)
-    which = params.get("presentation", "all")
-    depth = _int(params, "depth", 3, 0)
+    which, depth = params["presentation"], params["depth"]
     report = f"hnn-relators[{entry.id}]"
     action = entry.action()
+    base = bool(entry.presentation or entry.relator_texts)
+    known = ["all", *sorted({*entry.hnn_presentations, *(("base",) if base else ())})]
+    if which not in known:
+        raise KeyError(f"{entry.id} has no relator suite {which!r}; known: {', '.join(known)}")
     suites = {name: list(rels) for name, rels in entry.hnn_presentations.items()
               if which in ("all", name)}
-    if which in ("all", "base") and (entry.presentation or entry.relator_texts):
+    if base and which in ("all", "base"):
         # base-group relators hold in the extension as well
         suites["base"] = [fmt_word(r) for _, r in entry.relators(depth)]
     if not suites:
@@ -213,13 +269,12 @@ def check_hnn_relators(params):
     return report, ("pass" if ok else "fail"), evidence
 
 
+@declare("transitivity", *ENTRY, Param("copies", int, 3, 0), Param("length", int, 3, 0))
 def check_transitivity(params):
     entry = _catalog.resolve(params)
-    copies = _int(params, "copies", 3, 0)
-    length = _int(params, "length", 3, 0)
     action = entry.action()
     lam = UnrootedVertex(0, ())
-    box = list(canonical_vertices(action, copies, length))
+    box = list(canonical_vertices(action, params["copies"], params["length"]))
     missing = []
     for v in box:
         e = transitivity_witness(v, action)
@@ -234,15 +289,17 @@ def two_transitivity_level(d):
     return max((l for l in range(1, 7) if d ** l <= 3125), default=1)
 
 
+@declare("two-transitivity", *ENTRY, Param("level", int, None, 1))
 def check_two_transitivity(params):
     entry = _catalog.resolve(params)
-    top = _int(params, "level", two_transitivity_level(entry.automaton.size), 1)
+    top = params["level"] or two_transitivity_level(entry.automaton.size)
     gens = entry.generator_list()
     results = {l: two_transitivity_level_check(gens, l) for l in range(1, top + 1)}
     ok = all(results.values())
     return f"two-transitivity[{entry.id}]", ("pass" if ok else "fail"), {"levels": results}
 
 
+@declare("spine", *ENTRY, Param("depth", int, 20, 0))
 def check_spine(params):
     """theta(g) fixes the spine vertices at levels -depth..0, per generator g.
 
@@ -252,7 +309,7 @@ def check_spine(params):
     code (`theta_map`, `_vertex`) against regressions.
     """
     entry = _catalog.resolve(params)
-    depth = _int(params, "depth", 20, 0)
+    depth = params["depth"]
     action = entry.action()
     bad = []
     for name in action.generators():
@@ -265,15 +322,14 @@ def check_spine(params):
         "depth": depth, "moved": bad}
 
 
+@declare("dilation", *ENTRY, Param("element", str, "t"), Param("seed", int, DEFAULT_SEED),
+         Param("samples", int, 1000, 2), Param("expect", int))
 def check_dilation(params):
     entry = _catalog.resolve(params)
-    element = params.get("element", "t")
-    samples = _int(params, "samples", 1000, 2)
-    seed = int(params.get("seed", DEFAULT_SEED))
-    expect = _integer("expect", params.get("expect"))
+    element, samples, expect = params["element"], params["samples"], params["expect"]
     action = entry.action()
     e = parse_hnn(element, action)
-    m = dilation_factor_empirical(e, action, samples=samples, seed=seed)
+    m = dilation_factor_empirical(e, action, samples=samples, seed=params["seed"])
     evidence = {"element": element, "exponent": m, "samples": samples,
                 "net_t_displacement": e.tpos - e.tneg}
     if expect is not None:
@@ -282,14 +338,14 @@ def check_dilation(params):
     return f"dilation[{entry.id}:{element}]", ("pass" if m == target else "fail"), evidence
 
 
+@declare("stabilizer-projection", *ENTRY, Param("depth", int, 4, 0))
 def check_stabilizer_projection(params):
     entry = _catalog.resolve(params)
-    depth = _int(params, "depth", 4, 0)
     action = entry.action()
     elements = entry.elements()
     samples = [elements[n] for n in action.generators()]
     pairs = [(a.word + b.word) for a in samples for b in samples]
-    rep = stabilizer_projection_check(action, depth=depth,
+    rep = stabilizer_projection_check(action, depth=params["depth"],
                                       powers=(1, 2, 3), sample_words=pairs)
     evidence = {
         "generators": rep.generator_projections,
@@ -299,10 +355,9 @@ def check_stabilizer_projection(params):
     return f"stabilizer-projection[{entry.id}]", ("pass" if rep.ok else "fail"), evidence
 
 
+@declare("grig-recursions")
 def check_grig_recursions(params):
-    string_bound = int(params.get("string_bound", 12))
-    group_bound = int(params.get("group_bound", 6))
-    alpha_bound = int(params.get("alpha_bound", 12))
+    string_bound, group_bound, alpha_bound = 12, 6, 12
     entry = _catalog.get("grigorchuk")
     aut = entry.automaton
     sigma = entry.sigma()
@@ -328,8 +383,9 @@ def check_grig_recursions(params):
     }
 
 
+@declare("lamplighter-alpha", Param("bound", int, 10, 0))
 def check_lamplighter_alpha(params):
-    bound = _int(params, "bound", 10, 0)
+    bound = params["bound"]
     x = _catalog.lamplighter_x()
     bad = [n for n in range(bound + 1)
            if _catalog.lamplighter_alpha(x, 2 ** n).lamps != (0, 2 ** n)]
@@ -338,21 +394,20 @@ def check_lamplighter_alpha(params):
         "bound": bound, "bad_n": bad, "s_fixed": s_fixed}
 
 
+@declare("lamplighter-core", Param("n_min", int, 3, 0), Param("n_max", int, 8, "n_min"))
 def check_lamplighter_core(params):
-    n_min = _int(params, "n_min", 3, 0)
-    n_max = _int(params, "n_max", 8, n_min)
-    results = {n: _catalog.lamplighter_core_gap_check(n) for n in range(n_min, n_max + 1)}
+    results = {n: _catalog.lamplighter_core_gap_check(n)
+               for n in range(params["n_min"], params["n_max"] + 1)}
     return "lamplighter-core", ("pass" if all(results.values()) else "fail"), {
         "spacing": results}
 
 
+@declare("ggs", Param("p", int, REQUIRED), Param("e", INTS, REQUIRED), Param("j", int))
 def check_ggs(params):
-    p = int(_required(params, "p"))
-    e_vec = tuple(_integer("e", x) for x in str(_required(params, "e")).split(","))
-    j = params.get("j")
+    p = params["p"]
     report = f"ggs[p={p}]"
     try:
-        vector = GgsVector(p, e_vec, int(j) if j is not None else None)
+        vector = GgsVector(p, params["e"], params["j"])
     except GgsError as err:
         return report, "fail", {"rejected": str(err)}
     built = ggs_lifting(vector)
@@ -365,18 +420,15 @@ def check_ggs(params):
     return report, ("pass" if built.ok else "fail"), evidence
 
 
+@declare("witnesses", *ENTRY, Param("bound", int, 5, 0), Param("sigma"), Param("letter", int))
 def check_witnesses(params):
     entry = _catalog.resolve(params)
-    bound = int(params.get("bound", 5))
-    sigma = None
-    letter = params.get("letter")
-    if entry.default_sigma is not None:
-        sigma = entry.sigma(params.get("sigma"))
-        letter = sigma.letter if letter is None else int(letter)
-    elif letter is None:
-        letter = 0
-    rep = self_replicating_witnesses(entry.elements(), int(letter),
-                                     word_bound=bound, sigma=sigma)
+    sigma = None if entry.default_sigma is None else entry.sigma(params["sigma"])
+    letter = params["letter"]
+    if letter is None:
+        letter = 0 if sigma is None else sigma.letter
+    rep = self_replicating_witnesses(entry.elements(), letter,
+                                     word_bound=params["bound"], sigma=sigma)
     evidence = {
         "letter": rep.letter,
         "witnesses": {n: (fmt_word(w) if w else None) for n, w in rep.witnesses.items()},
@@ -421,6 +473,7 @@ def _escalation_stop(d):
     return max(b for b in range(17) if size[b] <= 2 ** 17 - 1 + 16 * 2 ** 16)
 
 
+@declare("properties")
 def check_properties(params):
     """Algebra laws, ultrametric, theta homomorphism, triviality agreement."""
     rng = random.Random(DEFAULT_SEED)
@@ -500,41 +553,3 @@ def check_properties(params):
         ok &= agree
 
     return "properties", ("pass" if ok else "fail"), evidence
-
-
-# check id -> (check, the params it reads); `--group` and `--spec` name the entry
-ENTRY = ("group", "spec")
-CHECKS = {
-    "lifting": (check_lifting_certificate, (*ENTRY, "depth", "sigma")),
-    "perm-order": (check_perm_order, (*ENTRY, "level", "gens", "expect")),
-    "stabilizer-of-first-level": (check_stabilizer_words, (*ENTRY, "vertex")),
-    "separation": (check_separation, (*ENTRY, "level")),
-    "hnn-relators": (check_hnn_relators, (*ENTRY, "presentation", "depth")),
-    "transitivity": (check_transitivity, (*ENTRY, "copies", "length")),
-    "two-transitivity": (check_two_transitivity, (*ENTRY, "level")),
-    "spine": (check_spine, (*ENTRY, "depth")),
-    "dilation": (check_dilation, (*ENTRY, "element", "samples", "seed", "expect")),
-    "stabilizer-projection": (check_stabilizer_projection, (*ENTRY, "depth")),
-    "grig-recursions": (check_grig_recursions, ("string_bound", "group_bound", "alpha_bound")),
-    "lamplighter-alpha": (check_lamplighter_alpha, ("bound",)),
-    "lamplighter-core": (check_lamplighter_core, ("n_min", "n_max")),
-    "ggs": (check_ggs, ("p", "e", "j")),
-    "witnesses": (check_witnesses, (*ENTRY, "bound", "sigma", "letter")),
-    "properties": (check_properties, ()),
-}
-
-
-def run_check(check_id, params):
-    """The one place a check runs: it is timed here and its report built.
-
-    A param the check does not read is a usage error, never ignored.
-    """
-    if check_id not in CHECKS:
-        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(sorted(CHECKS))}")
-    check, takes = CHECKS[check_id]
-    for key in params:
-        if key not in takes:
-            raise ValueError(f"{check_id} does not take --{key.replace('_', '-')}")
-    t0 = time.perf_counter()
-    name, status, evidence = check(params)
-    return CheckReport(name, status, evidence, time.perf_counter() - t0)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import catalog as _catalog
-from .checks import CHECKS, run_check
+from .checks import CHECKS, flag, run_check
 from .core import (
     WreathSpecError,
     _split_top,
@@ -202,27 +202,9 @@ def build_parser():
 
     run = sub.add_parser("run", help="run a named check")
     run.add_argument("check", choices=sorted(CHECKS))
-    run.add_argument("--group")
-    run.add_argument("--spec", help="wreath text or JSON bundle file")
-    run.add_argument("--level", type=int)
-    run.add_argument("--depth", type=int)
-    run.add_argument("--bound", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--samples", type=int)
-    run.add_argument("--element")
-    run.add_argument("--presentation")
-    run.add_argument("--sigma")
-    run.add_argument("--gens")
-    run.add_argument("--expect")
-    run.add_argument("--letter", type=int)
-    run.add_argument("--vertex")
-    run.add_argument("--copies", type=int)
-    run.add_argument("--length", type=int)
-    run.add_argument("--n-min", dest="n_min", type=int)
-    run.add_argument("--n-max", dest="n_max", type=int)
-    run.add_argument("--p", type=int)
-    run.add_argument("--e")
-    run.add_argument("--j", type=int)
+    # one flag per declared param, passed as text for run_check to convert
+    for name in dict.fromkeys(p.name for _, declared in CHECKS.values() for p in declared):
+        run.add_argument(flag(name), dest=name)
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.set_defaults(func=cmd_run)
 

@@ -103,6 +103,8 @@ class Alphabet:
 def parse_vertex(text):
     """Vertex from a digit string; '' is the root."""
     text = text.strip()
+    if text and not text.isdecimal():
+        raise ValueError(f"cannot parse vertex {text!r}")
     return tuple(int(c) for c in text)
 
 

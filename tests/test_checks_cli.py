@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from arboreal import catalog, checks
 from arboreal.checks import _escalation_stop, run_check
-from arboreal.cli import main
+from arboreal.cli import build_parser, main
 from arboreal.core import fmt_word, invert_word
 from arboreal.hnn import canonical_vertices
 
@@ -396,6 +397,7 @@ def test_cli_spec_without_affine_key_keeps_the_closure_search(capsys, tmp_path):
     ["lifting", "--group", "basilica", "--depth", "-1"],
     ["hnn-relators", "--group", "grigorchuk", "--depth", "-1"],
     ["stabilizer-projection", "--group", "basilica", "--depth", "-1"],
+    ["witnesses", "--group", "grigorchuk", "--bound", "-1"],
 ])
 def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "run", *argv)
@@ -426,11 +428,66 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
     (["run", "ggs", "--p", "3", "--e", "x"], "--e: 'x' is not an integer"),
     (["run", "ggs", "--p", "3", "--e", "1,-1,y"], "--e: 'y' is not an integer"),
     (["run", "lamplighter-core", "--seed", "5"], "lamplighter-core does not take --seed"),
+    (["run", "two-transitivity", "--group", "grigorchuk", "--level", "x"],
+     "--level: 'x' is not an integer"),
+    (["run", "stabilizer-of-first-level", "--group", "grigorchuk", "--vertex", "abc"],
+     "cannot parse vertex 'abc'"),
+    (["perm-group-on-level", "--group", "grigorchuk", "--level", "2", "--orbit", "x1"],
+     "cannot parse vertex 'x1'"),
+    (["run", "hnn-relators", "--group", "grigorchuk", "--presentation", "nope"],
+     "grigorchuk has no relator suite 'nope'; known: all, base, full, short"),
+    (["run", "hnn-relators", "--group", "g01inf", "--presentation", "base"],
+     "g01inf has no relator suite 'base'; known: all"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and err.startswith(f"arboreal: {message}")
+
+
+def test_hnn_relators_without_suites_is_inconclusive(capsys):
+    code, out, err = run_cli(capsys, "run", "hnn-relators", "--group", "g01inf")
+    assert code == 2 and err == ""
+    assert "reason: no relator suites configured" in out
+
+
+def test_run_flags_are_the_declared_params():
+    # every check flag of `run` comes from a declaration, and a param name
+    # means one kind of value in every check that declares it
+    run = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)).choices["run"]
+    options = {o for action in run._actions for o in action.option_strings} - {"-h", "--help"}
+    kinds = {}
+    for _, declared in checks.CHECKS.values():
+        for param in declared:
+            assert kinds.setdefault(param.name, param.kind) == param.kind, param.name
+    assert options == {"--format"} | {checks.flag(name) for name in kinds}
+    assert len(kinds) == 21 and checks.flag("n_min") == "--n-min"
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"string_bound": 0}, "grig-recursions does not take --string-bound"),
+    ({"group_bound": 0, "alpha_bound": 0}, "grig-recursions does not take --group-bound"),
+])
+def test_grig_recursions_bounds_are_fixed(params, message):
+    with pytest.raises(ValueError, match=message):
+        run_check("grig-recursions", params)
+    assert run_check("grig-recursions", {}).evidence == {
+        "P_n_as_string": "12/12", "P_n_in_group": "6/6", "alpha_n": "12/12"}
+
+
+@pytest.mark.parametrize("check,params,argv", [
+    ("two-transitivity", {"group": "grigorchuk", "level": "x"}, ["--level", "x"]),
+    ("ggs", {"p": 3, "e": "1,y"}, ["--p", "3", "--e", "1,y"]),
+    ("witnesses", {"group": "grigorchuk", "bound": -1}, ["--bound", "-1"]),
+    ("ggs", {"e": "1,-1"}, ["--e", "1,-1"]),
+])
+def test_python_api_and_command_line_give_the_same_usage_error(capsys, check, params, argv):
+    with pytest.raises(ValueError) as excinfo:
+        run_check(check, params)
+    group = ["--group", params["group"]] if "group" in params else []
+    code, out, err = run_cli(capsys, "run", check, *group, *argv)
+    assert code == 3 and out == "" and err == f"arboreal: {excinfo.value}\n"
 
 
 def test_dilation_at_a_deep_copy(capsys):

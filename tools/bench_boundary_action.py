@@ -26,9 +26,12 @@ A point is the median over the repeats of `cpu_s` (CPU seconds of the
 applications or of the sampling), `entries` (size of the sigma-power
 memo afterwards) and `peak_rss_mb`; `digest` (a hash of the images, or
 the sampled exponent) and `entries` must be equal on the two trees, and
-`change_over_parent` is the ratio of their `cpu_s`.  The
-fresh interpreters, the alternation of parent and change, the timeouts
-and the memory cap are those of `tools/benchlib.py`.
+`change_over_parent` is the ratio of their `cpu_s`.  The gates ask only
+that every point finish on both trees with equal answers and that the
+deepest copies stay cheap; a claimed gain is read from
+`change_over_parent`.  The fresh interpreters, the alternation of parent
+and change, the timeouts and the memory cap are those of
+`tools/benchlib.py`.
 """
 
 import argparse
@@ -48,7 +51,6 @@ BELOW = 10
 WINDOWS = 20
 DILATION_GROUPS = ("grigorchuk", "lamplighter", "gs7")
 DILATION_ELEMENTS = ("t^-2*a*t^5", "a*b", "t")
-GAINING = ("grigorchuk", "lamplighter")   # the dilation gate's groups
 SAMPLES = (250, 500, 1000, 2000, 4000)
 
 
@@ -109,20 +111,18 @@ def main():
         named = {"element": element[0]} if element else {}
         curves.append({"curve": curve, "group": gid, **named, "n": n, **row, **ratio})
     deepest = [results[("depth", gid, DEPTHS[-1])]["change"] for gid in GROUPS]
+    finished = all(isinstance(side, dict) for row in results.values() for side in row.values())
     report = benchlib.report_header("tools/bench_boundary_action.py", args.repeats)
-    most = [results[("dilation", gid, text, SAMPLES[-1])]
-            for gid in GAINING for text in DILATION_ELEMENTS]
     report["setup"] = {"element": "a*b", "windows": WINDOWS, "window_depth": WINDOW_DEPTH,
                        "digits_below_the_dot": BELOW, "dilation_elements": DILATION_ELEMENTS,
                        "dilation_seed": 1}
     report["gates"] = {
-        f"every change point finishes; at depth {DEPTHS[-1]} cpu_s < 1":
-            all(isinstance(row["change"], dict) for row in results.values())
-            and all(s["cpu_s"] < 1 for s in deepest),
-        f"at {SAMPLES[-1]} dilation samples on {' and '.join(GAINING)} the change's "
-        "cpu_s is below the parent's":
-            all(isinstance(side, dict) for row in most for side in row.values())
-            and all(row["change"]["cpu_s"] < row["parent"]["cpu_s"] for row in most),
+        "every point finishes on both sides": finished,
+        "every point's digest and entries match the parent's":
+            finished and all(row["change"][key] == row["parent"][key]
+                             for row in results.values() for key in ("digest", "entries")),
+        f"at depth {DEPTHS[-1]} the change's cpu_s < 1":
+            finished and all(s["cpu_s"] < 1 for s in deepest),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)
