@@ -53,13 +53,10 @@ from .hnn import (
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
-    hnn_power,
     moved_vertex,
     parse_hnn,
-    parse_unrooted,
     spine_vertex,
     stabilizer_projection_check,
-    tau_apply,
     theta_apply,
     theta_map,
     transitivity_witness,
@@ -70,10 +67,6 @@ from .padic import (
     boundary_apply,
     boundary_distance,
     dilation_factor_empirical,
-    distance_value,
-    padic_valuation,
-    parse_point,
-    phi_value,
 )
 from . import catalog
 

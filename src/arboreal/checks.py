@@ -385,11 +385,10 @@ def check_grig_recursions(params):
 
 @declare("lamplighter-alpha", Param("bound", int, 10, 0))
 def check_lamplighter_alpha(params):
+    """alpha^(2^n) lights x's lamps at {0, 2^n} for n <= bound, and lights none on s."""
     bound = params["bound"]
-    x = _catalog.lamplighter_x()
-    bad = [n for n in range(bound + 1)
-           if _catalog.lamplighter_alpha(x, 2 ** n).lamps != (0, 2 ** n)]
-    s_fixed = _catalog.lamplighter_alpha(_catalog.lamplighter_s(), 2 ** bound).lamps == ()
+    bad = [n for n in range(bound + 1) if _catalog.lamplighter_alpha({0}, 2 ** n) != {0, 2 ** n}]
+    s_fixed = not _catalog.lamplighter_alpha((), 2 ** bound)
     return "lamplighter-alpha", ("pass" if not bad and s_fixed else "fail"), {
         "bound": bound, "bad_n": bad, "s_fixed": s_fixed}
 

@@ -21,7 +21,6 @@ from .core import (
     _split_top,
     fmt_word,
     label_portrait,
-    match_label,
     parse_tuple_automorphism,
     parse_vertex,
     portrait,
@@ -76,14 +75,9 @@ def cmd_portrait(args):
         return USAGE_ERROR
     candidates = dict(entry.elements())
     if args.theta:
-        action = entry.action()
-        nodes = theta_portrait(element, action, args.up, args.down)
-        labels = None
-        if args.labels:
-            aut = entry.automaton
-            top = action.sigma_word(element.word, args.up)
-            labels = {v: match_label(aut, aut.section_word(top, v.word), candidates)
-                      for v in nodes}
+        top, nodes = theta_portrait(element, entry.action(), args.up, args.down)
+        # every node lies in the copy T^(up), so labels are keyed by the word there
+        labels = label_portrait(top, args.up + args.down, candidates) if args.labels else None
         text = _render_unrooted(nodes, labels, args.format)
     else:
         nodes = portrait(element, args.depth)
@@ -105,14 +99,14 @@ def _render_unrooted(nodes, labels, fmt):
         for v in items:
             rec = {"vertex": str(v), "level": v.level, "perm": list(nodes[v])}
             if labels is not None:
-                rec["section"] = labels.get(v)
+                rec["section"] = labels.get(v.word)
             out.append(rec)
         return json.dumps(out, indent=2)
     lines = ["digraph theta_portrait {", "  node [shape=circle];"]
     for v in items:
         label = fmt_perm(nodes[v])
-        if labels is not None and labels.get(v) is not None:
-            label = f"{labels[v]} {label}"
+        if labels is not None and labels.get(v.word) is not None:
+            label = f"{labels[v.word]} {label}"
         lines.append(f'  "{v}" [label="{label}" level={v.level}];')
     for v in items:
         if v.word:

@@ -439,11 +439,6 @@ class TreeAutomorphism:
             v = parse_vertex(v)
         return TreeAutomorphism(self.automaton, self.automaton.walk(self.word, tuple(v))[1])
 
-    def first_level(self):
-        """First-level decomposition (sections tuple, root permutation)."""
-        perm, sections = self.automaton.split(self.word)
-        return tuple(TreeAutomorphism(self.automaton, w) for w in sections), perm
-
     def is_trivial(self):
         return self.automaton.word_is_trivial(self.word)
 

@@ -9,7 +9,7 @@ len(w) - m; the spine vertex at level -n is (n, ()) and at level n >= 0 is
 (m, w) is the digit window w at offset 1 - m, the coordinate of `padic`.
 
 theta sends g in G to the automorphism acting on T^(m) as sigma^m(g), and
-the stable letter t to the shift tau toward the fixed end: tau(m, w) =
+the stable letter t to the shift toward the fixed end: theta(t)(m, w) =
 (m+1, w), dropping the level by one.  sigma^m(g) is never written out:
 `ScaleAction` memoizes sigma^m(s) by its sections on the m digits above
 the dot, so the memo grows with the prefixes visited, not with whole
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count, product, starmap
 
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, free_reduce, invert_word,
-                   parse_vertex, portrait, power_by_squaring, reduced_product)
+                   portrait, reduced_product)
 from .lifting import LiftingError, check_lifting
 from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
@@ -51,11 +51,6 @@ class UnrootedVertex:
 
     def __str__(self):
         return f"{self.copy}:{fmt_vertex(self.word)}"
-
-
-def parse_unrooted(text):
-    m, _, w = text.partition(":")
-    return UnrootedVertex(int(m), parse_vertex(w))
 
 
 def canonicalize(v, letter):
@@ -104,11 +99,6 @@ def spine_vertex(level, letter):
     return _vertex(1 + level, (), letter)
 
 
-def tau_apply(v, k, letter):
-    """The shift tau^k; tau moves toward the fixed end (level - 1)."""
-    return _vertex(1 - v.copy - k, v.word, letter)
-
-
 # ---------------------------------------------------------------------------
 # HNN elements t^-m g t^n
 
@@ -126,7 +116,7 @@ class HnnElement:
 
     @property
     def displacement(self):
-        """Net vertex-level displacement: tau^-m raises, tau^n lowers."""
+        """Net vertex-level displacement: theta(t)^-m raises, theta(t)^n lowers."""
         return self.tneg - self.tpos
 
     def __str__(self):
@@ -284,7 +274,7 @@ def theta_apply(e, v, action):
 def moved_vertex(e, action, copies, length):
     """The first vertex of canonical_vertices(action, copies, length) that
     theta(e) moves, or None.  theta(e) shifts every level by tneg - tpos and
-    tau^-m tau^m is the identity, so only a balanced e with a word is applied."""
+    theta(t^-m t^m) is the identity, so only a balanced e with a word is applied."""
     if e.tneg != e.tpos:
         return UnrootedVertex(0, ())
     apply = theta_map(e, action)
@@ -312,11 +302,6 @@ def hnn_multiply(e1, e2, action):
 
 def hnn_inverse(e):
     return HnnElement(e.tpos, invert_word(e.word), e.tneg)
-
-
-def hnn_power(e, n, action):
-    return power_by_squaring(e, n, HNN_IDENTITY,
-                             lambda x, y: hnn_multiply(x, y, action), hnn_inverse)
 
 
 def hnn_is_trivial(e, action):
@@ -440,11 +425,11 @@ def theta_portrait(g, action, up, down):
     Renders the subtree of the spine vertex at level -up (the root of the
     rooted copy T^(up)); the section of theta(g) there is sigma^up(g), so
     the node map is that element's rooted portrait transported into
-    unrooted coordinates.  Returns {UnrootedVertex: root permutation}.
+    unrooted coordinates.  Returns sigma^up(g) as a TreeAutomorphism and
+    the node map {UnrootedVertex: root permutation}.
     """
     if up < 0 or down < -up:
         raise ValueError("need up >= 0 and down >= -up")
     word = g.word if isinstance(g, TreeAutomorphism) else tuple(g)
-    top = action.sigma_word(word, up)
-    nodes = portrait(TreeAutomorphism(action.automaton, top), up + down)
-    return {UnrootedVertex(up, v): perm for v, perm in nodes.items()}
+    top = TreeAutomorphism(action.automaton, action.sigma_word(word, up))
+    return top, {UnrootedVertex(up, v): perm for v, perm in portrait(top, up + down).items()}

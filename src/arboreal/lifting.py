@@ -340,10 +340,6 @@ class WitnessReport:
     def ok(self):
         return all(w is not None for w in self.witnesses.values())
 
-    @property
-    def missing(self):
-        return [name for name, w in self.witnesses.items() if w is None]
-
 
 def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
     """Witness words w with w(i) = i and section(w, i) = s, per generator.
@@ -355,6 +351,8 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
     """
     items = list(gens.items())
     automaton = items[0][1].automaton
+    if not 0 <= letter < automaton.size:
+        raise ValueError(f"letter must be in 0..{automaton.size - 1}, got {letter}")
     i = letter
 
     report = WitnessReport(letter=i, witnesses={}, source={})

@@ -9,14 +9,15 @@ window are unknown.  All metric statements are exponent-exact; there is
 no floating point anywhere, and "equal to precision" is a distinct
 outcome, never silently distance zero.
 
-The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m
-(`vertex_label`).  Windows move under `hnn.theta_map`, whose caches live
-per element: `boundary_apply` binds it for one window and dilation
-sampling once per call.
+The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m.
+Windows move under `hnn.theta_map`, whose caches live per element:
+`boundary_apply` binds it for one window and dilation sampling once per
+call.
 
 The p-adic value of a label gives the digit at position i the weight
 p^(i-1), which makes the spine 0, the uniformizer label ".010..." the
-element p, and the identification an isometry onto Q_p.
+element p, and the identification an isometry onto Q_p; the tests check
+that isometry against exact rationals.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 from math import gcd, prod
 
 from .core import IDENTITY, fmt_word, perm_from_images
-from .hnn import _spine_run, canonicalize, theta_map
+from .hnn import _spine_run, theta_map
 
 
 class PrecisionError(ValueError):
@@ -49,36 +50,10 @@ class BoundaryPoint:
         if self.digits and not (0 <= min(self.digits) and max(self.digits) < self.size):
             raise ValueError("digit outside the alphabet")
 
-    @property
-    def end(self):
-        """Largest known position."""
-        return self.offset + len(self.digits) - 1
-
-    def digit(self, i):
-        """Digit at position i; positions below the window are padding."""
-        if i < self.offset:
-            return self.pad
-        if i > self.end:
-            raise PrecisionError(f"position {i} is beyond the stored range")
-        return self.digits[i - self.offset]
-
     def __str__(self):
         offset, digits, r = _spine_run(self.offset, self.digits, self.pad)
         dot = 1 - offset   # digits[dot] is at position 1
         return "".join(map(str, digits[r:dot])) + "." + "".join(map(str, digits[dot:]))
-
-
-def parse_point(text, size=2, pad=0):
-    """Point from an abbreviated label such as ".010" or "1.101"."""
-    text = text.strip().replace("…", "")
-    if text.endswith("..."):
-        text = text[:-3]
-    if text.count(".") != 1:
-        raise ValueError(f"need exactly one dot in {text!r}")
-    head, _, tail = text.partition(".")
-    digits = tuple(int(c) for c in head + tail)
-    offset = 1 - len(head)
-    return BoundaryPoint(offset, digits, size, pad)
 
 
 def _first_difference(a_offset, a, b_offset, b, pad):
@@ -100,48 +75,6 @@ def boundary_distance(x, y):
     if x.pad != y.pad:
         raise ValueError("points follow different spines; no common puncture")
     return _first_difference(x.offset, x.digits, y.offset, y.digits, x.pad)
-
-
-def distance_value(x, y):
-    """The ultrametric d^(-l+1) as an exact rational; None if equal to precision."""
-    l = boundary_distance(x, y)
-    if l is None:
-        return None
-    return Fraction(x.size) ** (-l + 1)
-
-
-def phi_value(x):
-    """Exact rational value of the label: digit at position i weighs p^(i-1).
-
-    Defined for points padded with the letter 0 (the p-adic picture); the
-    construction is d-adic, so p is the alphabet size and need not be
-    prime.
-    """
-    if x.pad != 0:
-        raise ValueError("phi needs 0-padding; this point follows a different spine")
-    p = x.size
-    total = Fraction(0)
-    for k, digit in enumerate(x.digits):
-        i = x.offset + k
-        total += digit * Fraction(p) ** (i - 1)
-    return total
-
-
-def padic_valuation(q, p):
-    """v_p of a nonzero rational, exactly."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if q == 0:
-        raise ValueError("the valuation of 0 is infinite")
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def boundary_apply(e, x, action):
@@ -281,14 +214,3 @@ class AffineModel:
                      in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
         return level[0][1] == 0 and level[0][0] == level[0][2]
 
-
-def vertex_label(v, action, window=8):
-    """Boundary label of the geodesic through a vertex, padded with the spine.
-
-    The word of (m, w) occupies positions -m+1 .. len(w)-m; the label is
-    completed downward with the spine letter up to the window size.
-    """
-    v = canonicalize(v, action.letter)
-    pad = action.letter
-    digits = v.word + (pad,) * window
-    return BoundaryPoint(1 - v.copy, digits, action.automaton.size, pad)

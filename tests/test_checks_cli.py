@@ -438,6 +438,10 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "grigorchuk has no relator suite 'nope'; known: all, base, full, short"),
     (["run", "hnn-relators", "--group", "g01inf", "--presentation", "base"],
      "g01inf has no relator suite 'base'; known: all"),
+    (["run", "witnesses", "--group", "grigorchuk", "--letter", "5"],
+     "letter must be in 0..1, got 5"),
+    (["run", "witnesses", "--group", "gs3", "--letter", "-1"],
+     "letter must be in 0..2, got -1"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -481,6 +485,8 @@ def test_grig_recursions_bounds_are_fixed(params, message):
     ("ggs", {"p": 3, "e": "1,y"}, ["--p", "3", "--e", "1,y"]),
     ("witnesses", {"group": "grigorchuk", "bound": -1}, ["--bound", "-1"]),
     ("ggs", {"e": "1,-1"}, ["--e", "1,-1"]),
+    ("witnesses", {"group": "grigorchuk", "letter": 5}, ["--letter", "5"]),
+    ("witnesses", {"group": "gs3", "letter": -1}, ["--letter", "-1"]),
 ])
 def test_python_api_and_command_line_give_the_same_usage_error(capsys, check, params, argv):
     with pytest.raises(ValueError) as excinfo:

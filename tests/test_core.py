@@ -98,11 +98,17 @@ def test_act_examples(grig):
         a.act((2,))
 
 
+def _first_level(g):
+    """(sections, root permutation) of g from `split`, the sections as elements."""
+    perm, sections = g.automaton.split(g.word)
+    return tuple(map(g.automaton.element, sections)), perm
+
+
 def test_aca_decomposition(grig):
     gens = grig.elements()
     a, c, d = gens["a"], gens["c"], gens["d"]
     aca = a * c * a
-    sections, perm = aca.first_level()
+    sections, perm = _first_level(aca)
     assert perm == (0, 1)
     assert sections[0].same_action(d)
     assert sections[1].same_action(a)
@@ -154,14 +160,14 @@ def test_compose_inverse(grig):
     # wreath formulas: first-level decomposition of a product
     g, h = gens["b"], a * d
     gh = g * h
-    secs_g, perm_g = g.first_level()
-    secs_h, perm_h = h.first_level()
-    secs_gh, perm_gh = gh.first_level()
+    secs_g, perm_g = _first_level(g)
+    secs_h, perm_h = _first_level(h)
+    secs_gh, perm_gh = _first_level(gh)
     assert perm_gh == pmul(perm_g, perm_h)
     for x in range(2):
         assert secs_gh[x].same_action(secs_g[x] * secs_h[perm_g[x]])
     # and of an inverse
-    secs_gi, perm_gi = h.inverse().first_level()
+    secs_gi, perm_gi = _first_level(h.inverse())
     assert perm_gi == pinv(perm_h)
     for x in range(2):
         assert secs_gi[x].same_action(secs_h[pinv(perm_h)[x]].inverse())
@@ -171,7 +177,7 @@ def test_basilica_square_decomposition():
     basilica = cat.get("basilica")
     gens = basilica.elements()
     a, b = gens["a"], gens["b"]
-    sections, perm = (a * a).first_level()
+    sections, perm = _first_level(a * a)
     assert perm == (0, 1)
     assert sections[0].same_action(b)
     assert sections[1].same_action(b)

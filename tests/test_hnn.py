@@ -18,13 +18,10 @@ from arboreal.hnn import (
     hnn_inverse,
     hnn_is_trivial,
     hnn_multiply,
-    hnn_power,
     moved_vertex,
     parse_hnn,
-    parse_unrooted,
     spine_vertex,
     stabilizer_projection_check,
-    tau_apply,
     theta_apply,
     theta_map,
     theta_portrait,
@@ -59,31 +56,34 @@ def test_canonicalize_respects_letter():
 
 
 def test_unrooted_parse_format():
-    v = parse_unrooted("2:01")
-    assert v == UnrootedVertex(2, (0, 1))
-    assert str(v) == "2:01"
-    assert str(parse_unrooted("0:")) == "0:"
+    assert str(UnrootedVertex(2, (0, 1))) == "2:01"
+    assert str(UnrootedVertex(0, ())) == "0:"
     with pytest.raises(ValueError):
         UnrootedVertex(-1, ())
 
 
-def test_tau_examples():
+def _tau(v, k, action):
+    """theta(t^k) on a vertex: the shift by k levels toward the fixed end."""
+    return theta_apply(action.element((), max(-k, 0), max(k, 0)), v, action)
+
+
+def test_tau_examples(basilica_action):
     lam = UnrootedVertex(0, ())
-    assert tau_apply(lam, 1, 0) == UnrootedVertex(1, ())
-    assert tau_apply(lam, 1, 0).level == -1
-    v = tau_apply(UnrootedVertex(0, (1,)), 1, 0)
+    assert _tau(lam, 1, basilica_action) == UnrootedVertex(1, ())
+    assert _tau(lam, 1, basilica_action).level == -1
+    v = _tau(UnrootedVertex(0, (1,)), 1, basilica_action)
     assert v == UnrootedVertex(1, (1,)) and v.level == 0
 
 
-def test_tau_roundtrip_random():
+def test_tau_roundtrip_random(basilica_action):
     rng = random.Random(3)
     for _ in range(100):
         v = canonicalize(
             UnrootedVertex(rng.randint(0, 5),
                            tuple(rng.randrange(2) for _ in range(rng.randint(0, 5)))), 0)
         k = rng.randint(-4, 4)
-        assert tau_apply(tau_apply(v, k, 0), -k, 0) == v
-        assert tau_apply(v, k, 0).level == v.level - k
+        assert _tau(_tau(v, k, basilica_action), -k, basilica_action) == v
+        assert _tau(v, k, basilica_action).level == v.level - k
 
 
 def test_spine_vertices():
@@ -92,11 +92,11 @@ def test_spine_vertices():
     assert spine_vertex(0, 1) == UnrootedVertex(0, ())
 
 
-def test_tau_shifts_spine_by_one_level():
-    for letter in (0, 1):
+def test_tau_shifts_spine_by_one_level(basilica_action, grig_action):
+    for action in (basilica_action, grig_action):   # spine letters 0 and 1
         for level in range(-20, 21):
-            v = spine_vertex(level, letter)
-            assert tau_apply(v, 1, letter) == spine_vertex(level - 1, letter)
+            v = spine_vertex(level, action.letter)
+            assert _tau(v, 1, action) == spine_vertex(level - 1, action.letter)
 
 
 def test_scale_action_requires_certified_sigma():
@@ -349,7 +349,7 @@ def test_img_t_relators():
 def test_hnn_power_and_displacement(grig_action):
     e = parse_hnn("T*a*t^2", grig_action)
     assert e.displacement == -1
-    cube = hnn_power(e, 3, grig_action)
+    cube = parse_hnn("(T*a*t^2)^3", grig_action)
     assert cube.displacement == -3
     rng = random.Random(4)
     for _ in range(50):
@@ -471,14 +471,14 @@ def test_stabilizer_projection_conjugate_of_d(grig_action):
 
 def test_theta_portrait_periodic_column(grig_action):
     entry = cat.get("grigorchuk")
-    nodes = theta_portrait(entry.element("b"), grig_action, up=3, down=3)
+    top, nodes = theta_portrait(entry.element("b"), grig_action, up=3, down=3)
     # sections at the spine vertices cycle b -> d -> c with period 3
     aut = entry.automaton
-    top = grig_action.sigma_word(entry.element("b").word, 3)
+    assert top.same_action(aut.element(grig_action.sigma_word(entry.element("b").word, 3)))
     spine_labels = {}
     for v in nodes:
         if set(v.word) <= {1}:
-            sec = aut.element(aut.section_word(top, v.word))
+            sec = aut.element(aut.section_word(top.word, v.word))
             for name in "bcd":
                 if sec.same_action(entry.elements()[name]):
                     spine_labels[v.level] = name

@@ -10,6 +10,7 @@ from arboreal.hnn import (
     ScaleAction,
     UnrootedVertex,
     canonical_vertices,
+    canonicalize,
     hnn_multiply,
     parse_hnn,
     theta_apply,
@@ -27,12 +28,88 @@ from arboreal.padic import (
     boundary_apply,
     boundary_distance,
     dilation_factor_empirical,
-    distance_value,
-    padic_valuation,
-    parse_point,
-    phi_value,
-    vertex_label,
 )
+
+
+# ---------------------------------------------------------------------------
+# labels, digits and exact values: the oracle for the metric and the Q_p isometry
+
+def parse_point(text, size=2, pad=0):
+    """Point from an abbreviated label such as ".010" or "1.101"."""
+    text = text.strip().replace("…", "")
+    if text.endswith("..."):
+        text = text[:-3]
+    if text.count(".") != 1:
+        raise ValueError(f"need exactly one dot in {text!r}")
+    head, _, tail = text.partition(".")
+    digits = tuple(int(c) for c in head + tail)
+    offset = 1 - len(head)
+    return BoundaryPoint(offset, digits, size, pad)
+
+
+def _end(x):
+    """Largest known position of a point."""
+    return x.offset + len(x.digits) - 1
+
+
+def _digit(x, i):
+    """Digit of x at a known position i; positions below the window are padding."""
+    assert i <= _end(x)
+    return x.pad if i < x.offset else x.digits[i - x.offset]
+
+
+def distance_value(x, y):
+    """The ultrametric d^(-l+1) as an exact rational; None if equal to precision."""
+    l = boundary_distance(x, y)
+    if l is None:
+        return None
+    return Fraction(x.size) ** (-l + 1)
+
+
+def phi_value(x):
+    """Exact rational value of the label: digit at position i weighs p^(i-1).
+
+    Defined for points padded with the letter 0 (the p-adic picture); the
+    construction is d-adic, so p is the alphabet size and need not be
+    prime.
+    """
+    if x.pad != 0:
+        raise ValueError("phi needs 0-padding; this point follows a different spine")
+    p = x.size
+    total = Fraction(0)
+    for k, digit in enumerate(x.digits):
+        i = x.offset + k
+        total += digit * Fraction(p) ** (i - 1)
+    return total
+
+
+def padic_valuation(q, p):
+    """v_p of a nonzero rational, exactly."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    if q == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def vertex_label(v, action, window=8):
+    """Boundary label of the geodesic through a vertex, padded with the spine.
+
+    The word of (m, w) occupies positions -m+1 .. len(w)-m; the label is
+    completed downward with the spine letter up to the window size.
+    """
+    v = canonicalize(v, action.letter)
+    pad = action.letter
+    digits = v.word + (pad,) * window
+    return BoundaryPoint(1 - v.copy, digits, action.automaton.size, pad)
 
 
 def test_parse_and_format():
@@ -56,8 +133,8 @@ def test_format_parse_roundtrip():
         x = BoundaryPoint(rng.randint(-4, 2), tuple(rng.randrange(2) for _ in range(6)))
         y = parse_point(str(x))
         lo = min(x.offset, y.offset)
-        hi = min(x.end, y.end)
-        assert all(x.digit(i) == y.digit(i) for i in range(lo, hi + 1))
+        hi = min(_end(x), _end(y))
+        assert all(_digit(x, i) == _digit(y, i) for i in range(lo, hi + 1))
         assert boundary_distance(x, y) is None
 
 
@@ -200,9 +277,9 @@ def test_boundary_apply_composes():
         # Convention 2.2: the product acts e1 first; windows may differ in
         # padding, compare digit functions on the common known range
         lo = min(lhs.offset, rhs.offset)
-        hi = min(lhs.end, rhs.end)
+        hi = min(_end(lhs), _end(rhs))
         assert lhs.pad == rhs.pad
-        assert all(lhs.digit(i) == rhs.digit(i) for i in range(lo, hi + 1))
+        assert all(_digit(lhs, i) == _digit(rhs, i) for i in range(lo, hi + 1))
 
 
 def test_dilation_exponents():

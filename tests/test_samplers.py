@@ -5,7 +5,7 @@ pass; it is replayed here against the per-letter product it replaces,
 draw for draw, on the same seeds.  The lamplighter core lemma, decided
 exactly by `catalog.lamplighter_core_gap_check`, is sampled here on
 random words in its generators, each word kept as an int of lamp bits and
-replayed against the `LamplighterElement` products.
+replayed against the products of `lamplighter_oracle`.
 """
 
 import random
@@ -16,6 +16,8 @@ import pytest
 from arboreal import catalog
 from arboreal.checks import _random_hnn
 from arboreal.hnn import HnnElement, hnn_multiply
+
+import lamplighter_oracle as lamp
 
 
 def _random_hnn_by_products(action, rng, max_len):
@@ -77,10 +79,10 @@ def _sampled_gap_check(n, trials, seed):
 def _lamplighter_samples_by_products(n, seed):
     """The core sampler's words multiplied out as LamplighterElements."""
     rng = random.Random(seed)
-    xs = [catalog.lamplighter_image_generator(n, i) for i in range(-8, 9)]
-    steps = (catalog.lamplighter_s(-1), catalog.lamplighter_s(1))
+    xs = [lamp.LamplighterElement.make({i, i + 2 ** n}, 0) for i in range(-8, 9)]
+    steps = (lamp.s(-1), lamp.s(1))
     while True:
-        e = catalog.LAMP_IDENTITY
+        e = lamp.IDENTITY
         for _ in range(rng.randint(1, 12)):
             e = e * (rng.choice(xs) if rng.random() < 0.5 else rng.choice(steps))
         yield e

@@ -4,9 +4,11 @@ import time
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import free_reduce, invert_word, reduced_product
-from arboreal.hnn import HNN_IDENTITY, HnnElement, hnn_inverse, hnn_power, parse_hnn
+from arboreal.core import free_reduce, invert_word, power_by_squaring, reduced_product
+from arboreal.hnn import HNN_IDENTITY, HnnElement, hnn_inverse, hnn_multiply, parse_hnn
 from arboreal.words import MAX_NESTING, GroupOps, WordSyntaxError, evaluate, parse_word_factors
+
+import lamplighter_oracle as lamp
 
 
 NAMES = {"a", "b", "c", "d"}
@@ -192,18 +194,17 @@ def test_balanced_fold_and_squaring_match_left_fold_on_hnn_words():
             for n in range(-12, 13):
                 if abs(e.displacement * n) > 6:
                     continue    # sigma^k words grow exponentially in k
-                assert hnn_power(e, n, action) == ops.power(e, n), (gid, e, n)
+                squared = power_by_squaring(e, n, HNN_IDENTITY,
+                                            lambda x, y: hnn_multiply(x, y, action), hnn_inverse)
+                assert squared == ops.power(e, n), (gid, e, n)
 
 
 def test_balanced_fold_and_squaring_match_left_fold_on_lamplighter():
     rng = random.Random(14)
-    ops = _LeftFold(cat.LAMP_IDENTITY,
-                    lambda name: {"x": cat.lamplighter_x(), "s": cat.lamplighter_s(),
-                                  "1": cat.LAMP_IDENTITY}[name],
-                    lambda a, b: a * b, lambda a: a.inverse())
+    ops = _LeftFold(lamp.IDENTITY, lamp.OPS.atom, lamp.OPS.mul, lamp.OPS.inv)
     for _ in range(300):
         text = _expr(rng, ["x", "s"])
-        assert cat.lamplighter_word(text) == evaluate(text, ops, {"x", "s", "1"}), text
+        assert lamp.word(text) == evaluate(text, ops, {"x", "s", "1"}), text
 
 
 def test_long_powers_and_juxtapositions_parse_in_linear_time():

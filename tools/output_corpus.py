@@ -6,7 +6,9 @@ The corpus is what a behaviour-preserving change must leave alone:
   default parameters (`perm-order` at level 3; group-free checks once,
   `ggs` with one accepted and one rejected vector), but for the two
   slow pairs in `SLOW`;
-- `run lamplighter-core` at the ranges in `LAMP_RANGES`;
+- `run lamplighter-core` at the ranges in `LAMP_RANGES`, and
+  `run lamplighter-alpha` at the bounds in `ALPHA_BOUNDS`;
+- `run witnesses` with each letter in `BAD_LETTERS`, outside its alphabet;
 - `run stabilizer-projection --depth 0..5` for every group with a lifting;
 - `portrait` plain, `--labels`, `--theta` and `--theta --labels` for every
   generator of every group (theta on levels -2..2 for the 5- and 7-ary
@@ -40,6 +42,8 @@ GGS_VECTORS = (("5", "1,-1,0,0"), ("3", "1,-1"))
 # now the deepest level of at most 5^5 points, 5 for gs5 and 4 for gs7
 SLOW = {("two-transitivity", "gs5"), ("two-transitivity", "gs7")}
 LAMP_RANGES = (("0", "2"), ("9", "11"))
+ALPHA_BOUNDS = ("0", "1", "40", "1000")
+BAD_LETTERS = (("grigorchuk", "5"), ("gs3", "-1"))
 
 
 def _blank_seconds(value):
@@ -78,6 +82,8 @@ def corpus():
             runs += [["run", check, "--group", g, *level] for g in groups
                      if (check, g) not in SLOW]
     runs += [["run", "lamplighter-core", "--n-min", lo, "--n-max", hi] for lo, hi in LAMP_RANGES]
+    runs += [["run", "lamplighter-alpha", "--bound", bound] for bound in ALPHA_BOUNDS]
+    runs += [["run", "witnesses", "--group", g, "--letter", letter] for g, letter in BAD_LETTERS]
     runs += [["run", "stabilizer-projection", "--group", entry.id, "--depth", str(depth)]
              for entry in _catalog.entries_with_sigma() for depth in range(6)]
     calls = [argv + ["--format", "json"] for argv in runs]
