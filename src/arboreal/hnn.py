@@ -15,8 +15,8 @@ the stable letter t to the shift toward the fixed end: theta(t)(m, w) =
 the dot, so the memo grows with the prefixes visited, not with whole
 windows.  `theta_map` binds theta(e), caching for e alone each prefix's
 image and each section's moves below; `moved_vertex` binds it once per
-box scan, the spine and projection checks once per generator, dilation
-sampling once per call, `theta_apply` and `boundary_apply` per window.
+box scan, `sigma_mismatch` (the spine and projection checks) once per
+generator, `theta_apply` and `boundary_apply` per window.
 Elements of the extension are kept in the form t^-m g t^n; equality is
 decided exactly through the group's word problem (Britton uniqueness is
 never needed).
@@ -285,6 +285,21 @@ def moved_vertex(e, action, copies, length):
     return None
 
 
+def sigma_mismatch(word, action, copies, length):
+    """The first window (m, w) with m <= copies and |w| <= length on which theta(word)
+    and sigma^m(word), written out and walked by `act_word`, disagree, or None.  Every
+    w is tried, those led by the spine letter too, so `theta_map`'s lifting shortcut
+    is compared; w = () is the spine vertex (m, ())."""
+    apply, act = theta_map(action.element(word), action), action.automaton.act_word
+    for m in range(copies + 1):
+        written = action.sigma_word(word, m)
+        for n in range(length + 1):
+            for w in product(range(action.automaton.size), repeat=n):
+                if apply(1 - m, w) != (1 - m, act(written, w)):
+                    return m, w
+    return None
+
+
 def hnn_multiply(e1, e2, action):
     """Product in the extension via t g t^-1 = sigma(g).
 
@@ -400,11 +415,8 @@ def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=
     i = action.letter
     lam = UnrootedVertex(0, ())
     report = StabilizerProjectionReport({}, [])
-    for name in action.generators():
-        apply = theta_map(action.element(((name, 1),)), action)
-        report.generator_projections[name] = all(  # the box starts at Lambda
-            _vertex(*apply(1, v.word), i) == UnrootedVertex(0, aut.act_word(((name, 1),), v.word))
-            for v in canonical_vertices(action, 0, depth))
+    for name in action.generators():   # the box of copy 0 starts at Lambda
+        report.generator_projections[name] = sigma_mismatch(((name, 1),), action, 0, depth) is None
     for k in powers:
         for w in sample_words:
             word = w.word if isinstance(w, TreeAutomorphism) else tuple(w)

@@ -11,8 +11,8 @@ outcome, never silently distance zero.
 
 The unrooted vertex (m, w) of `hnn` is the window w at offset 1 - m.
 Windows move under `hnn.theta_map`, whose caches live per element:
-`boundary_apply` binds it for one window and dilation sampling once per
-call.
+`boundary_apply` binds it for one window, and the dilation sampler, which
+only the benchmark and the tests run, once per call.
 
 The p-adic value of a label gives the digit at position i the weight
 p^(i-1), which makes the spine 0, the uniformizer label ".010..." the

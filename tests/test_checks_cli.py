@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from arboreal import catalog, checks
+from arboreal import catalog, checks, hnn
 from arboreal.checks import _escalation_stop, run_check
 from arboreal.cli import build_parser, main
 from arboreal.core import fmt_word, invert_word
-from arboreal.hnn import canonical_vertices
+from arboreal.hnn import ScaleAction, canonical_vertices
 
 
 def run_cli(capsys, *argv):
@@ -237,9 +237,45 @@ def test_checks_witnesses(capsys):
 
 def test_checks_spine_and_dilation():
     assert run_check("spine", {"group": "basilica", "depth": 12}).ok
-    report = run_check("dilation", {"group": "basilica", "element": "t",
-                                    "samples": 200, "expect": 1})
+    report = run_check("dilation", {"group": "basilica", "element": "t", "expect": 1})
     assert report.ok
+
+
+def _shifted_digits(theta_map):
+    """theta(e) with every output digit moved by one mod d: an isometry, but not theta(e)."""
+    def faulty(e, action):
+        apply, d = theta_map(e, action), action.automaton.size
+
+        def shifted(offset, digits):
+            offset, digits = apply(offset, digits)
+            return offset, tuple((x + 1) % d for x in digits)
+        return shifted
+    return faulty
+
+
+def _copy_depth_off_by_one(prefix_image):
+    """The k digits above the dot of a window in the copy T^k read at depth k - 1
+    (copy 0 stays right: depth -1 is no depth, and the memo has no entry for it)."""
+    return lambda self, word, k, v: prefix_image(self, word, max(k - 1, 0), v)
+
+
+@pytest.mark.parametrize("fault", ["shifted digits", "copy depth off by one"])
+def test_spine_and_criterion_7_catch_a_wrong_theta(monkeypatch, capsys, fault):
+    # both faults keep every spine vertex fixed and every dilation exponent;
+    # spine's comparison with the written-out sigma^m(g) fails them
+    if fault == "shifted digits":
+        monkeypatch.setattr(hnn, "theta_map", _shifted_digits(hnn.theta_map))
+    else:
+        monkeypatch.setattr(ScaleAction, "prefix_image",
+                            _copy_depth_off_by_one(ScaleAction.prefix_image))
+    groups = [entry.id for entry in catalog.entries_with_sigma()]
+    for gid in groups:
+        report = run_check("spine", {"group": gid})
+        assert report.status == "fail" and report.evidence["mismatches"], gid
+    code, out, err = run_cli(capsys, "acceptance", "--criterion", "7")
+    assert code == 1 and err == ""
+    assert out.startswith("7 end fixing and dilation exponents: FAIL")
+    assert all(f"spine[{gid}]: fail, expected pass" in out for gid in groups)
 
 
 def test_checks_two_transitivity_and_transitivity():
@@ -254,10 +290,8 @@ def test_checks_stabilizer_projection():
 
 def test_check_evidence_deterministic():
     # identical params give identical statuses and evidence (timing aside)
-    first = run_check("dilation", {"group": "basilica", "element": "t*a*T*b",
-                                   "samples": 200, "seed": 5})
-    second = run_check("dilation", {"group": "basilica", "element": "t*a*T*b",
-                                    "samples": 200, "seed": 5})
+    first = run_check("dilation", {"group": "basilica", "element": "t*a*T*b"})
+    second = run_check("dilation", {"group": "basilica", "element": "t*a*T*b"})
     assert (first.status, first.evidence) == (second.status, second.evidence)
     w1 = run_check("witnesses", {"group": "grigorchuk"})
     w2 = run_check("witnesses", {"group": "grigorchuk"})
@@ -415,19 +449,19 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "unknown generator 'x'; known: a, b, c, d"),
     (["portrait", "--group", "gs3", "--element", "a", "--theta"], "gs3 has no lifting"),
     (["run", "spine", "--group", "gs3"], "gs3 has no lifting"),
-    (["run", "spine", "--group", "basilica", "--seed", "5", "--samples", "3"],
-     "spine does not take --seed"),
-    (["run", "properties", "--seed", "5"], "properties does not take --seed"),
+    (["run", "spine", "--group", "basilica", "--element", "t"],
+     "spine does not take --element"),
+    (["run", "properties", "--depth", "5"], "properties does not take --depth"),
     (["run", "transitivity", "--group", "basilica", "--n-max", "4"],
      "transitivity does not take --n-max"),
-    (["run", "dilation", "--group", "basilica", "--samples", "1"], "samples must be >= 2"),
+    (["run", "dilation", "--group", "basilica", "--element", "t*x"], "unknown generator 'x'"),
     (["run", "perm-order", "--group", "grigorchuk", "--level", "3", "--expect", "x"],
      "--expect: 'x' is not an integer"),
     (["run", "dilation", "--group", "basilica", "--expect", "x"],
      "--expect: 'x' is not an integer"),
     (["run", "ggs", "--p", "3", "--e", "x"], "--e: 'x' is not an integer"),
     (["run", "ggs", "--p", "3", "--e", "1,-1,y"], "--e: 'y' is not an integer"),
-    (["run", "lamplighter-core", "--seed", "5"], "lamplighter-core does not take --seed"),
+    (["run", "lamplighter-core", "--depth", "5"], "lamplighter-core does not take --depth"),
     (["run", "two-transitivity", "--group", "grigorchuk", "--level", "x"],
      "--level: 'x' is not an integer"),
     (["run", "stabilizer-of-first-level", "--group", "grigorchuk", "--vertex", "abc"],
@@ -449,6 +483,15 @@ def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     assert out == "" and err.startswith(f"arboreal: {message}")
 
 
+@pytest.mark.parametrize("argv", [["--samples", "3"], ["--seed", "5"]])
+def test_dilation_sampler_flags_are_gone(capsys, argv):
+    # dilation decides its exponent exactly and no longer samples
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "dilation", "--group", "basilica", *argv])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 3 and f"unrecognized arguments: {' '.join(argv)}" in err
+
+
 def test_hnn_relators_without_suites_is_inconclusive(capsys):
     code, out, err = run_cli(capsys, "run", "hnn-relators", "--group", "g01inf")
     assert code == 2 and err == ""
@@ -466,7 +509,7 @@ def test_run_flags_are_the_declared_params():
         for param in declared:
             assert kinds.setdefault(param.name, param.kind) == param.kind, param.name
     assert options == {"--format"} | {checks.flag(name) for name in kinds}
-    assert len(kinds) == 21 and checks.flag("n_min") == "--n-min"
+    assert len(kinds) == 19 and checks.flag("n_min") == "--n-min"
 
 
 @pytest.mark.parametrize("params,message", [
@@ -497,10 +540,11 @@ def test_python_api_and_command_line_give_the_same_usage_error(capsys, check, pa
 
 
 def test_dilation_at_a_deep_copy(capsys):
-    # copy depth must cost no Python stack: at two frames per level, 600 copies overflow it
+    # the exponent is read off the element exactly, however deep its copies
     code, out, err = run_cli(capsys, "run", "dilation", "--group", "grigorchuk",
-                             "--element", "T^600*a*t^600", "--samples", "3")
-    assert code == 0 and "PASS" in out and err == ""
+                             "--element", "T^600*a*t^600", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["evidence"] == {"element": "T^600*a*t^600", "exponent": 0}
 
 
 def test_run_properties_matches_acceptance_criterion_9(capsys):

@@ -203,16 +203,16 @@ def test_theta_map_matches_the_materialized_word(gid, sigma_name):
 
 
 def test_criterion_7_memo_sizes(monkeypatch):
-    # criterion 7 on fresh actions: binding theta(e) once per call reads the
-    # sigma-power memo and adds no entry to it (the sizes of one map per window)
+    # criterion 7 on fresh actions: only the spine rows fill the sigma-power
+    # memo, with the prefixes of one (3, 3) box of windows per generator
     entries = cat.entries_with_sigma()
     for entry in entries:
         monkeypatch.setattr(entry, "_actions", {})
     criterion = next(f for f in acceptance.CRITERIA if f.__name__.startswith("criterion_7"))
     assert criterion().ok
     assert {entry.id: len(entry.action()._act_cache) for entry in entries} == {
-        "grigorchuk": 488, "basilica": 238, "img_z2i": 357, "lamplighter": 334,
-        "bs13": 452, "g01inf": 488, "gs5": 5058, "gs7": 5645}
+        "grigorchuk": 32, "basilica": 16, "img_z2i": 24, "lamplighter": 22,
+        "bs13": 30, "g01inf": 32, "gs5": 280, "gs7": 742}
 
 
 @pytest.mark.parametrize("gid", ["lamplighter", "bs13"])

@@ -7,10 +7,12 @@ source trees side by side.
 Every point is one `checks.run_check` call in a new interpreter, after
 the catalog is built:
 
-- `dilation`: criterion 7's `dilation` rows, the generator product
-  (`--expect 0`) and `t` on every group with a lifting, one point each
-  (`padic.dilation_factor_empirical` at its default 1,000 pairs); the
-  groups and products are read from the change tree's `acceptance`;
+- `spine`: `spine --depth 0 .. 4` on every group with a lifting, the
+  check behind criterion 7's `spine` rows: theta(g) compared with the
+  written-out sigma^m(g) on the box of windows m, |w| <= depth, per
+  generator (criterion 7's `dilation` rows read the exponent off the
+  element and take no time); the groups are read from the change tree's
+  `acceptance`;
 - `n-max`: `lamplighter-core --n-max 4 .. 12`, the lamplighter core
   lemma of criterion 8, decided exactly per n;
 - `properties`: the seeded property suites of criterion 9, one point;
@@ -41,14 +43,14 @@ import benchlib
 N_MAX = tuple(range(4, 13))
 CONTROL_GROUPS = ("grigorchuk", "basilica")
 DEPTHS = tuple(range(7))
+SPINE_DEPTHS = tuple(range(5))
 
 
 def params(curve, *point):
-    """The check and params of a point; a dilation point is (group, element)."""
-    if curve == "dilation":
-        gid, element = point
-        return "dilation", {"group": gid} if element == "t" else {
-            "group": gid, "element": element, "expect": 0}
+    """The check and params of a point; a spine point is (group, depth)."""
+    if curve == "spine":
+        gid, depth = point
+        return "spine", {"group": gid, "depth": int(depth)}
     n = int(point[0])
     if curve == "n-max":
         return "lamplighter-core", {"n_max": n}
@@ -90,9 +92,8 @@ def main():
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args()
     sys.path.insert(0, args.change)
-    from arboreal.acceptance import GENERATOR_PRODUCTS   # criterion 7's groups and products
-    points = ([("dilation", gid, element) for gid, product in GENERATOR_PRODUCTS.items()
-               for element in (product, "t")]
+    from arboreal.acceptance import GENERATOR_PRODUCTS   # criterion 7's groups
+    points = ([("spine", gid, depth) for gid in GENERATOR_PRODUCTS for depth in SPINE_DEPTHS]
               + [("n-max", n) for n in N_MAX]
               + [("properties", 0)]
               + [(gid, depth) for gid in CONTROL_GROUPS for depth in DEPTHS])

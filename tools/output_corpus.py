@@ -9,7 +9,11 @@ The corpus is what a behaviour-preserving change must leave alone:
 - `run lamplighter-core` at the ranges in `LAMP_RANGES`, and
   `run lamplighter-alpha` at the bounds in `ALPHA_BOUNDS`;
 - `run witnesses` with each letter in `BAD_LETTERS`, outside its alphabet;
-- `run stabilizer-projection --depth 0..5` for every group with a lifting;
+- `run stabilizer-projection --depth 0..5` and `run spine --depth 0..4`
+  for every group with a lifting;
+- `run dilation --element t^-2*a*t^5` on every group with a lifting,
+  and `T^600*a*t^600` on Grigorchuk;
+- the usage errors of `USAGE_ERRORS`;
 - `portrait` plain, `--labels`, `--theta` and `--theta --labels` for every
   generator of every group (theta on levels -2..2 for the 5- and 7-ary
   gs5 and gs7, whose default portraits are megabytes);
@@ -23,7 +27,9 @@ of every report is blanked.  Usage:
     PYTHONPATH=/path/to/parent/src python3 tools/output_corpus.py > parent.json
     diff parent.json change.json
 
-The corpus takes about 13 s on a 2-core Xeon.
+The corpus takes about 13 s on a 2-core Xeon.  A tree whose `dilation`
+samples (before it decided the exponent) spends about 16 s more on the
+`T^600*a*t^600` entry.
 """
 
 import contextlib
@@ -44,6 +50,8 @@ SLOW = {("two-transitivity", "gs5"), ("two-transitivity", "gs7")}
 LAMP_RANGES = (("0", "2"), ("9", "11"))
 ALPHA_BOUNDS = ("0", "1", "40", "1000")
 BAD_LETTERS = (("grigorchuk", "5"), ("gs3", "-1"))
+USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
+                ["run", "dilation", "--group", "basilica", "--seed", "5"]]
 
 
 def _blank_seconds(value):
@@ -84,9 +92,14 @@ def corpus():
     runs += [["run", "lamplighter-core", "--n-min", lo, "--n-max", hi] for lo, hi in LAMP_RANGES]
     runs += [["run", "lamplighter-alpha", "--bound", bound] for bound in ALPHA_BOUNDS]
     runs += [["run", "witnesses", "--group", g, "--letter", letter] for g, letter in BAD_LETTERS]
-    runs += [["run", "stabilizer-projection", "--group", entry.id, "--depth", str(depth)]
-             for entry in _catalog.entries_with_sigma() for depth in range(6)]
-    calls = [argv + ["--format", "json"] for argv in runs]
+    lifted = [entry.id for entry in _catalog.entries_with_sigma()]
+    runs += [["run", "stabilizer-projection", "--group", g, "--depth", str(depth)]
+             for g in lifted for depth in range(6)]
+    runs += [["run", "spine", "--group", g, "--depth", str(depth)]
+             for g in lifted for depth in range(5)]
+    runs += [["run", "dilation", "--group", g, "--element", "t^-2*a*t^5"] for g in lifted]
+    runs.append(["run", "dilation", "--group", "grigorchuk", "--element", "T^600*a*t^600"])
+    calls = [argv + ["--format", "json"] for argv in runs] + USAGE_ERRORS
     for g in groups:
         entry = _catalog.get(g)
         window = ["--up", "2", "--down", "2"] if entry.automaton.size > 3 else []
