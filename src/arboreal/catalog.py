@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import fmt_word, parse_tuple_automorphism, parse_wreath_spec
+from .core import fmt_word, parse_elements, parse_wreath_spec
 from .hnn import ScaleAction
 from .lifting import GgsVector, LPresentation, Substitution, ggs_lifting
 from .padic import AffineModel
@@ -355,11 +355,7 @@ def separation_complement(entry):
     cfg = entry.separation
     if cfg is None:
         raise KeyError(f"{entry.id} has no separation configuration")
-    automaton = entry.automaton
-    complement = []
-    for text in cfg["complement"]:
-        element, automaton = parse_tuple_automorphism(text, automaton)
-        complement.append(element)
+    complement, automaton = parse_elements(cfg["complement"], entry.automaton)
     gens = {name: automaton.state(name) for name in entry.generators}
     return gens, complement, cfg["complement_order"]
 

@@ -33,7 +33,6 @@ from .hnn import (
     moved_vertex,
     parse_hnn,
     sigma_mismatch,
-    stabilizer_projection_check,
     theta_apply,
     transitivity_witness,
     two_transitivity_level_check,
@@ -330,19 +329,34 @@ def check_dilation(params):
 
 @declare("stabilizer-projection", *ENTRY, Param("depth", int, 4, 0))
 def check_stabilizer_projection(params):
+    """The stabilizer of Lambda in theta(G~), on the subtree `depth` levels below Lambda.
+
+    (a) For every generator g, theta(g) fixes Lambda and projects back to g there: on the
+    copy T^(0) it agrees with g (`hnn.sigma_mismatch` on copy 0).  (b) For k = 1, 2, 3 and
+    every product w of two generators that fixes i^k, t^-k w t^k fixes Lambda, its
+    projection is the section word of w at i^k, and multiplying by theta of the
+    projection's inverse lands in the kernel of the projection.
+    """
     entry = _catalog.resolve(params)
-    action = entry.action()
-    elements = entry.elements()
-    samples = [elements[n] for n in action.generators()]
-    pairs = [(a.word + b.word) for a in samples for b in samples]
-    rep = stabilizer_projection_check(action, depth=params["depth"],
-                                      powers=(1, 2, 3), sample_words=pairs)
-    evidence = {
-        "generators": rep.generator_projections,
-        "sampled": len(rep.sampled),
-        "sampled_failures": [d for d, f, _, k in rep.sampled if not (f and k)],
-    }
-    return f"stabilizer-projection[{entry.id}]", ("pass" if rep.ok else "fail"), evidence
+    action, depth = entry.action(), params["depth"]
+    aut, names, lam = action.automaton, action.generators(), UnrootedVertex(0, ())
+    generators = {g: sigma_mismatch(((g, 1),), action, 0, depth) is None for g in names}
+    sampled, failures = 0, []
+    for k in (1, 2, 3):
+        spine = (action.letter,) * k
+        for word in [((g, 1), (h, 1)) for g in names for h in names]:
+            if aut.act_word(word, spine) != spine:
+                continue
+            e = action.element(word, k, k)
+            fixes = theta_apply(e, lam, action) == lam
+            projection = action.element(aut.section_word(word, spine))
+            residual = hnn_multiply(e, hnn_inverse(projection), action)
+            sampled += 1
+            if not fixes or moved_vertex(residual, action, 0, depth) is not None:
+                failures.append(f"t^-{k}*{fmt_word(word)}*t^{k}")
+    ok = all(generators.values()) and not failures
+    return f"stabilizer-projection[{entry.id}]", ("pass" if ok else "fail"), {
+        "generators": generators, "sampled": sampled, "sampled_failures": failures}
 
 
 @declare("grig-recursions")

@@ -21,7 +21,7 @@ from .core import (
     _split_top,
     fmt_word,
     label_portrait,
-    parse_tuple_automorphism,
+    parse_elements,
     parse_vertex,
     portrait,
     portrait_dot,
@@ -40,24 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_elements(text, entry):
-    """Comma-separated words or first-level tuples like (1,a)(1,2)."""
-    automaton = entry.automaton
-    out = []
-    for chunk in _split_top(text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk.startswith("("):
-            element, automaton = parse_tuple_automorphism(chunk, automaton)
-            out.append(element)
-        else:
-            out.append(automaton.element(chunk))
-    # rebase earlier words onto the final (largest) automaton
-    from .core import TreeAutomorphism
-    return [TreeAutomorphism(automaton, g.word) for g in out]
-
-
 def cmd_run(args):
     params = {key: value for key, value in vars(args).items()
               if value is not None and key not in ("command", "check", "format", "func")}
@@ -68,11 +50,7 @@ def cmd_run(args):
 
 def cmd_portrait(args):
     entry = _catalog.resolve(vars(args))
-    try:
-        element = entry.element(args.element)
-    except (WordSyntaxError, WreathSpecError) as err:
-        print(f"cannot parse element: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    element = entry.element(args.element)
     candidates = dict(entry.elements())
     if args.theta:
         top, nodes = theta_portrait(element, entry.action(), args.up, args.down)
@@ -147,8 +125,8 @@ def cmd_stabilizer(args):
 
 def cmd_intersection(args):
     entry = _catalog.resolve(vars(args))
-    side_a = _parse_elements(args.gens_a, entry)
-    side_b = _parse_elements(args.gens_b, entry)
+    side_a, _ = parse_elements([c for c in _split_top(args.gens_a) if c.strip()], entry.automaton)
+    side_b, _ = parse_elements([c for c in _split_top(args.gens_b) if c.strip()], entry.automaton)
     group_a = perm_group_on_level(side_a, args.level)
     group_b = perm_group_on_level(side_b, args.level)
     trivial = intersection_trivial_on_level(group_a, group_b)

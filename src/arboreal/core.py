@@ -81,24 +81,7 @@ def fmt_perm(p):
 
 
 # ---------------------------------------------------------------------------
-# alphabet and vertices
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Letters 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"alphabet needs at least 2 letters, got {self.size}")
-
-    def __iter__(self):
-        return iter(range(self.size))
-
-    def __len__(self):
-        return self.size
-
+# vertices
 
 def parse_vertex(text):
     """Vertex from a digit string; '' is the root."""
@@ -174,7 +157,7 @@ def power_by_squaring(x, n, identity, mul, inv):
 # the recursion
 
 class MealyAutomaton:
-    """A finite wreath recursion over an alphabet.
+    """A finite wreath recursion over the alphabet 0..size-1.
 
     `rules` maps a state name to (root permutation, sections), where
     sections is one word per letter.  The identity state "1" (empty
@@ -184,11 +167,10 @@ class MealyAutomaton:
     sections cover recursions like the GGS generator b = (a^e1, ..., b).
     """
 
-    def __init__(self, alphabet, rules, generators=None):
-        if isinstance(alphabet, int):
-            alphabet = Alphabet(alphabet)
-        self.alphabet = alphabet
-        d = alphabet.size
+    def __init__(self, size, rules, generators=None):
+        if size < 2:
+            raise ValueError(f"alphabet needs at least 2 letters, got {size}")
+        self.size = d = size
         full = {IDENTITY: (identity_perm(d), ((),) * d)}
         for name, (perm, sections) in rules.items():
             if name == IDENTITY:
@@ -220,10 +202,6 @@ class MealyAutomaton:
         self.affine = None      # a certified padic.AffineModel, set by its owner
 
     @property
-    def size(self):
-        return self.alphabet.size
-
-    @property
     def states(self):
         return tuple(self._rules)
 
@@ -241,7 +219,7 @@ class MealyAutomaton:
             if name in merged:
                 raise WreathSpecError(f"state {name} already exists")
             merged[name] = rule
-        return MealyAutomaton(self.alphabet, merged, generators=self.generators)
+        return MealyAutomaton(self.size, merged, generators=self.generators)
 
     # -- words ------------------------------------------------------------
 
@@ -288,7 +266,7 @@ class MealyAutomaton:
 
     def split(self, word):
         """First-level decomposition: (root permutation, section at each letter)."""
-        images, sections = zip(*(self.step(word, x) for x in self.alphabet))
+        images, sections = zip(*(self.step(word, x) for x in range(self.size)))
         return images, sections
 
     def walk(self, word, v):
@@ -532,10 +510,8 @@ def parse_wreath_spec(text, alphabet=None):
         raise WreathSpecError("empty wreath specification")
 
     d = len(entries[0][1])
-    if alphabet is not None:
-        size = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
-        if size != d:
-            raise WreathSpecError(f"entries have arity {d}, alphabet has size {size}")
+    if alphabet is not None and alphabet != d:
+        raise WreathSpecError(f"entries have arity {d}, alphabet has size {alphabet}")
     names = {name for name, _, _ in entries}
     if len(names) != len(entries):
         raise WreathSpecError("duplicate state names")
@@ -596,6 +572,22 @@ def parse_tuple_automorphism(text, automaton):
     name = f"q{k}"
     ext = automaton.extend({name: (perm, sections)})
     return ext.state(name), ext
+
+
+def parse_elements(texts, automaton):
+    """Words or first-level tuples like (1,a)(1,2), each tuple adjoining a state.
+
+    Returns the elements over the last extended automaton, together with it;
+    extending keeps the earlier words valid, so all of them act on one tree.
+    """
+    words = []
+    for text in texts:
+        if text.strip().startswith("("):
+            element, automaton = parse_tuple_automorphism(text, automaton)
+        else:
+            element = automaton.element(text)
+        words.append(element.word)
+    return [TreeAutomorphism(automaton, w) for w in words], automaton
 
 
 # ---------------------------------------------------------------------------

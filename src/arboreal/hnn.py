@@ -94,11 +94,6 @@ def _canonical_pairs(action, copies, length):
                     yield m, w
 
 
-def spine_vertex(level, letter):
-    """The spine vertex at a given (possibly negative) level."""
-    return _vertex(1 + level, (), letter)
-
-
 # ---------------------------------------------------------------------------
 # HNN elements t^-m g t^n
 
@@ -113,11 +108,6 @@ class HnnElement:
     def __post_init__(self):
         if self.tneg < 0 or self.tpos < 0:
             raise ValueError("t-exponents in the normal form must be >= 0")
-
-    @property
-    def displacement(self):
-        """Net vertex-level displacement: theta(t)^-m raises, theta(t)^n lowers."""
-        return self.tneg - self.tpos
 
     def __str__(self):
         parts = []
@@ -225,11 +215,6 @@ class ScaleAction:
 
     def element(self, word=(), tneg=0, tpos=0):
         return HnnElement(tneg, self.automaton.reduce(tuple(word)), tpos)
-
-    def theta(self, g):
-        """theta of a base-group element (word or TreeAutomorphism)."""
-        word = g.word if isinstance(g, TreeAutomorphism) else tuple(g)
-        return self.element(word)
 
 
 def theta_map(e, action):
@@ -387,48 +372,6 @@ def two_transitivity_level_check(gens, l):
     fixed = vertex_index((1,) * l, d)
     stab = point_stabilizer_gens(perms, fixed)
     return len(orbit(vertex_index((0,) * l, d), stab)) == d ** (l - 1)
-
-
-@dataclass
-class StabilizerProjectionReport:
-    generator_projections: dict   # name -> bool (theta(g) fixes Lambda, section = g)
-    sampled: list                 # (description, fixes Lambda, projection word, kernel part ok)
-
-    @property
-    def ok(self):
-        return all(self.generator_projections.values()) and all(
-            fixes and kernel_ok for _, fixes, _, kernel_ok in self.sampled)
-
-
-def stabilizer_projection_check(action, depth=5, powers=(1, 2, 3), sample_words=()):
-    """Witness the structure of the Lambda stabilizer in theta(G~).
-
-    (a) For every generator g, theta(g) fixes Lambda and projects back to
-    g at Lambda (checked on the rooted subtree to the given depth, plus
-    the exact word identity).  (b) For conjugates t^-k w t^k with w fixing
-    i^k, the element stabilizes Lambda, its projection is the section
-    word of w at i^k (a word in G, syntactically), and multiplying by
-    theta(projection)^-1 lands in the kernel of the projection, checked
-    on the subtree below Lambda to the given depth.
-    """
-    aut = action.automaton
-    i = action.letter
-    lam = UnrootedVertex(0, ())
-    report = StabilizerProjectionReport({}, [])
-    for name in action.generators():   # the box of copy 0 starts at Lambda
-        report.generator_projections[name] = sigma_mismatch(((name, 1),), action, 0, depth) is None
-    for k in powers:
-        for w in sample_words:
-            word = w.word if isinstance(w, TreeAutomorphism) else tuple(w)
-            if aut.act_word(word, (i,) * k) != (i,) * k:
-                continue
-            e = action.element(word, k, k)
-            fixes = theta_apply(e, lam, action) == lam
-            projection = aut.section_word(word, (i,) * k)
-            residual = hnn_multiply(e, hnn_inverse(action.theta(projection)), action)
-            kernel_ok = moved_vertex(residual, action, 0, depth) is None
-            report.sampled.append((f"t^-{k}*{fmt_word(word)}*t^{k}", fixes, projection, kernel_ok))
-    return report
 
 
 def theta_portrait(g, action, up, down):

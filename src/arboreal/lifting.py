@@ -192,7 +192,6 @@ class SeparationReport:
     level: int
     stabilizer_order: int
     complement_order: int
-    complement_expected: int
     complement_faithful: bool
     intersection_trivial: bool
 
@@ -224,7 +223,6 @@ def verify_endomorphism_by_quotient_separation(gens, complement, complement_orde
         level=level,
         stabilizer_order=psi_h.order(),
         complement_order=comp.order(),
-        complement_expected=complement_order,
         complement_faithful=faithful,
         intersection_trivial=trivial,
     )
@@ -279,7 +277,6 @@ class GgsVector:
 
 @dataclass
 class GgsLifting:
-    vector: GgsVector
     automaton: MealyAutomaton
     sigma: Substitution
     j: int
@@ -324,7 +321,7 @@ def ggs_lifting(vector):
     }
     for k in range(1, p):
         certificates[f"a^{k} nontrivial"] = not automaton.word_is_trivial((("a", 1),) * k)
-    return GgsLifting(vector, automaton, sigma, j, f, report, certificates)
+    return GgsLifting(automaton, sigma, j, f, report, certificates)
 
 
 # ---------------------------------------------------------------------------

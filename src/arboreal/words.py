@@ -105,7 +105,8 @@ class _Parser:
     def expect(self, punct):
         kind, val = self.take()
         if kind != "punct" or val != punct:
-            raise WordSyntaxError(f"expected {punct!r}, found {val!r}")
+            found = "end of input" if kind is None else repr(val)
+            raise WordSyntaxError(f"expected {punct!r}, found {found}")
 
     def parse_word(self, stop=()):
         factors = []
@@ -113,9 +114,8 @@ class _Parser:
             kind, val = self.peek()
             if kind is None or (kind == "punct" and val in stop):
                 return self.ops.product(factors)
-            if kind == "punct" and val == "*":
-                self.take()
-                continue
+            if kind == "punct" and val == "*" and factors:
+                self.take()     # a '*' joins two factors: the next token must start one
             factors.append(self.parse_factor())
 
     def parse_factor(self):
@@ -155,7 +155,8 @@ class _Parser:
                 out = self.ops.commutator(x, y)
             self.depth -= 1
             return out
-        raise WordSyntaxError(f"unexpected token {val!r}")
+        raise WordSyntaxError("unexpected end of input" if kind is None
+                              else f"unexpected token {val!r}")
 
     def resolve(self, name):
         if name in self.names:
@@ -179,13 +180,12 @@ def _split_names(tokens, names):
 
 
 def evaluate(text, ops, names):
-    """Evaluate a word expression over the given operations."""
+    """Evaluate a word expression over the given operations.
+
+    With no stop tokens, parse_word reads every token or raises.
+    """
     names = set(names)
-    parser = _Parser(_split_names(_tokenize(text), names), ops, names)
-    out = parser.parse_word()
-    if parser.pos != len(parser.tokens):
-        raise WordSyntaxError(f"trailing input at token {parser.pos}")
-    return out
+    return _Parser(_split_names(_tokenize(text), names), ops, names).parse_word()
 
 
 def parse_word_factors(text, names):

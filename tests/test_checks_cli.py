@@ -127,6 +127,10 @@ def test_cli_portrait_parse_error(capsys):
     code, _, err = run_cli(capsys, "portrait", "--group", "grigorchuk",
                            "--element", "zz*qq")
     assert code == 3
+    # the one handler in cli.main words it as it does for `run`
+    run_code, _, run_err = run_cli(capsys, "run", "dilation", "--group", "grigorchuk",
+                                   "--element", "zz*qq")
+    assert (code, err) == (run_code, run_err) == (3, "arboreal: unknown generator 'zz'\n")
 
 
 def test_cli_perm_group_orbit(capsys):
@@ -476,6 +480,13 @@ def test_run_empty_or_negative_range_is_a_usage_error(capsys, argv):
      "letter must be in 0..1, got 5"),
     (["run", "witnesses", "--group", "gs3", "--letter", "-1"],
      "letter must be in 0..2, got -1"),
+    (["portrait", "--group", "grigorchuk", "--element", "x"], "unknown generator 'x'"),
+    (["run", "dilation", "--group", "basilica", "--element", "t^"], "unexpected end of input"),
+    (["run", "dilation", "--group", "basilica", "--element", "(a"],
+     "expected ')', found end of input"),
+    (["run", "dilation", "--group", "basilica", "--element", "a*"], "unexpected end of input"),
+    (["run", "dilation", "--group", "basilica", "--element", "*a"], "unexpected token '*'"),
+    (["run", "dilation", "--group", "basilica", "--element", "a**b"], "unexpected token '*'"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -4,7 +4,6 @@ import pytest
 
 from arboreal import catalog as cat
 from arboreal.core import (
-    Alphabet,
     MealyAutomaton,
     WreathSpecError,
     fmt_perm,
@@ -12,6 +11,7 @@ from arboreal.core import (
     fmt_word,
     invert_word,
     label_portrait,
+    parse_elements,
     parse_tuple_automorphism,
     parse_vertex,
     parse_wreath_spec,
@@ -29,9 +29,10 @@ def grig():
 
 
 def test_alphabet_validation():
-    assert list(Alphabet(3)) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        Alphabet(1)
+    aut = MealyAutomaton(3, {})
+    assert aut.size == 3 and aut.split(())[0] == (0, 1, 2)
+    with pytest.raises(ValueError, match="alphabet needs at least 2 letters, got 1"):
+        MealyAutomaton(1, {})
 
 
 def test_perm_helpers():
@@ -282,6 +283,15 @@ def test_tuple_automorphism(grig):
     assert a.act((0,)) == (1,)
     element2, ext2 = parse_tuple_automorphism("(a*c,1)(1,2)", ext)
     assert ext2.state(element2.word[0][0]).act((0,)) == (1,)
+
+
+def test_parse_elements_share_the_last_extended_automaton(grig):
+    elements, ext = parse_elements(["a", " (1,a)", "(a*c,1)(1,2)", "q0*b"], grig.automaton)
+    assert set(ext.states) == set(grig.automaton.states) | {"q0", "q1"}
+    assert all(g.automaton is ext for g in elements)
+    assert [str(g) for g in elements] == ["a", "q0", "q1", "q0*b"]
+    assert elements[1].act((1, 0)) == (1, 1) and elements[2].act((0,)) == (1,)
+    assert parse_elements([], grig.automaton) == ([], grig.automaton)
 
 
 def test_fmt_word_runs():

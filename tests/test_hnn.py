@@ -7,6 +7,7 @@ import pytest
 
 from arboreal import acceptance
 from arboreal import catalog as cat
+from arboreal.checks import run_check
 from arboreal.core import fmt_word, invert_word
 from arboreal.hnn import (
     HNN_IDENTITY,
@@ -20,8 +21,6 @@ from arboreal.hnn import (
     hnn_multiply,
     moved_vertex,
     parse_hnn,
-    spine_vertex,
-    stabilizer_projection_check,
     theta_apply,
     theta_map,
     theta_portrait,
@@ -86,17 +85,26 @@ def test_tau_roundtrip_random(basilica_action):
         assert _tau(v, k, basilica_action).level == v.level - k
 
 
+def _spine_vertex(level, letter):
+    """The spine vertex at a given (possibly negative) level."""
+    return UnrootedVertex(-level, ()) if level < 0 else UnrootedVertex(0, (letter,) * level)
+
+
 def test_spine_vertices():
-    assert spine_vertex(-3, 0) == UnrootedVertex(3, ())
-    assert spine_vertex(2, 0) == UnrootedVertex(0, (0, 0))
-    assert spine_vertex(0, 1) == UnrootedVertex(0, ())
+    assert _spine_vertex(-3, 0) == UnrootedVertex(3, ())
+    assert _spine_vertex(2, 0) == UnrootedVertex(0, (0, 0))
+    assert _spine_vertex(0, 1) == UnrootedVertex(0, ())
+    for letter in (0, 1):
+        for level in range(-5, 6):   # (5, i^(5+level)) lies on the spine at that level
+            v = UnrootedVertex(5, (letter,) * (5 + level))
+            assert canonicalize(v, letter) == _spine_vertex(level, letter)
 
 
 def test_tau_shifts_spine_by_one_level(basilica_action, grig_action):
     for action in (basilica_action, grig_action):   # spine letters 0 and 1
         for level in range(-20, 21):
-            v = spine_vertex(level, action.letter)
-            assert _tau(v, 1, action) == spine_vertex(level - 1, action.letter)
+            v = _spine_vertex(level, action.letter)
+            assert _tau(v, 1, action) == _spine_vertex(level - 1, action.letter)
 
 
 def test_scale_action_requires_certified_sigma():
@@ -110,7 +118,7 @@ def test_theta_fixes_spine(grig_action):
     for name in grig_action.generators():
         e = grig_action.element(((name, 1),))
         for level in range(-12, 1):
-            v = spine_vertex(level, grig_action.letter)
+            v = _spine_vertex(level, grig_action.letter)
             assert theta_apply(e, v, grig_action) == v
 
 
@@ -274,7 +282,7 @@ def test_theta_fixes_deep_vertex(grig_action):
 def test_theta_sections_along_spine_are_P_n(grig_action):
     # theta(a) on (n, w) equals (n, P_n(w)) for |w| <= 4, n <= 6
     entry = cat.get("grigorchuk")
-    theta_a = grig_action.theta(entry.element("a").word)
+    theta_a = grig_action.element(entry.element("a").word)
     for n in range(7):
         p = entry.element(cat.grig_P(n))
         for ln in range(5):
@@ -288,7 +296,7 @@ def test_theta_normal_form_vs_two_sided(grig_action):
     # theta(t a t^-1) equals theta(sigma(a)) pointwise (t g t^-1 = sigma(g))
     entry = cat.get("grigorchuk")
     via_normal_form = parse_hnn("t*a*T", grig_action)
-    direct = grig_action.theta(entry.sigma().image("a"))
+    direct = grig_action.element(entry.sigma().image("a"))
     rng = random.Random(9)
     for _ in range(200):
         v = canonicalize(
@@ -319,7 +327,7 @@ def test_hnn_identities(grig_action):
     sigma = cat.get("grigorchuk").sigma()
     for s in "abcd":
         e = parse_hnn(f"t*{s}*T", grig_action)
-        e = hnn_multiply(e, hnn_inverse(grig_action.theta(sigma.image(s))), grig_action)
+        e = hnn_multiply(e, hnn_inverse(grig_action.element(sigma.image(s))), grig_action)
         assert hnn_is_trivial(e, grig_action)
 
 
@@ -348,9 +356,9 @@ def test_img_t_relators():
 
 def test_hnn_power_and_displacement(grig_action):
     e = parse_hnn("T*a*t^2", grig_action)
-    assert e.displacement == -1
+    assert e.tneg - e.tpos == -1
     cube = parse_hnn("(T*a*t^2)^3", grig_action)
-    assert cube.displacement == -3
+    assert cube.tneg - cube.tpos == -3
     rng = random.Random(4)
     for _ in range(50):
         v = canonicalize(
@@ -358,7 +366,7 @@ def test_hnn_power_and_displacement(grig_action):
                            tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))), 1)
         image = theta_apply(e, v, grig_action)
         # tau^-m raises the level by m, tau^n lowers it by n
-        assert image.level - v.level == e.displacement
+        assert image.level - v.level == e.tneg - e.tpos
 
 
 def test_conjugation_identity_action(basilica_action):
@@ -368,7 +376,7 @@ def test_conjugation_identity_action(basilica_action):
     rng = random.Random(12)
     for name in ("a", "b"):
         conj = parse_hnn(f"t*{name}*T", basilica_action)
-        direct = basilica_action.theta(sigma.image(name))
+        direct = basilica_action.element(sigma.image(name))
         for m in range(5):
             for ln in range(5):
                 for w in itertools.product(range(2), repeat=ln):
@@ -448,25 +456,26 @@ def test_two_transitivity_fails_for_small_group():
     assert not two_transitivity_level_check([entry.elements()["d"]], 2)
 
 
-def test_stabilizer_projection_generators(grig_action):
-    entry = cat.get("grigorchuk")
-    elements = entry.elements()
-    samples = [elements[n].word for n in "abcd"]
-    report = stabilizer_projection_check(grig_action, depth=5,
-                                         powers=(1, 2), sample_words=samples)
+def test_stabilizer_projection_generators():
+    report = run_check("stabilizer-projection", {"group": "grigorchuk", "depth": 5})
     assert report.ok
-    assert set(report.generator_projections) == set("abcd")
+    assert report.evidence["generators"] == dict.fromkeys("abcd", True)
+    assert report.evidence["sampled"] > 0 and report.evidence["sampled_failures"] == []
 
 
 def test_stabilizer_projection_conjugate_of_d(grig_action):
     # t^-1 d t stabilizes Lambda and projects to pi_1(d) = b
     entry = cat.get("grigorchuk")
-    report = stabilizer_projection_check(
-        grig_action, depth=5, powers=(1,), sample_words=[entry.elements()["d"].word])
-    assert report.ok
-    (desc, fixes, projection, kernel_ok), = report.sampled
-    assert fixes and kernel_ok
-    assert entry.element("b").same_action(entry.automaton.element(projection))
+    aut, d, i = entry.automaton, entry.element("d").word, (grig_action.letter,)
+    assert aut.act_word(d, i) == i
+    e = grig_action.element(d, 1, 1)
+    lam = UnrootedVertex(0, ())
+    assert theta_apply(e, lam, grig_action) == lam
+    projection = aut.section_word(d, i)
+    assert entry.element("b").same_action(aut.element(projection))
+    # theta(e) theta(b)^-1 lies in the kernel of the projection, to depth 5
+    residual = hnn_multiply(e, hnn_inverse(grig_action.element(projection)), grig_action)
+    assert moved_vertex(residual, grig_action, 0, 5) is None
 
 
 def test_theta_portrait_periodic_column(grig_action):

@@ -258,7 +258,7 @@ def test_grigorchuk_theta_a_on_rooted_points():
     for _ in range(50):
         digits = tuple(rng.randrange(2) for _ in range(6))
         x = BoundaryPoint(1, digits, pad=1)
-        out = boundary_apply(action.theta(a.word), x, action)
+        out = boundary_apply(action.element(a.word), x, action)
         assert out.digits == a.act(digits)
         assert out.digits[0] != digits[0]
 
@@ -288,7 +288,7 @@ def test_dilation_exponents():
         action = entry.action()
         gens = "".join(entry.generators)
         assert dilation_factor_empirical(
-            action.theta(entry.element(gens).word), action, samples=1000, seed=8) == 0
+            action.element(entry.element(gens).word), action, samples=1000, seed=8) == 0
         assert dilation_factor_empirical(
             parse_hnn("t", action), action, samples=1000, seed=8) == 1
         assert dilation_factor_empirical(

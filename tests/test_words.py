@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -16,6 +17,9 @@ NAMES = {"a", "b", "c", "d"}
 
 def test_star_and_juxtaposition_agree():
     assert parse_word_factors("a*c*a", NAMES) == parse_word_factors("aca", NAMES)
+    # a '*' may sit between any two factors
+    assert parse_word_factors("a * (c)*a^2*[b,d]", NAMES) == parse_word_factors(
+        "a c a^2 [b,d]", NAMES)
 
 
 def test_powers():
@@ -58,6 +62,21 @@ def test_unknown_name():
         parse_word_factors("axz", NAMES)
     with pytest.raises(WordSyntaxError):
         parse_word_factors("a*(b", NAMES)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a^", "unexpected end of input"),
+    ("(a", "expected ')', found end of input"),
+    ("[a,b", "expected ']', found end of input"),
+    ("a*", "unexpected end of input"),
+    ("*a", "unexpected token '*'"),
+    ("a**b", "unexpected token '*'"),
+    ("(a*)", "unexpected token ')'"),
+    ("[a*,b]", "unexpected token ','"),
+])
+def test_syntax_errors_name_the_end_of_input_and_a_stray_star(text, message):
+    with pytest.raises(WordSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_word_factors(text, NAMES)
 
 
 def test_element_from_text_matches_manual():
@@ -192,7 +211,7 @@ def test_balanced_fold_and_squaring_match_left_fold_on_hnn_words():
         for _ in range(10):
             e = parse_hnn(_hnn_expr(rng, gens), action)
             for n in range(-12, 13):
-                if abs(e.displacement * n) > 6:
+                if abs((e.tneg - e.tpos) * n) > 6:
                     continue    # sigma^k words grow exponentially in k
                 squared = power_by_squaring(e, n, HNN_IDENTITY,
                                             lambda x, y: hnn_multiply(x, y, action), hnn_inverse)

@@ -51,7 +51,11 @@ LAMP_RANGES = (("0", "2"), ("9", "11"))
 ALPHA_BOUNDS = ("0", "1", "40", "1000")
 BAD_LETTERS = (("grigorchuk", "5"), ("gs3", "-1"))
 USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
-                ["run", "dilation", "--group", "basilica", "--seed", "5"]]
+                ["run", "dilation", "--group", "basilica", "--seed", "5"],
+                ["portrait", "--group", "grigorchuk", "--element", "x"],
+                ["run", "dilation", "--group", "grigorchuk", "--element", "x"],
+                *(["run", "dilation", "--group", "basilica", "--element", text]
+                  for text in ("t^", "(a", "a*", "*a", "a**b"))]
 
 
 def _blank_seconds(value):
