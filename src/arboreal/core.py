@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, xor
 
 IDENTITY = "1"
 
@@ -119,6 +119,21 @@ def free_reduce(factors):
     return tuple(out)
 
 
+def _reduce_codes(codes):
+    """free_reduce on factor codes, which cancel iff their xor is 1 (codes 0, 1 are the
+    identity).  A reduced word is recognised, and returned, without a loop in Python."""
+    codes = tuple(codes)
+    if 1 not in map(xor, codes, codes[1:]) and min(codes, default=2) > 1:
+        return codes
+    out = [-1]      # a sentinel no code cancels
+    for c in codes:
+        if c ^ 1 == out[-1]:
+            out.pop()
+        elif c > 1:
+            out.append(c)
+    return tuple(out[1:])
+
+
 def reduced_product(x, y):
     """free_reduce(x + y) for reduced words x and y: cancels only at the seam.
 
@@ -195,6 +210,12 @@ class MealyAutomaton:
             sections = tuple(free_reduce(w) for w in sections)
             self._steps[name] = {1: (perm, sections),
                                  -1: (inv, tuple(invert_word(sections[y]) for y in inv))}
+        # word-problem factor codes (state i, +-1) -> 2i, 2i+1, so c ^ 1 inverts c and "1"
+        # is 0, 1; code -> letter -> (image of the letter, coded section entered at it)
+        self._codes = {(name, e): 2 * i + (e < 0) for i, name in enumerate(full) for e in (1, -1)}
+        self._table = [tuple((perm[y], tuple(map(self._codes.__getitem__, sections[y])))
+                             for y in range(d))
+                       for perm, sections in (self._steps[s][e] for s, e in self._codes)]
         self.generators = tuple(generators) if generators is not None else tuple(
             n for n in rules if n != IDENTITY)
         self._trivial = set()
@@ -312,22 +333,21 @@ class MealyAutomaton:
 
         With `self.affine`, a certified `padic.AffineModel` (None by default,
         not kept by `extend`), a reduced word is trivial iff its factors' maps
-        compose to x -> x.  Otherwise it is trivial iff every word in its
-        section closure fixes the first level.  Each visited word costs one
-        pass over its factors per letter (`step`), which yields the image of
-        the letter and the section below it together; the first moved letter
-        ends the search with "nontrivial".  When every section of a state is
-        a single state, a section of a k-factor word has at most k factors,
-        so the closure is finite and the visited-set search terminates.
-        Word-valued sections (x=(x*x,1)(1,2)) can make the closure infinite;
-        no budget bounds the search yet.
+        compose to x -> x.  Otherwise the word is encoded as integer codes
+        (see `__init__`) and freely reduced in one pass, and it is trivial iff
+        every word in its section closure fixes the first level.  A visited
+        word costs one step-table lookup per factor per letter, which gives
+        the letter's image and the coded section below it; the first moved
+        letter ends the search with "nontrivial".  The memos hold code
+        tuples.  When every section of a state is a single state, a section
+        of a k-factor word has at most k factors, so the closure is finite
+        and the search terminates.  Word-valued sections (x=(x*x,1)(1,2))
+        can make the closure infinite; no budget bounds the search yet.
         """
-        word = self.reduce(word)
-        if not word:
-            return True
         if self.affine is not None:
-            return self.affine.is_identity(word)
-        if word in self._trivial:
+            return self.affine.is_identity(self.reduce(word))
+        word = _reduce_codes(map(self._codes.__getitem__, word))
+        if not word or word in self._trivial:
             return True
         if word in self._nontrivial:
             return False
@@ -350,14 +370,18 @@ class MealyAutomaton:
         return True
 
     def _sections_if_fixed(self, word):
-        """The sections of word at the letters 0..d-1, or None if it moves one."""
-        step = self.step
+        """The coded sections of a coded word at the letters 0..d-1, or None if it moves one."""
+        table = self._table
         sections = []
         for x in range(self.size):
-            y, section = step(word, x)
+            y = x
+            below = []
+            for c in word:
+                y, section = table[c][y]
+                below += section
             if y != x:
                 return None
-            sections.append(section)
+            sections.append(tuple(below) if len(below) < 2 else _reduce_codes(below))
         return sections
 
 
@@ -577,12 +601,15 @@ def parse_tuple_automorphism(text, automaton):
 def parse_elements(texts, automaton):
     """Words or first-level tuples like (1,a)(1,2), each tuple adjoining a state.
 
+    A text is a tuple when its first bracket group holds a top-level comma:
+    a tuple has d >= 2 sections, and a bracketed word like (ad)^2 has none.
     Returns the elements over the last extended automaton, together with it;
     extending keeps the earlier words valid, so all of them act on one tree.
     """
     words = []
     for text in texts:
-        if text.strip().startswith("("):
+        head = text.strip()
+        if head.startswith("(") and len(_split_top(head[1:_matching_paren(head)])) > 1:
             element, automaton = parse_tuple_automorphism(text, automaton)
         else:
             element = automaton.element(text)

@@ -359,11 +359,12 @@ def transitivity_witness(target, action):
 
 
 def two_transitivity_level_check(gens, l):
-    """Does the stabilizer of 1^l act transitively on 0 X^(l-1)?
+    """Does the stabilizer of 1^l act transitively on (X - {1}) X^(l-1)?
 
     Exact at the chosen level: the stabilizer is generated by Schreier
-    generators of the point stabilizer in the level-l image, and its orbit
-    of 0^l must be all d^(l-1) words starting with 0.
+    generators of the point stabilizer in the level-l image.  It fixes the
+    first letter 1, so its orbit of 0^l lies in the (d-1) d^(l-1) words
+    that start with another letter, and must be all of them.
     """
     if l < 1:
         raise ValueError("level must be >= 1")
@@ -371,7 +372,7 @@ def two_transitivity_level_check(gens, l):
     perms = [level_perm(g, l) for g in gens]
     fixed = vertex_index((1,) * l, d)
     stab = point_stabilizer_gens(perms, fixed)
-    return len(orbit(vertex_index((0,) * l, d), stab)) == d ** (l - 1)
+    return len(orbit(vertex_index((0,) * l, d), stab)) == (d - 1) * d ** (l - 1)
 
 
 def theta_portrait(g, action, up, down):

@@ -180,6 +180,13 @@ def test_cli_intersection_transcript(capsys):
     assert "Group(())" in out
 
 
+@pytest.mark.parametrize("gens_a,expected", [("(ad)^2,b", 0), ("b,(a*c)", 1)])
+def test_cli_intersection_reads_bracketed_words(capsys, gens_a, expected):
+    code, out, err = run_cli(capsys, "intersection", "--group", "g01inf", "--level", "3",
+                             "--gens-a", gens_a, "--gens-b", "(1,a)")
+    assert (code, err) == (expected, "")
+
+
 def test_cli_intersection_nontrivial_exit(capsys):
     code, out, _ = run_cli(capsys, "intersection", "--group", "grigorchuk",
                            "--level", "3", "--gens-a", "a,b", "--gens-b", "a,b")

@@ -294,6 +294,15 @@ def test_parse_elements_share_the_last_extended_automaton(grig):
     assert parse_elements([], grig.automaton) == ([], grig.automaton)
 
 
+def test_parse_elements_tells_bracketed_words_from_tuples(grig):
+    aut = grig.automaton
+    elements, ext = parse_elements(["(ad)^2", "(a*c)", "(1,a)", "((a*c))^-1"], aut)
+    assert [str(g) for g in elements] == ["a*d*a*d", "a*c", "q0", "c^-1*a^-1"]
+    assert set(ext.states) == set(aut.states) | {"q0"}
+    with pytest.raises(WreathSpecError, match="expected 2 sections, got 3"):
+        parse_elements(["(a,b,c)"], aut)
+
+
 def test_fmt_word_runs():
     assert fmt_word((("a", 1), ("a", 1), ("b", -1))) == "a^2*b^-1"
     assert fmt_word(()) == "1"
@@ -401,10 +410,8 @@ def _trivial_words(entry):
 @pytest.mark.parametrize("gid", sorted(cat.catalog()))
 def test_word_is_trivial_matches_rule_evaluator_and_reference_memos(gid):
     entry = cat.get(gid)
-    rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
-    aut = MealyAutomaton(entry.automaton.size, rules)     # fresh, empty memos
+    aut, names = _fresh(entry)
     rng = random.Random(gid)
-    names = list(entry.generators)
     relators = _trivial_words(entry)
     clen = 3 if gid == "bs13" else 6        # BS(1,3) closures grow fast in the conjugator
     trivial, nontrivial = set(), set()
@@ -427,5 +434,56 @@ def test_word_is_trivial_matches_rule_evaluator_and_reference_memos(gid):
             # nontrivial but fixing level 6: the closure must have found a
             # moved vertex further down
             assert _moves_a_vertex(aut, word, 16), (gid, word)
-    assert aut._trivial == trivial and aut._nontrivial == nontrivial
+    assert aut._trivial == _coded(aut, trivial) and aut._nontrivial == _coded(aut, nontrivial)
     assert nontrivial
+
+
+def _coded(aut, words):
+    """Reference memo words as the automaton's factor codes."""
+    return {tuple(aut._codes[f] for f in w) for w in words}
+
+
+def _fresh(entry, tuple_text=None):
+    """A copy of the entry's automaton with empty memos and no affine model,
+    extended by a first-level tuple state when one is given."""
+    rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
+    aut = MealyAutomaton(entry.automaton.size, rules, generators=entry.generators)
+    if tuple_text is None:
+        return aut, list(entry.generators)
+    element, ext = parse_tuple_automorphism(tuple_text, aut)
+    return ext, list(entry.generators) + [element.word[0][0]]
+
+
+def _sprinkle(rng, word):
+    """The word with identity factors ("1", +-1) put in at random places."""
+    out = list(word)
+    for _ in range(rng.randint(1, 4)):
+        out.insert(rng.randint(0, len(out)), ("1", rng.choice((1, -1))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("gid,tuple_text", [(gid, None) for gid in sorted(cat.catalog())]
+                         + [("grigorchuk", "(1,a)(1,2)"), ("basilica", "(b,a^-1)"),
+                            ("gs5", "(a*a,b,1,a^-1,b^-1)")])
+def test_coded_word_problem_matches_reference_search(gid, tuple_text):
+    entry = cat.get(gid)
+    aut, names = _fresh(entry, tuple_text)
+    relators = _trivial_words(entry)
+    rng = random.Random(f"{gid} {tuple_text}")
+    clen = 3 if gid == "bs13" else 5
+    trivial, nontrivial = set(), set()
+    verdicts = set()
+    for k in range(48):
+        c = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(clen))
+        if k % 3 == 0:      # a conjugated relator with identity factors
+            word = _sprinkle(rng, invert_word(c) + rng.choice(relators) + c)
+        elif k % 3 == 1:    # v v^-1 cancels in a cascade at entry, through identity factors
+            v = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(2, 9)))
+            word = c[:2] + _sprinkle(rng, v + invert_word(v)) + invert_word(c[:2]) * (k % 2)
+        else:
+            word = _sprinkle(rng, c + c[::-1])
+        verdict = aut.word_is_trivial(word)
+        assert verdict == _reference_trivial(aut, word, trivial, nontrivial), (gid, word)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert aut._trivial == _coded(aut, trivial) and aut._nontrivial == _coded(aut, nontrivial)

@@ -456,6 +456,16 @@ def test_two_transitivity_fails_for_small_group():
     assert not two_transitivity_level_check([entry.elements()["d"]], 2)
 
 
+def test_two_transitivity_needs_every_first_letter_but_1():
+    # for d > 2 the orbit of 0^l under Stab(1^l) must also reach the words
+    # starting 2..d-1; a GGS group acts on the first level as a d-cycle, so
+    # Stab(1) is trivial there and the orbit of 0 is {0}
+    for gid in ("gs3", "gs5", "gs7"):
+        assert not two_transitivity_level_check(cat.get(gid).generator_list(), 1), gid
+    report = run_check("two-transitivity", {"group": "gs5", "level": 2})
+    assert report.status == "fail" and report.evidence == {"levels": {1: False, 2: False}}
+
+
 def test_stabilizer_projection_generators():
     report = run_check("stabilizer-projection", {"group": "grigorchuk", "depth": 5})
     assert report.ok

@@ -24,7 +24,15 @@ the repeats of:
   memos, so only `trivial` must agree between the trees.  A BS(1,3) point
   runs with its address space capped at BS13_MEMORY_CAP_BYTES, so that a
   closure search which outgrows it stops as "memory" instead of filling
-  the host for the whole timeout.
+  the host for the whole timeout;
+- `decide_cpu_s`, `memo_words` and `letters` (curves `sigma(phi^k(r))
+  grigorchuk` and `sigma(phi^k(r)) img_z2i`, n = k): CPU seconds of
+  `word_is_trivial` on sigma(phi^k(r)), the words that certify sigma an
+  endomorphism, for the longest iterated relator r of the group's
+  L-presentation, on a fresh copy of its automaton (empty memos);
+  `letters` is the word's length, the curve's x axis.  The search order
+  is the same on every tree, so `trivial`, `memo_words` and `letters`
+  must all agree between the trees.
 """
 
 import argparse
@@ -41,12 +49,26 @@ JUXTAPOSITION_N = (1000, 2000, 4000, 8000, 16000, 32000, 64000, 100000)
 BS13_L = (4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64)
 BS13_MIXED_L = (2, 4, 8, 12, 16, 20, 24, 32, 48, 64)
 BS13_MEMORY_CAP_BYTES = 2 ** 29
+RELATOR_GROUPS = ("grigorchuk", "img_z2i")
+RELATOR_K = tuple(range(11))
 
 
 def child(curve, n):
     from arboreal import catalog
-    from arboreal.core import invert_word
+    from arboreal.core import MealyAutomaton, invert_word
     n = int(n)
+    if curve in RELATOR_GROUPS:
+        entry = catalog.get(curve)
+        rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
+        aut = MealyAutomaton(entry.automaton.size, rules)
+        relator = max(entry.presentation.iterated, key=len)
+        for _ in range(n):
+            relator = entry.presentation.phi.apply_word(relator)
+        word = entry.sigma().apply_word(relator)
+        t0 = time.process_time()
+        verdict = aut.word_is_trivial(word)
+        return {"decide_cpu_s": time.process_time() - t0, "trivial": verdict,
+                "memo_words": len(aut._trivial) + len(aut._nontrivial), "letters": len(word)}
     if curve in ("bs13", "bs13mixed"):
         resource.setrlimit(resource.RLIMIT_AS, (BS13_MEMORY_CAP_BYTES, BS13_MEMORY_CAP_BYTES))
         entry = catalog.get("bs13")
@@ -90,18 +112,22 @@ def main():
     points = ([("power", n) for n in POWER_N]
               + [("juxtaposition", n) for n in JUXTAPOSITION_N]
               + [("bs13", n) for n in BS13_L]
-              + [("bs13mixed", n) for n in BS13_MIXED_L])
+              + [("bs13mixed", n) for n in BS13_MIXED_L]
+              + [(gid, k) for gid in RELATOR_GROUPS for k in RELATOR_K])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
     names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c",
-             "bs13mixed": "bs13 4x mixed-sign c^-1 r c"}
+             "bs13mixed": "bs13 4x mixed-sign c^-1 r c",
+             **{gid: f"sigma(phi^k(r)) {gid}" for gid in RELATOR_GROUPS}}
     curves = []
     for (curve, n), row in results.items():
-        benchlib.same_answers(row, ("factors", "digest", "trivial"))
+        benchlib.same_answers(row, ("factors", "digest", "trivial", "memo_words", "letters")
+                              if curve in RELATOR_GROUPS else ("factors", "digest", "trivial"))
         curves.append({"curve": names[curve], "n": n, **row})
     power = results[("power", 200000)]["change"]
     juxt = results[("juxtaposition", 100000)]["change"]
     bs13 = [results[(curve, 64)]["change"] for curve in ("bs13", "bs13mixed")]
+    relators = [results[(gid, k)]["change"] for gid in RELATOR_GROUPS for k in RELATOR_K]
     report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
     report["gates"] = {
         "(ad)^200000 gives 400000 factors, parse_cpu_s < 1":
@@ -110,6 +136,8 @@ def main():
             isinstance(juxt, dict) and juxt["parse_cpu_s"] < 2,
         "bs13 conjugates of length 64 (both curves) decided trivial, decide_cpu_s < 0.01":
             all(isinstance(p, dict) and p["trivial"] and p["decide_cpu_s"] < 0.01 for p in bs13),
+        "sigma(phi^k(r)) decided trivial for k <= 10 on grigorchuk and img_z2i":
+            all(isinstance(p, dict) and p["trivial"] for p in relators),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)

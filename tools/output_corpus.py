@@ -18,7 +18,9 @@ The corpus is what a behaviour-preserving change must leave alone:
   generator of every group (theta on levels -2..2 for the 5- and 7-ary
   gs5 and gs7, whose default portraits are megabytes);
 - `perm-group-on-level --format json` at levels 1-4 for every group;
-- `catalog --format json` and `acceptance --format json`.
+- `catalog --format json` and `acceptance --format json`;
+- `intersection` on g01inf with the generators of `BRACKETED`, words that
+  start with a bracket beside a first-level tuple.
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -56,6 +58,8 @@ USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
                 ["run", "dilation", "--group", "grigorchuk", "--element", "x"],
                 *(["run", "dilation", "--group", "basilica", "--element", text]
                   for text in ("t^", "(a", "a*", "*a", "a**b"))]
+
+BRACKETED = (("(ad)^2,b", "(1,a)"), ("b,(a*c)", "(1,a)"))
 
 
 def _blank_seconds(value):
@@ -116,6 +120,8 @@ def corpus():
                           "--format", "json"])
     calls.append(["catalog", "--format", "json"])
     calls.append(["acceptance", "--format", "json"])
+    calls += [["intersection", "--group", "g01inf", "--level", "3", "--gens-a", a, "--gens-b", b]
+              for a, b in BRACKETED]
     return [_call(argv) for argv in calls]
 
 
