@@ -5,14 +5,17 @@ base-d value of the word), so exports are stable.  `_schreier_sims`
 builds the stabilizer chain behind orders, membership and enumeration,
 and picks one of two chains from the generators alone:
 
-- the tree-adapted p-group chain, when d = p is prime and every generator
-  is a tree automorphism whose local action at each vertex is a power of
-  the p-cycle x -> x+1.  This covers every catalog group.  The group then
-  lies in the iterated wreath product of cyclic groups of order p, each
-  step St(j)/St(j+1) of the level stabilizers is elementary abelian, and
-  one echelon basis over GF(p) per level, closed under p-th powers and
-  commutators, is a polycyclic sequence of the group (Holt, Eick and
-  O'Brien, Handbook of Computational Group Theory, ch. 8);
+- the tree-adapted p-group chain, when d = p is a prime below 128 and
+  every generator is a tree automorphism whose local action at each
+  vertex is a power of the p-cycle x -> x+1.  This covers every catalog
+  group.  The group then lies in the iterated wreath product of cyclic
+  groups of order p, each step St(j)/St(j+1) of the level stabilizers is
+  elementary abelian, and one echelon basis over GF(p) per level, closed
+  under p-th powers and commutators, is a polycyclic sequence of the
+  group (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+  ch. 8).  Vectors are read from one table per layer and subtracted on
+  packed bytes, which hold coordinates mod p only for p < 128 (see
+  `_TreeChain`); larger primes take the generic chain;
 - a generic deterministic, non-randomized Schreier-Sims for every other
   group, including `LevelPermGroup(degree, 1, perms)` on an arbitrary
   alphabet: base points are the smallest moved point at each layer,
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import os
 from math import isqrt
-from operator import getitem
+from operator import getitem, itemgetter
 from dataclasses import dataclass, field
 
 from .core import identity_perm, invert_word, pinv, pmul, power_by_squaring, reduced_product
@@ -52,32 +55,29 @@ def vertex_index(v, d):
     return idx
 
 
-def index_vertex(idx, d, n):
-    out = []
-    for _ in range(n):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
-
-
 def level_perm(g, n):
-    """Dense image array of g on the d^n vertices of level n."""
-    d = g.automaton.size
+    """Dense image array of g on the d^n vertices of level n, built one level
+    at a time from each vertex's image and the id of g's section there:
+    `MealyAutomaton.step` runs once per (section, letter) pair, and the
+    arrays hold d^n entries at the last level."""
+    automaton = g.automaton
+    d = automaton.size
     degree = d ** n
     if degree > max_points():
         raise SizeBoundExceeded(
             f"{degree} points exceed the limit {max_points()} (set {ENV_MAX_POINTS} to raise it)")
-    images = [0] * degree
-    idx = 0
-    for v in _lex_vertices(d, n):
-        images[idx] = vertex_index(g.act(v), d)
-        idx += 1
+    ids = {g.word: 0}
+    turns, below = [], []   # section id -> letter images, ids of the sections entered
+    images, sections = [0], [0]
+    for level in range(n):
+        for word in list(ids)[len(turns):]:
+            ys, subs = zip(*(automaton.step(word, x) for x in range(d)))
+            turns.append(ys)
+            below.append([ids.setdefault(s, len(ids)) for s in subs])
+        images = [i * d + y for i, s in zip(images, sections) for y in turns[s]]
+        if level + 1 < n:
+            sections = [t for s in sections for t in below[s]]
     return tuple(images)
-
-
-def _lex_vertices(d, n):
-    from itertools import product
-    return product(range(d), repeat=n)
 
 
 @dataclass
@@ -124,7 +124,7 @@ class LevelPermGroup:
             raise ValueError(f"vertex {v} is not on level {self.level}")
         if any(not 0 <= x < self.d for x in v):
             raise ValueError(f"vertex {v} has letters outside 0..{self.d - 1}")
-        return {index_vertex(i, self.d, self.level)
+        return {tuple(i // self.d ** k % self.d for k in reversed(range(self.level)))
                 for i in orbit(vertex_index(v, self.d), self.gens)}
 
 
@@ -163,7 +163,7 @@ def _schreier_sims(gens, d, level):
     The tree-adapted p-group chain serves every generating set it can
     describe; every other goes to the generic Schreier-Sims chain.
     """
-    if _is_prime(d) and all(_in_cyclic_wreath(g, d, level) for g in gens):
+    if _is_prime(d) and d < 128 and all(_in_cyclic_wreath(g, d, level) for g in gens):
         return _TreeChain(gens, d, level)
     return _PointChain(gens, d ** level)
 
@@ -202,10 +202,12 @@ class _TreeChain:
     pointwise stabilizer of level j.  An element g of St(j) turns the
     children of each level-j vertex u by x -> x + c_u; its shift vector
     (c_u) over GF(p) is additive on St(j) and is zero exactly on St(j+1).
-    A vector is a Python int holding coordinate u in byte u, so that for
-    p = 2 subtraction is one xor.  The vectors of a layer are semi-echelon:
-    each has coefficient 1 at its pivot, its lowest nonzero coordinate,
-    and 0 at the pivots of the entries stored before it.
+    A vector is a Python int holding coordinate u in byte u, read through
+    a table per layer.  The vectors of a layer are semi-echelon: each has
+    coefficient 1 at its pivot, its lowest nonzero coordinate, and 0 at
+    the pivots of the entries stored before it.  An entry keeps -c times
+    its vector for each c < p, so that subtracting c times it is one xor
+    for p = 2, and otherwise one addition and `_reduce_bytes`.
 
     Sifting g reduces its vector layer by layer, multiplying g by b^-c for
     each entry b whose pivot holds c.  The entries are closed under p-th
@@ -220,7 +222,12 @@ class _TreeChain:
         self.n = n
         self.degree = p ** n
         self._ident = identity_perm(self.degree)
-        self._layers = [[] for _ in range(n)]  # (pivot shift, vector, [id, b^-1, .., b^-(p-1)])
+        # layer j: the turn (x // p^(n-j-1)) % p that sends leaf 0 of a block to leaf x
+        self._turns = [b"".join(bytes([c]) * p ** (n - j - 1) for c in range(p)) * p ** j
+                       for j in range(n)]
+        self._ones = [int.from_bytes(b"\1" * p ** j, "little") for j in range(n)]
+        negate = [bytes(-c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
+        self._layers = [[] for _ in range(n)]  # (pivot shift, [-c * vector], [b^-c]), c < p
         added = []                              # (layer, b, b^-1) in insertion order
         work = [(0, g) for g in gens]
         while work:
@@ -236,7 +243,9 @@ class _TreeChain:
             inverses = [self._ident, pinv(g)]
             for _ in range(p - 2):
                 inverses.append(pmul(inverses[-1], inverses[1]))
-            self._layers[j].append((shift, v, inverses))
+            vector = v.to_bytes(p ** j, "little")
+            minus = [int.from_bytes(vector.translate(t), "little") for t in negate]
+            self._layers[j].append((shift, minus, inverses))
             # g^p lies in St(j+1); [St(i), St(j)] lies in St(max(i, j)), and in
             # St(j+1) when i == j; so these sifts start below the top layers
             if j + 1 < n:
@@ -249,9 +258,9 @@ class _TreeChain:
 
     def _vector(self, g, j):
         """Shift vector of g in St(j): the turn of each level-j vertex's children."""
-        block = self.p ** (self.n - j)
-        child = block // self.p
-        turns = map(self.p.__rmod__, map(child.__rfloordiv__, g[::block]))
+        # the extra index 0 reads a zero byte above the top coordinate, and
+        # keeps itemgetter's answer a tuple when level j has one vertex
+        turns = itemgetter(*g[::self.p ** (self.n - j)], 0)(self._turns[j])
         return int.from_bytes(bytes(turns), "little")
 
     def _sift(self, g, start=0):
@@ -259,14 +268,17 @@ class _TreeChain:
         vector on layer j, or j == n and v == 0 when every layer reduced."""
         p = self.p
         for j in range(start, self.n):
+            if g == self._ident:
+                break
             v = self._vector(g, j)
             if not v:
                 continue
-            for shift, vector, inverses in self._layers[j]:
+            ones = self._ones[j]
+            for shift, minus, inverses in self._layers[j]:
                 c = v >> shift & 255
                 if c:
                     g = pmul(g, inverses[c])
-                    v = v ^ vector if p == 2 else self._vector(g, j)
+                    v = v ^ minus[1] if p == 2 else _reduce_bytes(v + minus[c], p, ones)
             if v:
                 return j, v, g
         return self.n, 0, g
@@ -293,6 +305,12 @@ class _TreeChain:
                     yield h
                     h = pmul(h, steps[i])
         return rec(0)
+
+
+def _reduce_bytes(v, p, ones):
+    """v mod p in every byte, for bytes below 2p - 1 and p < 128: adding
+    128 - p to each (ones has a 1 in each) sets bit 7 of those >= p."""
+    return v - ((v + (128 - p) * ones) >> 7 & ones) * p
 
 
 def _strip(perm, layers, start, degree):

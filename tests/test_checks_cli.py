@@ -234,6 +234,27 @@ def test_cli_spec_file(tmp_path, capsys):
     assert json.loads(out)["order"] == 16
 
 
+def test_cli_prime_alphabet_of_257_letters(tmp_path, capsys):
+    # one coordinate per byte cannot hold 257 letters: this tree chain's
+    # prime lies beyond the packed bound and goes to the generic chain
+    spec = tmp_path / "z257.json"
+    images = ",".join(str((x + 256) % 257) for x in range(257))
+    spec.write_text(json.dumps({"id": "z257", "wreath": f"a=({','.join(['1'] * 257)})[{images}]"}))
+    code, out, _ = run_cli(capsys, "perm-group-on-level", "--spec", str(spec), "--level", "1",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == 257
+    code, out, _ = run_cli(capsys, "run", "perm-order", "--spec", str(spec), "--level", "1",
+                           "--expect", "257", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["evidence"]["order"] == 257
+    # a lies in <a^2>, so the intersection is not trivial (exit 1)
+    code, out, _ = run_cli(capsys, "intersection", "--spec", str(spec), "--level", "1",
+                           "--gens-a", "a", "--gens-b", "a^2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["intersection_trivial"] is False
+
+
 def test_cli_usage_error_exit_3(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "not-a-check"])

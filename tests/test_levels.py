@@ -1,14 +1,17 @@
+import itertools
 import os
 import random
 
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import identity_perm, pmul
+from arboreal.core import MealyAutomaton, TreeAutomorphism, identity_perm, pinv, pmul
 from arboreal.levels import (
     LevelPermGroup,
     SizeBoundExceeded,
+    _in_cyclic_wreath,
     _PointChain,
+    _reduce_bytes,
     _TreeChain,
     intersection_trivial_on_level,
     level_perm,
@@ -342,3 +345,151 @@ def test_size_bound_env(monkeypatch):
         level_perm(entry.elements()["a"], 4)
     monkeypatch.delenv("ARBOREAL_MAX_POINTS")
     assert len(level_perm(entry.elements()["a"], 4)) == 16
+
+
+# ---------------------------------------------------------------------------
+# oracles of the fast paths: level images, packed vectors, the prime bound
+
+def walked_perm(g, n):
+    """level_perm's oracle: one automaton.walk from the root per vertex."""
+    aut = g.automaton
+    return tuple(vertex_index(aut.walk(g.word, v)[0], aut.size)
+                 for v in itertools.product(range(aut.size), repeat=n))
+
+
+@pytest.mark.parametrize("gid", list(cat.catalog()))
+def test_level_perm_matches_walk(gid):
+    rng = random.Random(11)
+    entry = cat.get(gid)
+    aut = entry.automaton
+    words = [rng.choice(entry.generators) + rng.choice(("", "^-1")) for _ in range(8)]
+    elements = [*entry.elements().values(), aut.identity(), aut.element("*".join(words))]
+    for n in range(1, (3 if aut.size > 3 else 7) + 1):
+        for g in elements:
+            assert level_perm(g, n) == walked_perm(g, n)
+
+
+def test_level_perm_matches_walk_on_extended_and_unreduced_words():
+    entry = cat.get("g01inf")
+    gens, complement, _ = cat.separation_complement(entry)
+    aut = complement[0].automaton
+    a, c = gens["a"].word, gens["c"].word
+    # identity factors inside the word: level_perm starts from g.word as it is
+    unreduced = TreeAutomorphism(aut, (("1", 1), *a, ("1", -1), *c, ("1", 1)))
+    for g in [*complement, complement[0] * gens["a"], unreduced]:
+        for n in range(1, 7):
+            assert level_perm(g, n) == walked_perm(g, n)
+
+
+def test_level_perm_matches_walk_on_word_valued_sections():
+    # a GGS recursion whose sections are words of two factors, and
+    # x = (x*x, 1)(1,2), whose sections double in length at each level
+    ggs = MealyAutomaton(5, {"a": ((1, 2, 3, 4, 0), ((),) * 5),
+                             "b": ((0, 1, 2, 3, 4), ((("a", 1), ("a", 1)), (("a", -1),), (), (),
+                                                     (("b", 1), ("a", 1))))})
+    doubling = MealyAutomaton(2, {"x": ((1, 0), ((("x", 1), ("x", 1)), ()))})
+    for g, top in ((ggs.element("b*a*b^-1"), 3), (ggs.element("b^2"), 3),
+                   (doubling.element("x"), 7), (doubling.element("x^-3"), 7)):
+        for n in range(1, top + 1):
+            assert level_perm(g, n) == walked_perm(g, n)
+
+
+def test_size_bound_is_raised_before_any_step(monkeypatch):
+    g = cat.get("grigorchuk").elements()["a"]
+
+    def no_step(*args):
+        raise AssertionError("level_perm stepped before checking the size bound")
+    monkeypatch.setattr(g.automaton, "step", no_step)
+    monkeypatch.setenv("ARBOREAL_MAX_POINTS", "8")
+    with pytest.raises(SizeBoundExceeded):
+        level_perm(g, 4)
+
+
+def random_cyclic_tree_perm(rng, p, n):
+    """A random level-n tree automorphism whose local actions are rotations x -> x+c."""
+    images = [0]
+    for _ in range(n):
+        images = [q * p + (x + r) % p for q in images for r in [rng.randrange(p)]
+                  for x in range(p)]
+    return tuple(images)
+
+
+def pack(coordinates):
+    return int.from_bytes(bytes(coordinates), "little")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 127])
+def test_packed_subtraction_matches_seeded_vectors(p):
+    rng = random.Random(p)
+    for size in (1, 2, p, 3 * p + 1):
+        ones = pack([1] * size)
+        for _ in range(50):
+            a = [rng.randrange(p) for _ in range(size)]
+            b = [rng.randrange(p) for _ in range(size)]
+            c = rng.randrange(p)
+            minus = pack([-c * y % p for y in b])
+            assert _reduce_bytes(pack(a) + minus, p, ones) == pack([(x - c * y) % p
+                                                                    for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2), (11, 2), (13, 2)])
+def test_packed_subtraction_matches_recomputed_vector(p, n):
+    # for g in St(j) and each entry b of layer j, the vector of g * b^-c read
+    # off the permutation equals g's vector minus c times b's, subtracted packed
+    rng = random.Random(p)
+    chain = _TreeChain([random_cyclic_tree_perm(rng, p, n) for _ in range(2)], p, n)
+    for j, layer in enumerate(chain._layers):
+        below = [inverses[1] for later in chain._layers[j:] for _, _, inverses in later]
+        for _ in range(5):
+            g = chain._ident
+            for h in rng.sample(below, min(4, len(below))):
+                g = pmul(g, pinv(h) if rng.random() < 0.5 else h)
+            v = chain._vector(g, j)
+            for shift, minus, inverses in layer:
+                assert minus[p - 1] == chain._vector(pinv(inverses[1]), j)
+                for c in range(p):
+                    packed = _reduce_bytes(v + minus[c], p, chain._ones[j])
+                    assert packed == chain._vector(pmul(g, inverses[c]), j)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+def test_tree_chain_rejects_what_lies_outside_the_cyclic_wreath(p, n):
+    rng = random.Random(3 * p + n)
+    perms = [random_cyclic_tree_perm(rng, p, n) for _ in range(3)]
+    group = LevelPermGroup(p, n, perms)
+    assert isinstance(group._chain(), _TreeChain)
+    generic = _PointChain(group.gens, group.degree)
+    shuffled = []
+    for _ in range(10):
+        images = list(range(p ** n))
+        rng.shuffle(images)
+        shuffled.append(tuple(images))
+    # siblings 0 and 1 turned by a transposition: a tree automorphism, not a rotation
+    local = [(0, 2, 1, *range(3, p)) + tuple(range(p, p ** n))] if p > 2 else []
+    outside = shuffled + [pmul(q, perms[0]) for q in local]
+    for perm in outside:
+        assert not _in_cyclic_wreath(perm, p, n)
+        assert perm not in group
+        assert perm not in generic
+    assert all(perm in group for perm in perms)
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_seeded_tree_chain_orders_match_generic_chain(p, top):
+    rng = random.Random(p)
+    for n in range(1, top + 1):
+        for count in (1, 2, 3):
+            perms = [random_cyclic_tree_perm(rng, p, n) for _ in range(count)]
+            group = LevelPermGroup(p, n, perms)
+            assert isinstance(group._chain(), _TreeChain)
+            assert group.order() == _PointChain(group.gens, p ** n).order()
+
+
+def test_primes_beyond_the_packed_bound_use_the_generic_chain():
+    for p in (127, 131):
+        rotation = tuple((x + 1) % p for x in range(p))
+        group = LevelPermGroup(p, 1, [rotation])
+        assert isinstance(group._chain(), _TreeChain if p < 128 else _PointChain)
+        assert group.order() == p
+        assert pmul(rotation, rotation) in group
+        assert (1, 0, *range(2, p)) not in group

@@ -12,16 +12,22 @@ point is the median over the repeats of:
 - `sift_us` (sift points): median CPU microseconds of one membership
   test, over seeded images of random words of length 24;
 - `cli_wall_s` (cli points): wall seconds of a whole
-  `python -m arboreal.cli perm-group-on-level` process.
+  `python -m arboreal.cli perm-group-on-level` process;
+- `level_perm_cpu_s` (level_perm points): CPU seconds of one
+  `level_perm` of the product of the group's generators, with
+  `level_perm_peak_mb`, the tracemalloc peak of a second such call, and
+  `digest`, a hash of the image array that both trees must agree on.
 
 The fresh interpreters, the alternation and the timeouts are those of
 `tools/benchlib.py`.
 """
 
 import argparse
+import hashlib
 import random
 import statistics
 import time
+import tracemalloc
 
 import benchlib
 
@@ -31,6 +37,8 @@ ORDER_POINTS = ([("grigorchuk", n) for n in range(3, 9)]
                 + [("gs5", 3), ("gs7", 3)])
 SIFT_POINTS = [("grigorchuk", 6), ("basilica", 6)]
 CLI_POINTS = [("gs7", 3), ("grigorchuk", 8)]
+LEVEL_PERM_POINTS = [(gid, n) for gid in ("grigorchuk", "basilica", "lamplighter", "bs13")
+                     for n in (8, 11, 14, 17)]
 SIFT_WORDS = 64
 SIFT_WORD_LENGTH = 24
 
@@ -41,6 +49,17 @@ def child(kind, gid, n):
     from arboreal.levels import level_perm, perm_group_on_level
     n = int(n)
     entry = catalog.get(gid)
+    if kind == "level_perm":
+        g = entry.automaton.element("*".join(entry.generators))
+        t0 = time.process_time()
+        images = level_perm(g, n)
+        cpu = time.process_time() - t0
+        tracemalloc.start()
+        level_perm(g, n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"level_perm_cpu_s": cpu, "level_perm_peak_mb": peak / 2 ** 20,
+                "digest": hashlib.sha256(repr(images).encode()).hexdigest()[:16]}
     gens = list(entry.elements().values())
     t0 = time.process_time()
     group = perm_group_on_level(gens, n)
@@ -83,21 +102,25 @@ def main():
     args = parser.parse_args()
     points = ([("order", gid, n) for gid, n in ORDER_POINTS]
               + [("sift", gid, n) for gid, n in SIFT_POINTS]
-              + [("cli", gid, n) for gid, n in CLI_POINTS])
+              + [("cli", gid, n) for gid, n in CLI_POINTS]
+              + [("level_perm", gid, n) for gid, n in LEVEL_PERM_POINTS])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
     curves = []
     for (kind, gid, n), row in results.items():
-        benchlib.same_answers(row, ("order",))
+        benchlib.same_answers(row, ("order", "digest"))
         curves.append({"kind": kind, "group": gid, "level": n, **row})
     grig8 = results[("order", "grigorchuk", 8)]["change"]
     gs7 = results[("cli", "gs7", 3)]["change"]
+    bs13 = results[("level_perm", "bs13", 17)]["change"]
     report = benchlib.report_header("tools/bench_level_images.py", args.repeats)
     report["gates"] = {
         "grigorchuk level 8 order_cpu_s <= 2":
             isinstance(grig8, dict) and grig8["order_cpu_s"] <= 2,
         "perm-group-on-level --group gs7 --level 3 cli_wall_s < 1":
             isinstance(gs7, dict) and gs7["cli_wall_s"] < 1,
+        "level_perm of bs13 a*b*c at level 17 level_perm_cpu_s < 2":
+            isinstance(bs13, dict) and bs13["level_perm_cpu_s"] < 2,
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)

@@ -20,7 +20,11 @@ The corpus is what a behaviour-preserving change must leave alone:
 - `perm-group-on-level --format json` at levels 1-4 for every group;
 - `catalog --format json` and `acceptance --format json`;
 - `intersection` on g01inf with the generators of `BRACKETED`, words that
-  start with a bracket beside a first-level tuple.
+  start with a bracket beside a first-level tuple;
+- `perm-group-on-level` and `run perm-order` at level 1 on `PRIME_257`, a
+  cyclic group of order 257 on 257 letters, whose prime is too large for
+  the tree chain's packed bytes (the spec is written into a temporary
+  directory, and its argv names the file alone).
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -37,7 +41,9 @@ samples (before it decided the exponent) spends about 16 s more on the
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 
 from arboreal import catalog as _catalog
 from arboreal.checks import CHECKS
@@ -60,6 +66,8 @@ USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
                   for text in ("t^", "(a", "a*", "*a", "a**b"))]
 
 BRACKETED = (("(ad)^2,b", "(1,a)"), ("b,(a*c)", "(1,a)"))
+PRIME_257 = {"id": "z257", "wreath": "a=(" + ",".join(["1"] * 257) + ")["
+             + ",".join(str((x + 256) % 257) for x in range(257)) + "]"}
 
 
 def _blank_seconds(value):
@@ -122,7 +130,16 @@ def corpus():
     calls.append(["acceptance", "--format", "json"])
     calls += [["intersection", "--group", "g01inf", "--level", "3", "--gens-a", a, "--gens-b", b]
               for a, b in BRACKETED]
-    return [_call(argv) for argv in calls]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "z257.json")
+        with open(spec, "w") as fh:
+            json.dump(PRIME_257, fh)
+        calls += [["perm-group-on-level", "--spec", spec, "--level", "1", "--format", "json"],
+                  ["run", "perm-order", "--spec", spec, "--level", "1", "--format", "json"]]
+        results = [_call(argv) for argv in calls]
+    for result in results:  # the temporary directory is not part of the behaviour
+        result["argv"] = [os.path.basename(a) if a == spec else a for a in result["argv"]]
+    return results
 
 
 if __name__ == "__main__":
