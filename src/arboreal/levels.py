@@ -18,9 +18,9 @@ and picks one of two chains from the generators alone:
   `_TreeChain`); larger primes take the generic chain;
 - a generic deterministic, non-randomized Schreier-Sims for every other
   group, including `LevelPermGroup(degree, 1, perms)` on an arbitrary
-  alphabet: base points are the smallest moved point at each layer,
-  orbits are grown breadth first with generators in a fixed order, and
-  every Schreier generator is sifted until the chain verifies.
+  alphabet: base points are the smallest moved point at each layer, and
+  each layer keeps a generating set of its group, whose orbit is extended
+  breadth first, never rebuilt, as sifted residues join the set.
 
 Both are deterministic, so orders reproduce in CI.
 """
@@ -28,7 +28,7 @@ Both are deterministic, so orders reproduce in CI.
 from __future__ import annotations
 
 import os
-from math import isqrt
+from math import isqrt, prod
 from operator import getitem, itemgetter
 from dataclasses import dataclass, field
 
@@ -36,6 +36,7 @@ from .core import identity_perm, invert_word, pinv, pmul, power_by_squaring, red
 
 DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
+ENUMERATION_LIMIT = 10 ** 6   # largest group intersection_trivial_on_level enumerates
 
 
 class SizeBoundExceeded(ValueError):
@@ -83,7 +84,7 @@ def level_perm(g, n):
 @dataclass
 class _Layer:
     point: int
-    gens: list = field(default_factory=list)
+    gens: list = field(default_factory=list)      # generates the layer's group
     transversal: dict = field(default_factory=dict)
     inverses: dict = field(default_factory=dict)  # point -> its transversal element's inverse
 
@@ -294,17 +295,8 @@ class _TreeChain:
 
     def elements(self):
         """Every product h * b^-e, for h a product over the entries after b."""
-        steps = [inverses[1] for layer in self._layers for _, _, inverses in layer]
-
-        def rec(i):
-            if i == len(steps):
-                yield self._ident
-                return
-            for h in rec(i + 1):
-                for _ in range(self.p):
-                    yield h
-                    h = pmul(h, steps[i])
-        return rec(0)
+        return _products([inverses for layer in self._layers for _, _, inverses in layer],
+                         self._ident)
 
 
 def _reduce_bytes(v, p, ones):
@@ -313,8 +305,7 @@ def _reduce_bytes(v, p, ones):
     return v - ((v + (128 - p) * ones) >> 7 & ones) * p
 
 
-def _strip(perm, layers, start, degree):
-    ident = identity_perm(degree)
+def _strip(perm, layers, start, ident):
     g = perm
     for i in range(start, len(layers)):
         layer = layers[i]
@@ -327,90 +318,78 @@ def _strip(perm, layers, start, degree):
     return g, len(layers)
 
 
-def _point_layers(gens, degree):
-    """Deterministic incremental Schreier-Sims with full verification.
+def _point_layers(gens, ident):
+    """Deterministic incremental Schreier-Sims (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.4).
 
-    A strong generator stored at layer k fixes the base points of layers
-    < k, so the generating set of layer i's stabilizer is everything
-    stored at layers >= i.  All transversals, with the inverses that
-    stripping multiplies by, are rebuilt after every insertion; a failed
-    strip therefore names a point genuinely outside the current basic
-    orbit, each insertion strictly enlarges the product of orbit sizes,
-    and the bottom-up verification sweep terminates with a chain in which
-    every Schreier generator sifts to the identity.
+    Layer i keeps a generating set T_i of its group, which fixes the base
+    points of the layers above.  A work item (g, start) is stripped from
+    layer `start`; a residue that stops at layer k joins T_start..T_k, and
+    each of those orbits is extended breadth first: g meets every point
+    already there, every generator meets every new point, and labels once
+    given are kept.  Each (point p, generator s) pair whose image q is
+    already in the orbit yields the Schreier generator t * t_q^-1 with
+    t = t_p * s, pushed from layer i + 1 unless t == t_q.  Labels never
+    change and orbits only grow, so a Schreier generator that sifted to
+    the identity keeps doing so: once the work list is empty every
+    Schreier generator of every layer sifts, and the chain is complete.
     """
-    ident = identity_perm(degree)
     layers = []
-
-    def effective(i):
-        return [g for k in range(i, len(layers)) for g in layers[k].gens]
-
-    def rebuild_all():
-        for i, layer in enumerate(layers):
-            layer.transversal = schreier_tree(layer.point, ident, effective(i), getitem, pmul)
-            layer.inverses = {pt: pinv(t) for pt, t in layer.transversal.items()}
-
-    def add_gen(g, level):
-        if level == len(layers):
-            point = min(i for i in range(degree) if g[i] != i)
+    work = [(g, 0) for g in reversed(gens)]
+    while work:
+        g, start = work.pop()
+        g, k = _strip(g, layers, start, ident)
+        if g == ident:
+            continue
+        if k == len(layers):
+            point = next(i for i, x in enumerate(g) if x != i)
             layers.append(_Layer(point, transversal={point: ident}, inverses={point: ident}))
-        layers[level].gens.append(g)
-        rebuild_all()
-
-    for g in gens:
-        residue, level = _strip(g, layers, 0, degree)
-        if residue != ident:
-            add_gen(residue, level)
-
-    i = len(layers) - 1
-    while i >= 0:
-        layer = layers[i]
-        added = False
-        for pt in sorted(layer.transversal):
-            t = layer.transversal[pt]
-            for s in effective(i):
-                schreier = pmul(pmul(t, s), layer.inverses[s[pt]])
-                residue, level = _strip(schreier, layers, i + 1, degree)
-                if residue != ident:
-                    add_gen(residue, level)
-                    added = True
-        if added:
-            i = len(layers) - 1
-        else:
-            i -= 1
+        for i in range(start, k + 1):
+            layer = layers[i]
+            layer.gens.append(g)
+            transversal, inverses = layer.transversal, layer.inverses
+            queue = [(p, (g,)) for p in transversal]
+            for p, ss in queue:
+                for s in ss:
+                    q = s[p]
+                    t = pmul(transversal[p], s)
+                    if q not in transversal:
+                        transversal[q] = t
+                        inverses[q] = pinv(t)
+                        queue.append((q, layer.gens))
+                    elif t != transversal[q]:
+                        work.append((pmul(t, inverses[q]), i + 1))
     return layers
+
+
+def _products(choices, ident):
+    """Every product h * c, for c in choices[0] and h a product over
+    choices[1:], with c varying fastest."""
+    if not choices:
+        yield ident
+        return
+    for h in _products(choices[1:], ident):
+        for c in choices[0]:
+            yield pmul(h, c)
 
 
 class _PointChain:
     """Base points with their transversals, for any permutation group."""
 
     def __init__(self, gens, degree):
-        self.degree = degree
-        self.layers = _point_layers(gens, degree)
+        self._ident = identity_perm(degree)
+        self.layers = _point_layers(gens, self._ident)
 
     def order(self):
-        n = 1
-        for layer in self.layers:
-            n *= len(layer.transversal)
-        return n
+        return prod(len(layer.transversal) for layer in self.layers)
 
     def __contains__(self, perm):
-        residue, _ = _strip(perm, self.layers, 0, self.degree)
-        return residue == identity_perm(self.degree)
+        residue, _ = _strip(perm, self.layers, 0, self._ident)
+        return residue == self._ident
 
     def elements(self):
-        layers = self.layers
-        ident = identity_perm(self.degree)
-
-        def rec(i):
-            if i == len(layers):
-                yield ident
-                return
-            for pt in sorted(layers[i].transversal):
-                t = layers[i].transversal[pt]
-                for h in rec(i + 1):
-                    yield pmul(h, t)
-        return rec(0)
+        return _products([[layer.transversal[pt] for pt in sorted(layer.transversal)]
+                          for layer in self.layers], self._ident)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +466,20 @@ def stabilizer_words(gens, target="first-level"):
                                reduced_product, invert_word)
 
 
-def intersection_trivial_on_level(a, b, threshold=10 ** 6):
+def intersection_trivial_on_level(a, b):
     """True iff two same-level permutation groups intersect trivially.
 
     Enumerates the smaller group through its stabilizer chain and sifts
-    each element into the other.  Both groups above the threshold raises
-    SizeBoundExceeded (the instances of interest are tiny; the threshold
-    is a config knob).
+    each element into the other.  Both groups of order above
+    ENUMERATION_LIMIT raises SizeBoundExceeded (the instances of interest
+    are tiny).
     """
     if a.degree != b.degree or a.level != b.level:
         raise ValueError("groups act on different levels")
     small, large = (a, b) if a.order() <= b.order() else (b, a)
-    if small.order() > threshold:
+    if small.order() > ENUMERATION_LIMIT:
         raise SizeBoundExceeded(
-            f"both groups have order > {threshold}; raise the threshold to enumerate")
+            f"both groups have order > {ENUMERATION_LIMIT}, too many to enumerate")
     ident = identity_perm(small.degree)
     for g in small.elements():
         if g != ident and g in large:

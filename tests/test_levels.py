@@ -5,7 +5,9 @@ import random
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import MealyAutomaton, TreeAutomorphism, identity_perm, pinv, pmul
+from arboreal import levels
+from arboreal.core import (MealyAutomaton, TreeAutomorphism, identity_perm, parse_wreath_spec, pinv,
+                           pmul)
 from arboreal.levels import (
     LevelPermGroup,
     SizeBoundExceeded,
@@ -23,8 +25,9 @@ from arboreal.levels import (
 )
 
 
-def closure(perms):
-    """Independent BFS oracle over a generated permutation group."""
+def closure(perms, cap=None):
+    """Independent BFS oracle over a generated permutation group; None once
+    it holds more than `cap` elements."""
     ident = tuple(range(len(perms[0])))
     seen = {ident}
     queue = [ident]
@@ -34,6 +37,8 @@ def closure(perms):
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
+                if cap is not None and len(seen) > cap:
+                    return None
     return seen
 
 
@@ -97,17 +102,19 @@ def test_chain_on_random_small_groups():
         assert group.order() == len(closure(perms))
 
 
-def random_tree_perm(rng, d, n):
-    """A random automorphism of the level-n tree, any local permutations."""
+def random_tree_perm(rng, d, n, moved=1):
+    """A random automorphism of the level-n tree, any local permutations:
+    each vertex's is a random one with probability `moved`, else the identity."""
     images = [0]
     for _ in range(n):
-        images = [q * d + x for q in images for x in rng.sample(range(d), d)]
+        images = [q * d + x for q in images
+                  for x in (rng.sample(range(d), d) if rng.random() < moved else range(d))]
     return tuple(images)
 
 
-# generic-chain orders take about 6.1 s of CPU for gs3 at level 5 and 8.0 s for gs7 at level 3
-# (one run each, Python 3.11 on a shared 2-core Xeon)
-GENERIC_TOP_LEVEL = {"gs3": 4, "gs5": 3, "gs7": 2}
+# generic-chain orders take about 0.6 s of CPU for gs3 at level 5, 0.4 s for gs7 at level 3
+# and 2.1 s for gs5 at level 4 (one run each, Python 3.11 on a shared 2-core Xeon)
+GENERIC_TOP_LEVEL = {"gs3": 5, "gs5": 3, "gs7": 3}
 
 
 @pytest.mark.parametrize("gid", list(cat.catalog()))
@@ -186,11 +193,41 @@ def test_groups_outside_the_tree_chain_match_bfs():
     # d = 3 with a root transposition, and a non-prime alphabet
     root_swap = (3, 4, 5, 0, 1, 2, 6, 7, 8)
     turn_first = (1, 2, 0, 3, 4, 5, 6, 7, 8)
-    for d, level, perms in ((3, 2, [root_swap, turn_first]), (4, 1, [(1, 2, 3, 0)])):
+    cases = [(3, 2, [root_swap, turn_first]), (4, 1, [(1, 2, 3, 0)])]
+    # seeded groups of tree automorphisms with any local permutations, sparse
+    # enough on the deeper trees that most stay below 2 * 10^4 elements
+    rng = random.Random(23)
+    for d, level, moved in ((3, 2, 1), (3, 3, 0.5), (4, 2, 0.4), (6, 1, 1)):
+        cases += [(d, level, [random_tree_perm(rng, d, level, moved) for _ in range(1 + k % 3)])
+                  for k in range(10)]
+    checked = 0
+    for d, level, perms in cases:
+        oracle = closure(perms, cap=2 * 10 ** 4)
+        if oracle is None or all(_in_cyclic_wreath(p, d, level) for p in perms):
+            continue  # too large for BFS, or the tree chain's
         group = LevelPermGroup(d, level, perms)
         assert isinstance(group._chain(), _PointChain)
-        assert group.order() == len(closure(perms))
-        assert set(group.elements()) == closure(perms)
+        assert group.order() == len(oracle)
+        elements = list(group.elements())
+        assert len(elements) == len(oracle) and set(elements) == oracle
+        others = [random_tree_perm(rng, d, level) for _ in range(10)]
+        for p in others + [pmul(elements[-1], q) for q in perms]:
+            assert (p in group) == (p in oracle)
+        checked += 1
+    assert checked >= 30
+
+
+def test_hanoi_towers_group_orders():
+    # the Hanoi towers group on three pegs; levels 1-2 are checked by BFS,
+    # and the orders at levels 1-4 are pinned
+    aut = parse_wreath_spec("a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)")
+    gens = list(aut.generator_elements().values())
+    for n in range(1, 5):
+        group = perm_group_on_level(gens, n)
+        assert isinstance(group._chain(), _PointChain)
+        assert group.order() == 2 ** (3 ** (n - 1)) * 3 ** ((3 ** n - 1) // 2)
+        if n <= 2:
+            assert group.order() == len(closure(list(group.gens)))
 
 
 def test_orbit_on_level_transitivity():
@@ -319,12 +356,13 @@ def test_intersection_random_cyclic_coprime():
         assert expected  # coprime orders force a trivial intersection
 
 
-def test_intersection_threshold():
+def test_intersection_threshold(monkeypatch):
     entry = cat.get("grigorchuk")
     gens = list(entry.elements().values())
     group = perm_group_on_level(gens, 4)
+    monkeypatch.setattr(levels, "ENUMERATION_LIMIT", 1)
     with pytest.raises(SizeBoundExceeded):
-        intersection_trivial_on_level(group, group, threshold=1)
+        intersection_trivial_on_level(group, group)
 
 
 def test_point_stabilizer_gens_fix_point():

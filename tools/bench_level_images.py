@@ -11,8 +11,12 @@ point is the median over the repeats of:
   which includes `level_perm` of the generators and the chain build;
 - `sift_us` (sift points): median CPU microseconds of one membership
   test, over seeded images of random words of length 24;
-- `cli_wall_s` (cli points): wall seconds of a whole
-  `python -m arboreal.cli perm-group-on-level` process;
+- `cli_wall_s` and `cli_cpu_s` (cli points): wall and CPU seconds of a
+  whole `python -m arboreal.cli perm-group-on-level` process;
+- `order_cpu_s` (generic points): CPU seconds of
+  `_PointChain(group.gens, d ** n).order()` alone, the generic
+  Schreier-Sims chain on groups that the tree chain also serves, and on
+  the Hanoi towers group (`HANOI`), which only the generic chain serves;
 - `level_perm_cpu_s` (level_perm points): CPU seconds of one
   `level_perm` of the product of the group's generators, with
   `level_perm_peak_mb`, the tracemalloc peak of a second such call, and
@@ -37,6 +41,9 @@ ORDER_POINTS = ([("grigorchuk", n) for n in range(3, 9)]
                 + [("gs5", 3), ("gs7", 3)])
 SIFT_POINTS = [("grigorchuk", 6), ("basilica", 6)]
 CLI_POINTS = [("gs7", 3), ("grigorchuk", 8)]
+GENERIC_POINTS = [("gs7", 3), ("gs3", 4), ("gs3", 5), ("gs5", 3),
+                  ("hanoi", 3), ("hanoi", 4), ("hanoi", 5)]
+HANOI = "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)"
 LEVEL_PERM_POINTS = [(gid, n) for gid in ("grigorchuk", "basilica", "lamplighter", "bs13")
                      for n in (8, 11, 14, 17)]
 SIFT_WORDS = 64
@@ -46,8 +53,16 @@ SIFT_WORD_LENGTH = 24
 def child(kind, gid, n):
     """One point, measured in this interpreter; returns a dict."""
     from arboreal import catalog
-    from arboreal.levels import level_perm, perm_group_on_level
+    from arboreal.core import parse_wreath_spec
+    from arboreal.levels import LevelPermGroup, _PointChain, level_perm, perm_group_on_level
     n = int(n)
+    if kind == "generic":
+        aut = parse_wreath_spec(HANOI) if gid == "hanoi" else catalog.get(gid).automaton
+        group = LevelPermGroup(aut.size, n, [level_perm(g, n)
+                                             for g in aut.generator_elements().values()])
+        t0 = time.process_time()
+        order = _PointChain(group.gens, aut.size ** n).order()
+        return {"order_cpu_s": time.process_time() - t0, "order": str(order)}
     entry = catalog.get(gid)
     if kind == "level_perm":
         g = entry.automaton.element("*".join(entry.generators))
@@ -88,8 +103,8 @@ def measure(src, point):
                                "--format", "json")
         if got == "timeout":
             return got
-        wall, result = got
-        return {"cli_wall_s": wall, "order": str(result["order"])}
+        wall, cpu, result = got
+        return {"cli_wall_s": wall, "cli_cpu_s": cpu, "order": str(result["order"])}
     return benchlib.run_child(__file__, src, kind, gid, n)
 
 
@@ -103,6 +118,7 @@ def main():
     points = ([("order", gid, n) for gid, n in ORDER_POINTS]
               + [("sift", gid, n) for gid, n in SIFT_POINTS]
               + [("cli", gid, n) for gid, n in CLI_POINTS]
+              + [("generic", gid, n) for gid, n in GENERIC_POINTS]
               + [("level_perm", gid, n) for gid, n in LEVEL_PERM_POINTS])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
@@ -113,6 +129,7 @@ def main():
     grig8 = results[("order", "grigorchuk", 8)]["change"]
     gs7 = results[("cli", "gs7", 3)]["change"]
     bs13 = results[("level_perm", "bs13", 17)]["change"]
+    generic = results[("generic", "gs7", 3)]["change"]
     report = benchlib.report_header("tools/bench_level_images.py", args.repeats)
     report["gates"] = {
         "grigorchuk level 8 order_cpu_s <= 2":
@@ -121,6 +138,8 @@ def main():
             isinstance(gs7, dict) and gs7["cli_wall_s"] < 1,
         "level_perm of bs13 a*b*c at level 17 level_perm_cpu_s < 2":
             isinstance(bs13, dict) and bs13["level_perm_cpu_s"] < 2,
+        "generic gs7 level 3 order_cpu_s < 1":
+            isinstance(generic, dict) and generic["order_cpu_s"] < 1,
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)

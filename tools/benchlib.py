@@ -82,16 +82,22 @@ def run_child(script, src, *args, timeout=TIMEOUT_S):
     return json.loads(proc.stdout)
 
 
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_cli(src, *argv, timeout=TIMEOUT_S):
-    """(wall seconds, parsed JSON stdout) of one `python -m arboreal.cli` process."""
+    """(wall seconds, CPU seconds, parsed JSON stdout) of one `python -m
+    arboreal.cli` process; the CPU is the process's user and system time."""
     cmd = [sys.executable, "-s", "-m", "arboreal.cli", *map(str, argv)]
-    t0 = time.perf_counter()
+    cpu0, t0 = _children_cpu_s(), time.perf_counter()
     try:
         proc = subprocess.run(cmd, env=_env(src), capture_output=True, text=True,
                               timeout=timeout, check=True)
     except subprocess.TimeoutExpired:
         return "timeout"
-    return time.perf_counter() - t0, json.loads(proc.stdout)
+    return time.perf_counter() - t0, _children_cpu_s() - cpu0, json.loads(proc.stdout)
 
 
 def child_main(child):

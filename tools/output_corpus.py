@@ -23,8 +23,12 @@ The corpus is what a behaviour-preserving change must leave alone:
   start with a bracket beside a first-level tuple;
 - `perm-group-on-level` and `run perm-order` at level 1 on `PRIME_257`, a
   cyclic group of order 257 on 257 letters, whose prime is too large for
-  the tree chain's packed bytes (the spec is written into a temporary
-  directory, and its argv names the file alone).
+  the tree chain's packed bytes;
+- `perm-group-on-level` at levels 1-4 (with the orbit of 000 at level 3)
+  and `run perm-order` at level 3 on `HANOI`, the Hanoi towers group on
+  three pegs, whose local actions are transpositions.  Both specs go to
+  the generic chain; they are written into a temporary directory, and
+  their argv names the file alone.
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -68,6 +72,8 @@ USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
 BRACKETED = (("(ad)^2,b", "(1,a)"), ("b,(a*c)", "(1,a)"))
 PRIME_257 = {"id": "z257", "wreath": "a=(" + ",".join(["1"] * 257) + ")["
              + ",".join(str((x + 256) % 257) for x in range(257)) + "]"}
+
+HANOI = {"id": "hanoi", "wreath": "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)"}
 
 
 def _blank_seconds(value):
@@ -131,14 +137,20 @@ def corpus():
     calls += [["intersection", "--group", "g01inf", "--level", "3", "--gens-a", a, "--gens-b", b]
               for a, b in BRACKETED]
     with tempfile.TemporaryDirectory() as tmp:
-        spec = os.path.join(tmp, "z257.json")
-        with open(spec, "w") as fh:
-            json.dump(PRIME_257, fh)
+        spec, hanoi = os.path.join(tmp, "z257.json"), os.path.join(tmp, "hanoi.json")
+        for path, data in ((spec, PRIME_257), (hanoi, HANOI)):
+            with open(path, "w") as fh:
+                json.dump(data, fh)
         calls += [["perm-group-on-level", "--spec", spec, "--level", "1", "--format", "json"],
                   ["run", "perm-order", "--spec", spec, "--level", "1", "--format", "json"]]
+        calls += [["perm-group-on-level", "--spec", hanoi, "--level", str(level),
+                   *(["--orbit", "000"] if level == 3 else []), "--format", "json"]
+                  for level in range(1, 5)]
+        calls.append(["run", "perm-order", "--spec", hanoi, "--level", "3", "--format", "json"])
         results = [_call(argv) for argv in calls]
     for result in results:  # the temporary directory is not part of the behaviour
-        result["argv"] = [os.path.basename(a) if a == spec else a for a in result["argv"]]
+        result["argv"] = [os.path.basename(a) if a in (spec, hanoi) else a
+                          for a in result["argv"]]
     return results
 
 
