@@ -11,11 +11,12 @@ and picks one of two chains from the generators alone:
   group.  The group then lies in the iterated wreath product of cyclic
   groups of order p, each step St(j)/St(j+1) of the level stabilizers is
   elementary abelian, and one echelon basis over GF(p) per level, closed
-  under p-th powers and commutators, is a polycyclic sequence of the
-  group (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-  ch. 8).  Vectors are read from one table per layer and subtracted on
-  packed bytes, which hold coordinates mod p only for p < 128 (see
-  `_TreeChain`); larger primes take the generic chain;
+  under p-th powers, commutators within a layer and conjugation by the
+  generators, is a polycyclic sequence of the group (Holt, Eick and
+  O'Brien, Handbook of Computational Group Theory, ch. 8).  Vectors are
+  read from one table per layer and subtracted on packed bytes, which
+  hold coordinates mod p only for p < 128 (see `_TreeChain`); larger
+  primes take the generic chain;
 - a generic deterministic, non-randomized Schreier-Sims for every other
   group, including `LevelPermGroup(degree, 1, perms)` on an arbitrary
   alphabet: base points are the smallest moved point at each layer, and
@@ -44,8 +45,10 @@ class SizeBoundExceeded(ValueError):
 
 
 def max_points():
-    value = os.environ.get(ENV_MAX_POINTS)
-    return int(value) if value else DEFAULT_MAX_POINTS
+    value = os.environ.get(ENV_MAX_POINTS) or str(DEFAULT_MAX_POINTS)
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{ENV_MAX_POINTS} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def vertex_index(v, d):
@@ -64,9 +67,9 @@ def level_perm(g, n):
     automaton = g.automaton
     d = automaton.size
     degree = d ** n
-    if degree > max_points():
+    if degree > (limit := max_points()):
         raise SizeBoundExceeded(
-            f"{degree} points exceed the limit {max_points()} (set {ENV_MAX_POINTS} to raise it)")
+            f"{degree} points exceed the limit {limit} (set {ENV_MAX_POINTS} to raise it)")
     ids = {g.word: 0}
     turns, below = [], []   # section id -> letter images, ids of the sections entered
     images, sections = [0], [0]
@@ -211,11 +214,19 @@ class _TreeChain:
     for p = 2, and otherwise one addition and `_reduce_bytes`.
 
     Sifting g reduces its vector layer by layer, multiplying g by b^-c for
-    each entry b whose pivot holds c.  The entries are closed under p-th
-    powers and commutators, so in layer order they form a polycyclic
-    sequence: every element of the group is one product of powers b^e,
-    0 <= e < p, and g is in the group iff it sifts to the identity.  A
-    permutation outside W never sifts to the identity.
+    each entry b whose pivot holds c, so g sifts to the identity iff it is
+    a normal word: one product of powers b^e, 0 <= e < p, in layer order.
+    A new entry g of layer j queues g^p and [g, h], for the earlier
+    entries h of layer j, from layer j+1, and x^-1 g x, for each
+    generator x, from layer j.  Once all of them sift to the identity,
+    the normal words over the layers >= j form a group P_j that the
+    generators normalize, by induction down from P_n = 1: the entries lie
+    in the group, so they normalize P_{j+1}; modulo P_{j+1} those of
+    layer j commute and have order p, so P_j is a group; and conjugation
+    by x keeps P_{j+1} and sends each entry of layer j into P_j.  P_0
+    holds the generators, so it is the group.  Unlike [g, x], an
+    equivalent closure once P_j is a group, x^-1 g x has a vector as
+    sparse as g's.  A permutation outside W never sifts to the identity.
     """
 
     def __init__(self, gens, p, n):
@@ -229,8 +240,9 @@ class _TreeChain:
         self._ones = [int.from_bytes(b"\1" * p ** j, "little") for j in range(n)]
         negate = [bytes(-c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
         self._layers = [[] for _ in range(n)]  # (pivot shift, [-c * vector], [b^-c]), c < p
-        added = []                              # (layer, b, b^-1) in insertion order
-        work = [(0, g) for g in gens]
+        entries = [[] for _ in range(n)]        # layer j: (b, b^-1) in insertion order
+        gens = [(x, pinv(x)) for x in gens]
+        work = [(0, x) for x, _ in gens]
         while work:
             start, g = work.pop()
             j, v, g = self._sift(g, start)
@@ -247,15 +259,14 @@ class _TreeChain:
             vector = v.to_bytes(p ** j, "little")
             minus = [int.from_bytes(vector.translate(t), "little") for t in negate]
             self._layers[j].append((shift, minus, inverses))
-            # g^p lies in St(j+1); [St(i), St(j)] lies in St(max(i, j)), and in
-            # St(j+1) when i == j; so these sifts start below the top layers
+            # x^-1 g x lies in St(j), g^p and [g, h] for h on layer j in St(j+1);
+            # the work is a stack, so the deeper items are sifted first
+            work += [(j, pmul(pmul(x_inv, g), x)) for x, x_inv in gens]
             if j + 1 < n:
                 work.append((j + 1, power_by_squaring(g, p, self._ident, pmul, pinv)))
-            for i, h, h_inv in added:
-                low = max(i, j) + (i == j)
-                if low < n:
-                    work.append((low, pmul(pmul(pmul(inverses[1], h_inv), g), h)))
-            added.append((j, g, inverses[1]))
+                work += [(j + 1, pmul(pmul(pmul(inverses[1], h_inv), g), h))
+                         for h, h_inv in entries[j]]
+            entries[j].append((g, inverses[1]))
 
     def _vector(self, g, j):
         """Shift vector of g in St(j): the turn of each level-j vertex's children."""

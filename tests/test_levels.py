@@ -6,8 +6,9 @@ import pytest
 
 from arboreal import catalog as cat
 from arboreal import levels
+from arboreal.cli import main
 from arboreal.core import (MealyAutomaton, TreeAutomorphism, identity_perm, parse_wreath_spec, pinv,
-                           pmul)
+                           pmul, power_by_squaring)
 from arboreal.levels import (
     LevelPermGroup,
     SizeBoundExceeded,
@@ -130,11 +131,11 @@ def test_tree_chain_order_equals_generic_chain(gid):
 
 def test_grigorchuk_order_closed_form():
     gens = list(cat.get("grigorchuk").elements().values())
-    for n in range(3, 9):
+    for n in range(3, 10):
         assert perm_group_on_level(gens, n).order() == 2 ** (5 * 2 ** (n - 3) + 2)
 
 
-@pytest.mark.parametrize("gid,p,top", [("gs3", 3, 5), ("gs5", 5, 4), ("gs7", 7, 3)])
+@pytest.mark.parametrize("gid,p,top", [("gs3", 3, 6), ("gs5", 5, 4), ("gs7", 7, 4)])
 def test_ggs_order_closed_form(gid, p, top):
     # log_p |G_n| = (p-1) p^(n-2) + 1 for n >= 2 (Fernandez-Alcober and
     # Zugadi-Reizabal, GGS-groups: order of congruence quotients and
@@ -387,6 +388,17 @@ def test_size_bound_env(monkeypatch):
     assert len(level_perm(entry.elements()["a"], 4)) == 16
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_bad_size_bound_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("ARBOREAL_MAX_POINTS", value)
+    message = f"ARBOREAL_MAX_POINTS must be an integer >= 1, got '{value}'"
+    with pytest.raises(ValueError, match=message):
+        levels.max_points()
+    code = main(["run", "perm-order", "--group", "grigorchuk", "--level", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and captured.err == f"arboreal: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # oracles of the fast paths: level images, packed vectors, the prime bound
 
@@ -512,6 +524,50 @@ def test_tree_chain_rejects_what_lies_outside_the_cyclic_wreath(p, n):
         assert perm not in group
         assert perm not in generic
     assert all(perm in group for perm in perms)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
+def test_tree_chain_on_deep_generators_matches_generic_chain(p, n):
+    # generators inside St(1) and St(2), one of them redundant, so the
+    # conjugates by the generators start below layer 0
+    rng = random.Random(p * n)
+
+    def fixes_level(perm, k):
+        return all(x // p ** (n - k) == i // p ** (n - k) for i, x in enumerate(perm))
+
+    for _ in range(3):
+        a, b, c = (random_cyclic_tree_perm(rng, p, n) for _ in range(3))
+        commutator = pmul(pmul(pinv(a), pinv(b)), pmul(a, b))
+        power = power_by_squaring(c, p, identity_perm(p ** n), pmul, pinv)
+        deep = pmul(pmul(pinv(commutator), pinv(power)), pmul(commutator, power))
+        perms = [commutator, power, deep, pmul(commutator, power)]
+        assert all(fixes_level(q, 1) for q in perms) and fixes_level(deep, 2)
+        group = LevelPermGroup(p, n, perms)
+        assert isinstance(group._chain(), _TreeChain)
+        generic = _PointChain(group.gens, group.degree)
+        assert group.order() == generic.order()
+        members = []
+        for _ in range(10):
+            g = group._chain()._ident
+            for _ in range(12):
+                g = pmul(g, rng.choice([*perms, *map(pinv, perms)]))
+            members.append(g)
+        # a member turned at one bottom block stays in St(1) and may leave the group
+        turned = []
+        for g in members:
+            block = list(range(p ** n))
+            first = rng.randrange(p ** (n - 1)) * p
+            block[first:first + p] = [first + (x + 1) % p for x in range(p)]
+            turned.append(pmul(tuple(block), g))
+        swap = list(range(p ** n))
+        swap[1], swap[p + 1] = swap[p + 1], swap[1]
+        not_tree = [tuple(swap), pmul(tuple(swap), members[0])]
+        others = [random_cyclic_tree_perm(rng, p, n) for _ in range(5)]
+        for q in members + turned + not_tree + others:
+            assert (q in group) == (q in generic)
+        assert all(q in group for q in members)
+        assert not any(q in group for q in not_tree)
+        assert not all(q in group for q in turned)
 
 
 @pytest.mark.parametrize("p,top", [(2, 4), (3, 3), (5, 2), (7, 2)])

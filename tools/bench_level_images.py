@@ -35,10 +35,11 @@ import tracemalloc
 
 import benchlib
 
-ORDER_POINTS = ([("grigorchuk", n) for n in range(3, 9)]
-                + [("basilica", n) for n in range(3, 9)]
-                + [("gs3", n) for n in range(2, 5)]
-                + [("gs5", 3), ("gs7", 3)])
+ORDER_POINTS = ([("grigorchuk", n) for n in range(3, 10)]
+                + [("basilica", n) for n in range(3, 10)]
+                + [("gs3", n) for n in range(2, 7)]
+                + [("gs5", n) for n in range(3, 6)]
+                + [("gs7", 3), ("gs7", 4)])
 SIFT_POINTS = [("grigorchuk", 6), ("basilica", 6)]
 CLI_POINTS = [("gs7", 3), ("grigorchuk", 8)]
 GENERIC_POINTS = [("gs7", 3), ("gs3", 4), ("gs3", 5), ("gs5", 3),
@@ -127,6 +128,7 @@ def main():
         benchlib.same_answers(row, ("order", "digest"))
         curves.append({"kind": kind, "group": gid, "level": n, **row})
     grig8 = results[("order", "grigorchuk", 8)]["change"]
+    gs5 = results[("order", "gs5", 5)]["change"]
     gs7 = results[("cli", "gs7", 3)]["change"]
     bs13 = results[("level_perm", "bs13", 17)]["change"]
     generic = results[("generic", "gs7", 3)]["change"]
@@ -134,6 +136,7 @@ def main():
     report["gates"] = {
         "grigorchuk level 8 order_cpu_s <= 2":
             isinstance(grig8, dict) and grig8["order_cpu_s"] <= 2,
+        "gs5 level 5 order_cpu_s < 5": isinstance(gs5, dict) and gs5["order_cpu_s"] < 5,
         "perm-group-on-level --group gs7 --level 3 cli_wall_s < 1":
             isinstance(gs7, dict) and gs7["cli_wall_s"] < 1,
         "level_perm of bs13 a*b*c at level 17 level_perm_cpu_s < 2":

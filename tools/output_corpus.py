@@ -5,7 +5,8 @@ The corpus is what a behaviour-preserving change must leave alone:
 - `run <check> --format json` for every check over every catalog group at
   default parameters (`perm-order` at level 3; group-free checks once,
   `ggs` with one accepted and one rejected vector), but for the two
-  slow pairs in `SLOW`;
+  slow pairs in `SLOW`, and `run perm-order` at the deeper levels of
+  `DEEP_ORDERS`, which pin tree-chain orders past level 3;
 - `run lamplighter-core` at the ranges in `LAMP_RANGES`, and
   `run lamplighter-alpha` at the bounds in `ALPHA_BOUNDS`;
 - `run witnesses` with each letter in `BAD_LETTERS`, outside its alphabet;
@@ -59,6 +60,7 @@ GGS_VECTORS = (("5", "1,-1,0,0"), ("3", "1,-1"))
 # alphabet take a minute or more on each (5^6 and 7^6 points); the default is
 # now the deepest level of at most 5^5 points, 5 for gs5 and 4 for gs7
 SLOW = {("two-transitivity", "gs5"), ("two-transitivity", "gs7")}
+DEEP_ORDERS = (("gs5", "4"), ("grigorchuk", "8"))
 LAMP_RANGES = (("0", "2"), ("9", "11"))
 ALPHA_BOUNDS = ("0", "1", "40", "1000")
 BAD_LETTERS = (("grigorchuk", "5"), ("gs3", "-1"))
@@ -111,6 +113,7 @@ def corpus():
             level = ["--level", "3"] if check == "perm-order" else []
             runs += [["run", check, "--group", g, *level] for g in groups
                      if (check, g) not in SLOW]
+    runs += [["run", "perm-order", "--group", g, "--level", level] for g, level in DEEP_ORDERS]
     runs += [["run", "lamplighter-core", "--n-min", lo, "--n-max", hi] for lo, hi in LAMP_RANGES]
     runs += [["run", "lamplighter-alpha", "--bound", bound] for bound in ALPHA_BOUNDS]
     runs += [["run", "witnesses", "--group", g, "--letter", letter] for g, letter in BAD_LETTERS]
