@@ -622,7 +622,9 @@ def parse_elements(texts, automaton):
 
 def _sections_by_level(g, depth):
     """(vertex, section word of g there) for levels 0..depth, level by level."""
+    from .levels import check_points   # levels imports core
     aut = g.automaton
+    check_points(aut.size, depth)
     frontier = {(): g.word}
     for level in range(depth + 1):
         if level:

@@ -30,7 +30,8 @@ from itertools import count, product, starmap
 from .core import (TreeAutomorphism, fmt_vertex, fmt_word, free_reduce, invert_word,
                    portrait, reduced_product)
 from .lifting import LiftingError, check_lifting
-from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
+from .levels import (check_points, level_perm, orbit, point_stabilizer_gens, schreier_tree,
+                     vertex_index)
 from .words import GroupOps, evaluate
 
 
@@ -165,7 +166,7 @@ class ScaleAction:
         while node:
             node, x = self._prefixes[node]
             image.append(x)
-        return tuple(reversed(image)), free_reduce(below)
+        return tuple(reversed(image)), (tuple(below) if len(below) < 2 else free_reduce(below))
 
     def _prefix(self, parent, digit):
         """The id of the prefix `parent` followed by `digit`.
@@ -386,6 +387,6 @@ def theta_portrait(g, action, up, down):
     """
     if up < 0 or down < -up:
         raise ValueError("need up >= 0 and down >= -up")
-    word = g.word if isinstance(g, TreeAutomorphism) else tuple(g)
-    top = TreeAutomorphism(action.automaton, action.sigma_word(word, up))
+    check_points(action.automaton.size, up + down)
+    top = TreeAutomorphism(action.automaton, action.sigma_word(g.word, up))
     return top, {UnrootedVertex(up, v): perm for v, perm in portrait(top, up + down).items()}

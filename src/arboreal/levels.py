@@ -51,6 +51,14 @@ def max_points():
     return int(value)
 
 
+def check_points(d, n):
+    """Raise SizeBoundExceeded if level n of the d-ary tree has more than
+    max_points() vertices; d^n is not formed when n alone exceeds the limit."""
+    if n > (limit := max_points()).bit_length() or d ** n > limit:
+        raise SizeBoundExceeded(
+            f"{d}^{n} points exceed the limit {limit} (set {ENV_MAX_POINTS} to raise it)")
+
+
 def vertex_index(v, d):
     """Rank of a level-n word in lexicographic order."""
     idx = 0
@@ -66,10 +74,7 @@ def level_perm(g, n):
     arrays hold d^n entries at the last level."""
     automaton = g.automaton
     d = automaton.size
-    degree = d ** n
-    if degree > (limit := max_points()):
-        raise SizeBoundExceeded(
-            f"{degree} points exceed the limit {limit} (set {ENV_MAX_POINTS} to raise it)")
+    check_points(d, n)
     ids = {g.word: 0}
     turns, below = [], []   # section id -> letter images, ids of the sections entered
     images, sections = [0], [0]

@@ -1,5 +1,8 @@
-"""BS(1,3)'s certified affine model over Z_2 against the closure search."""
+"""BS(1,3)'s certified affine model over Z_2 against the closure search, and
+the affine groups of Q_p, written as --spec bundles, as controls whose
+two-transitivity and orders are known in closed form."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,6 +11,7 @@ from itertools import product
 import pytest
 
 from arboreal import catalog as cat
+from arboreal.checks import run_check
 from arboreal.core import MealyAutomaton, invert_word
 
 
@@ -113,3 +117,89 @@ def test_extend_does_not_inherit_the_model(bs13):
     assert ext.affine is None
     assert ext.word_is_trivial(bs13.relators(0)[0][1])
     assert ext._trivial
+
+
+# ---------------------------------------------------------------------------
+# affine groups of Q_p: G = <x -> x+1, x -> r x> on Z_p, digits lowest first
+
+def _cycles(perm):
+    """A permutation of 0..d-1 in the wreath grammar's 1-based cycles."""
+    out, seen = "", set()
+    for start in range(len(perm)):
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x + 1)
+            x = perm[x]
+        if len(cycle) > 1:
+            out += "(" + ",".join(map(str, cycle)) + ")"
+    return out
+
+
+def affine_bundle(p, r):
+    """The --spec bundle of G for a prime p and a unit r mod p.
+
+    The states are a (x -> x+1) and m_c (x -> r x + c) for 0 <= c < r: m_c
+    writes (r x0 + c) mod p and carries m_floor((r x0 + c)/p).  The lifting
+    x -> p x at letter 0 sends a to a^p and m_c to m0*a^(pc), and the
+    affine model gives each state its map.
+    """
+    def state(name, images, below):
+        sections = ",".join(below)
+        return f"{name}=({sections}){_cycles(images)}"
+
+    rules = [state("a", [(x + 1) % p for x in range(p)], ["1"] * (p - 1) + ["a"])]
+    for c in range(r):
+        rules.append(state(f"m{c}", [(r * x + c) % p for x in range(p)],
+                           [f"m{(r * x + c) // p}" for x in range(p)]))
+    images = {"a": f"a^{p}"} | {f"m{c}": f"m0*a^{p * c}" if c else "m0" for c in range(r)}
+    maps = {"a": ["1", "1"]} | {f"m{c}": [str(r), str(c)] for c in range(r)}
+    return {"wreath": ",".join(rules),
+            "substitutions": {"sigma": {"letter": 0, "images": images}},
+            "default_sigma": "sigma",
+            "affine": {"relabel": [list(range(p))], "maps": maps}}
+
+
+def _run_affine(tmp_path, p, r, check, **params):
+    spec = tmp_path / f"affine_{p}_{r}.json"
+    spec.write_text(json.dumps(affine_bundle(p, r)))
+    return run_check(check, {"spec": str(spec), **params})
+
+
+def test_affine_bundles_load_with_a_certified_model(tmp_path):
+    assert affine_bundle(3, 2)["wreath"] == \
+        "a=(1,1,a)(1,2,3),m0=(m0,m0,m1)(2,3),m1=(m0,m1,m1)(1,2)"
+    for p, r in ((3, 2), (5, 7), (2, 3), (5, 4)):
+        spec = tmp_path / "affine.json"
+        spec.write_text(json.dumps(affine_bundle(p, r)))
+        assert cat.load_spec(str(spec)).automaton.affine is not None, (p, r)
+
+
+# the check passes at level l iff r generates (Z/p^l)^*: levels 1..3 for
+# (3, 2), 1 for (5, 7), 1..2 for (2, 3), none for (5, 4)
+@pytest.mark.parametrize("p, r, level, passes", [
+    (3, 2, 3, {1: True, 2: True, 3: True}),
+    (5, 7, 2, {1: True, 2: False}),
+    (2, 3, 3, {1: True, 2: True, 3: False}),
+    (5, 4, 1, {1: False}),
+])
+def test_affine_two_transitivity(tmp_path, p, r, level, passes):
+    report = _run_affine(tmp_path, p, r, "two-transitivity", level=level)
+    assert report.evidence["levels"] == passes
+    assert report.status == ("pass" if all(passes.values()) else "fail")
+
+
+@pytest.mark.parametrize("p, r, orders", [
+    (3, 2, {2: 54, 3: 486, 4: 4374}),
+    (5, 7, {2: 100, 3: 2500, 4: 62500}),
+])
+def test_affine_orders_are_p_to_the_l_times_the_order_of_r(tmp_path, p, r, orders):
+    for level, order in orders.items():
+        ord_r = next(k for k in range(1, p ** level) if pow(r, k, p ** level) == 1)
+        assert order == p ** level * ord_r
+        assert _run_affine(tmp_path, p, r, "perm-order", level=level).evidence["order"] == order
+
+
+@pytest.mark.parametrize("check", ["lifting", "witnesses", "spine", "dilation"])
+def test_affine_3_2_passes(tmp_path, check):
+    assert _run_affine(tmp_path, 3, 2, check).status == "pass"

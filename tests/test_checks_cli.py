@@ -337,6 +337,21 @@ def test_cli_portrait_deep_nesting_is_a_usage_error(capsys):
     assert out == "" and "nested deeper" in err
 
 
+@pytest.mark.parametrize("bound", ["--depth", "--up"])
+def test_cli_portrait_past_the_point_limit_is_refused(capsys, monkeypatch, bound):
+    # refused before a section or sigma power is written: neither 2^100000
+    # vertices nor sigma^100000(a) could be built
+    base = ["portrait", "--group", "grigorchuk", "--element", "a"]
+    base += ["--theta", "--down", "0"] if bound == "--up" else []
+    code, out, err = run_cli(capsys, *base, bound, "100000")
+    assert (code, out) == (3, "") and "2^100000 points exceed" in err
+    assert err.endswith("(set ARBOREAL_MAX_POINTS to raise it)\n")
+    # a deepest level of exactly the limit is drawn
+    monkeypatch.setenv("ARBOREAL_MAX_POINTS", "8")
+    assert run_cli(capsys, *base, bound, "3")[0] == 0
+    assert run_cli(capsys, *base, bound, "4")[0] == 3
+
+
 def test_cli_missing_spec_file_is_a_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "lifting", "--spec", str(tmp_path / "missing.json"))
     assert code == 3

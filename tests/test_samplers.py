@@ -1,15 +1,16 @@
 """Oracle tests by seeded sampling.
 
-`checks._random_hnn` builds a random HNN element in normal form in one
-pass; it is replayed here against the per-letter product it replaces,
-draw for draw, on the same seeds.  The lamplighter core lemma, decided
+`checks._random_hnn` builds a random HNN element in normal form from the
+heights of its letters, with each sigma power read from a table; it is
+replayed here against the per-letter product, draw for draw, on the same
+seeds, and the table against `ScaleAction.sigma_word`.  The lamplighter core lemma, decided
 exactly by `catalog.lamplighter_core_gap_check`, is sampled here on
 random words in its generators, each word kept as an int of lamp bits and
 replayed against the products of `lamplighter_oracle`.
 """
 
 import random
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -40,15 +41,57 @@ LIFTINGS = [(entry.id, name) for entry in catalog.catalog().values()
             for name in sorted(entry.substitutions)]
 
 
+def _names(action):
+    return list(action.generators()) + ["t", "T"]
+
+
 @pytest.mark.parametrize("group, sigma", LIFTINGS)
 def test_random_hnn_matches_the_per_letter_products(group, sigma):
     action = catalog.get(group).action(sigma)
+    names, powers = _names(action), {}
     fast, slow = random.Random(group + sigma), random.Random(group + sigma)
     for k in range(1000):
         max_len = 6 if k % 2 else 10
-        e = _random_hnn(action, fast, max_len)
+        e = _random_hnn(action, names, powers, fast, max_len)
         assert e == _random_hnn_by_products(action, slow, max_len), (group, sigma, k)
         assert fast.random() == slow.random()
+    # the table holds sigma^j(s^e) itself, whatever call filled it
+    for (s, e, j), image in powers.items():
+        assert image == action.sigma_word(((s, e),), j), (group, sigma, s, e, j)
+
+
+class _Recording(random.Random):
+    """A seeded generator that records the symbols it draws from a list."""
+
+    def __init__(self, seed, names):
+        super().__init__(seed)
+        self.names, self.drawn = names, []
+
+    def choice(self, seq):
+        x = super().choice(seq)
+        if seq is self.names:
+            self.drawn.append(x)
+        return x
+
+
+# seeds of one 10-letter draw on grigorchuk whose height falls below zero
+# before its first generator letter, and below its lowest point so far after it
+DIPPING_SEEDS = (147, 148, 196)
+
+
+@pytest.mark.parametrize("seed", DIPPING_SEEDS)
+def test_random_hnn_lowers_every_height_by_the_lowest(seed):
+    action = catalog.get("grigorchuk").action()
+    names, powers = _names(action), {}
+    rng = _Recording(seed, names)
+    e = _random_hnn(action, names, powers, rng, 10)
+    first = next(i for i, x in enumerate(rng.drawn) if x not in ("t", "T"))
+    heights = list(accumulate((x == "t") - (x == "T") for x in rng.drawn))
+    assert min(heights[:first]) < 0 and min(heights[first:]) < min(heights[:first])
+    assert e.tneg == -min(heights) and e.tpos == heights[-1] - min(heights)
+    assert e == _random_hnn_by_products(action, random.Random(seed), 10)
+    assert powers and all(image == action.sigma_word(((s, x),), j)
+                          for (s, x, j), image in powers.items())
 
 
 def _lamplighter_core_samples(n, seed):

@@ -23,7 +23,8 @@ its point), and each `*_s` entry of its answer is multiplied by
 `perfbench/run.py`'s REFERENCE_NOMINAL_S over the median of those
 timings, so the host's drift in speed between samples drops out.  A
 sample measured outside a child (`run_cli`) is scaled by a reference
-timed in the harness right after it.
+timed in the harness right after it.  Each summary also keeps the median of
+every unscaled `X_s` entry as `X_raw` (`cpu_raw` beside `cpu_s`).
 """
 
 import functools
@@ -120,11 +121,15 @@ def child_main(child):
 
 def at_reference_speed(sample, nominal_s):
     """The sample with every `*_s` entry scaled by nominal_s over the median
-    of its reference timings, which become `reference_s`, that median, unscaled."""
+    of its reference timings, which become `reference_s`, that median, unscaled.
+    Each scaled `X_s` is also kept unscaled as `X_raw`, which shows a long
+    point scaled by one unlucky reference draw."""
     reference = statistics.median(sample["reference_s"])
-    return {key: (value * nominal_s / reference
-                  if key.endswith("_s") and isinstance(value, (int, float)) else value)
-            for key, value in sample.items() if key != "reference_s"} | {"reference_s": reference}
+    timed = [key for key, value in sample.items()
+             if key.endswith("_s") and isinstance(value, (int, float))]
+    return ({key: value * nominal_s / reference if key in timed else value
+             for key, value in sample.items() if key != "reference_s"}
+            | {key[:-2] + "_raw": sample[key] for key in timed} | {"reference_s": reference})
 
 
 def summarise(samples):
@@ -202,7 +207,7 @@ def report_header(harness, repeats):
             "nominal_s": reference_nominal_s(),
             "scaling": "every *_s entry of a sample is multiplied by nominal_s over the "
                        "median of that sample's reference timings; reference_s is that "
-                       "median, unscaled",
+                       "median, unscaled, and each X_raw the unscaled X_s",
         },
     }
 
