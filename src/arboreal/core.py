@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter, xor
+from operator import itemgetter
 
 IDENTITY = "1"
 
@@ -120,18 +120,20 @@ def free_reduce(factors):
 
 
 def _reduce_codes(codes):
-    """free_reduce on factor codes, which cancel iff their xor is 1 (codes 0, 1 are the
-    identity).  A reduced word is recognised, and returned, without a loop in Python."""
-    codes = tuple(codes)
-    if 1 not in map(xor, codes, codes[1:]) and min(codes, default=2) > 1:
-        return codes
+    """free_reduce on a packed word (see `MealyAutomaton.__init__`), whose codes cancel iff their
+    xor is 1; the identity codes 0, 1 are dropped.  A reduced word is recognised, and returned,
+    without a loop in Python: bytes by one big-integer xor with the word shifted by a byte."""
+    if type(codes) is bytes:    # a code tuple (past 127 states) always takes the loop
+        x = int.from_bytes(codes, "big")
+        if 1 not in (x ^ x >> 8).to_bytes(len(codes), "big") and 0 not in codes and 1 not in codes:
+            return codes
     out = [-1]      # a sentinel no code cancels
     for c in codes:
         if c ^ 1 == out[-1]:
             out.pop()
         elif c > 1:
             out.append(c)
-    return tuple(out[1:])
+    return type(codes)(out[1:])
 
 
 def reduced_product(x, y):
@@ -210,17 +212,24 @@ class MealyAutomaton:
             sections = tuple(free_reduce(w) for w in sections)
             self._steps[name] = {1: (perm, sections),
                                  -1: (inv, tuple(invert_word(sections[y]) for y in inv))}
-        # word-problem factor codes (state i, +-1) -> 2i, 2i+1, so c ^ 1 inverts c and "1"
-        # is 0, 1; code -> letter -> (image of the letter, coded section entered at it)
+        # word-problem factor codes (state i, +-1) -> 2i, 2i+1, so c ^ 1 inverts c and "1" is
+        # 0, 1.  A packed word is bytes, one code per byte, or past 127 states besides "1" a
+        # code tuple; code -> letter -> (image of the letter, packed section entered at it)
         self._codes = {(name, e): 2 * i + (e < 0) for i, name in enumerate(full) for e in (1, -1)}
-        self._table = [tuple((perm[y], tuple(map(self._codes.__getitem__, sections[y])))
-                             for y in range(d))
+        self._factors = tuple(self._codes)      # code -> factor
+        self._packed, self._buffer = (bytes, bytearray) if len(full) <= 128 else (tuple, list)
+        self._table = [tuple((perm[y], self._pack(sections[y])) for y in range(d))
                        for perm, sections in (self._steps[s][e] for s, e in self._codes)]
         self.generators = tuple(generators) if generators is not None else tuple(
             n for n in rules if n != IDENTITY)
         self._trivial = set()
         self._nontrivial = set()
         self.affine = None      # a certified padic.AffineModel, set by its owner
+
+    def _pack(self, w):
+        """The packed factor tuple w; `itemgetter` reads the codes in C, twice as fast as `map`."""
+        c = self._codes
+        return self._packed(itemgetter(*w)(c) if len(w) > 1 else (c[w[0]],) if w else ())
 
     @property
     def states(self):
@@ -287,8 +296,7 @@ class MealyAutomaton:
 
     def split(self, word):
         """First-level decomposition: (root permutation, section at each letter)."""
-        images, sections = zip(*(self.step(word, x) for x in range(self.size)))
-        return images, sections
+        return tuple(zip(*(self.step(word, x) for x in range(self.size))))
 
     def walk(self, word, v):
         """(image of v, section of word at v), one level at a time.
@@ -333,20 +341,20 @@ class MealyAutomaton:
 
         With `self.affine`, a certified `padic.AffineModel` (None by default,
         not kept by `extend`), a reduced word is trivial iff its factors' maps
-        compose to x -> x.  Otherwise the word is encoded as integer codes
-        (see `__init__`) and freely reduced in one pass, and it is trivial iff
-        every word in its section closure fixes the first level.  A visited
-        word costs one step-table lookup per factor per letter, which gives
-        the letter's image and the coded section below it; the first moved
-        letter ends the search with "nontrivial".  The memos hold code
-        tuples.  When every section of a state is a single state, a section
-        of a k-factor word has at most k factors, so the closure is finite
-        and the search terminates.  Word-valued sections (x=(x*x,1)(1,2))
-        can make the closure infinite; no budget bounds the search yet.
+        compose to x -> x.  Otherwise the word is packed (see `__init__`) and
+        reduced by `_reduce_codes`, and it is trivial iff every word in its
+        section closure fixes the first level.  A visited word costs one
+        step-table lookup per factor per letter, which gives the letter's
+        image and the packed section below it; the first moved letter ends
+        the search with "nontrivial".  The memos hold packed words.  When all
+        sections of states are single states, a section of a k-factor word
+        has at most k factors, so the closure is finite and the search
+        terminates.  Word-valued sections (x=(x*x,1)(1,2)) can make the
+        closure infinite; no budget bounds the search yet.
         """
         if self.affine is not None:
             return self.affine.is_identity(self.reduce(word))
-        word = _reduce_codes(map(self._codes.__getitem__, word))
+        word = _reduce_codes(self._pack(word))
         if not word or word in self._trivial:
             return True
         if word in self._nontrivial:
@@ -361,8 +369,7 @@ class MealyAutomaton:
             if sections is None:
                 # w lies in the section closure of `word`, so `word` moves
                 # some vertex as well
-                self._nontrivial.add(w)
-                self._nontrivial.add(word)
+                self._nontrivial.update((w, word))
                 return False
             seen.add(w)
             stack += sections
@@ -370,18 +377,19 @@ class MealyAutomaton:
         return True
 
     def _sections_if_fixed(self, word):
-        """The coded sections of a coded word at the letters 0..d-1, or None if it moves one."""
-        table = self._table
+        """The packed sections of a packed word at the letters 0..d-1, or None if it moves one.
+        Each section is gathered in a bytearray (a list past 127 states), then reduced."""
+        table, packed = self._table, self._packed
         sections = []
         for x in range(self.size):
             y = x
-            below = []
+            below = self._buffer()
             for c in word:
                 y, section = table[c][y]
                 below += section
             if y != x:
                 return None
-            sections.append(tuple(below) if len(below) < 2 else _reduce_codes(below))
+            sections.append(_reduce_codes(packed(below)) if len(below) > 1 else packed(below))
         return sections
 
 

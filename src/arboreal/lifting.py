@@ -12,8 +12,9 @@ finite-quotient separation argument (for the group G_(01)^inf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, fmt_word, free_reduce, invert_word
+from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, _reduce_codes, fmt_word, invert_word
 from .levels import (_is_prime, intersection_trivial_on_level, orbit, perm_group_on_level,
                      stabilizer_words)
 from .words import parse_word_factors
@@ -44,12 +45,15 @@ class Substitution:
         return cls(automaton, tuple(pairs), letter)
 
     def __post_init__(self):
-        # (name, +-1) -> image of that factor, built once
+        # factor -> image, and code -> packed image ("1": empty; off the domain: None), built once
         table = {}
         for name, word in self.images:
             table[(name, 1)] = word
             table[(name, -1)] = invert_word(word)
+        aut = self.automaton
+        images = [table.get(f, () if f[0] == IDENTITY else None) for f in aut._factors]
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_images", [w if w is None else aut._pack(w) for w in images])
 
     @property
     def domain(self):
@@ -61,23 +65,30 @@ class Substitution:
 
     def apply_word(self, word):
         """sigma applied to a word over the domain, symbolically."""
-        table = self._table
-        out = []
-        for f in word:
-            image = table.get(f)
-            if image is None:
-                if f[0] == IDENTITY:
-                    continue
-                raise LiftingError(f"sigma is undefined on {f[0]!r}")
-            out += image
-        return free_reduce(out)
+        return self.apply_power(word, 1)
 
     def apply_power(self, word, k):
+        """sigma^k(word), reduced (for k = 0, the word as given): packed once, each pass joins
+        the packed images in a bytearray (a list past 127 states) and reduces, unpacked once."""
         if k < 0:
             raise ValueError("sigma is not invertible; powers must be >= 0")
-        for _ in range(k):
-            word = self.apply_word(word)
-        return word
+        if not k:
+            return word
+        aut, images = self.automaton, self._images
+        try:
+            packed = aut._pack(word)
+        except KeyError as exc:     # a name off the automaton, or an exponent not +-1
+            raise LiftingError(f"sigma is undefined on {exc.args[0][0]!r}") from None
+        try:
+            for _ in range(k):
+                below = aut._buffer()
+                for c in packed:
+                    below += images[c]
+                packed = _reduce_codes(aut._packed(below))
+        except TypeError:           # the image of c is None
+            raise LiftingError(f"sigma is undefined on {aut._factors[c][0]!r}") from None
+        f = aut._factors    # itemgetter unpacks in C, as `MealyAutomaton._pack` packs
+        return itemgetter(*packed)(f) if len(packed) > 1 else (f[packed[0]],) if packed else ()
 
 
 @dataclass
@@ -354,13 +365,9 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
 
     report = WitnessReport(letter=i, witnesses={}, source={})
     for name, g in items:
-        if g.is_trivial():
-            # the empty word witnesses a trivial generator
-            report.witnesses[name] = ()
-            report.source[name] = "trivial"
-        else:
-            report.witnesses[name] = None
-            report.source[name] = "search"
+        trivial = g.is_trivial()    # the empty word witnesses a trivial generator
+        report.witnesses[name] = () if trivial else None
+        report.source[name] = "trivial" if trivial else "search"
     if report.ok:
         return report
 

@@ -6,9 +6,11 @@ from arboreal import catalog as cat
 from arboreal.core import (
     MealyAutomaton,
     WreathSpecError,
+    _reduce_codes,
     fmt_perm,
     fmt_vertex,
     fmt_word,
+    free_reduce,
     invert_word,
     label_portrait,
     parse_elements,
@@ -439,8 +441,9 @@ def test_word_is_trivial_matches_rule_evaluator_and_reference_memos(gid):
 
 
 def _coded(aut, words):
-    """Reference memo words as the automaton's factor codes."""
-    return {tuple(aut._codes[f] for f in w) for w in words}
+    """Reference memo words packed as the automaton packs them: bytes of factor codes,
+    or code tuples past 127 states besides the identity."""
+    return {aut._packed(aut._codes[f] for f in w) for w in words}
 
 
 def _fresh(entry, tuple_text=None):
@@ -487,3 +490,63 @@ def test_coded_word_problem_matches_reference_search(gid, tuple_text):
         verdicts.add(verdict)
     assert verdicts == {True, False}
     assert aut._trivial == _coded(aut, trivial) and aut._nontrivial == _coded(aut, nontrivial)
+
+
+# ---------------------------------------------------------------------------
+# packed words: one byte per factor code, code tuples past 127 states
+
+
+def _chain(n):
+    """n states s_i = (s_(i+1 mod n), 1)(1,2); each acts as the binary adding machine, so a
+    word is trivial iff its exponents sum to 0."""
+    return parse_wreath_spec(",".join(f"s{i}=(s{(i + 1) % n},1)(1,2)" for i in range(n)))
+
+
+def _reduce_by_factors(codes):
+    """free_reduce through the codes: c is (state c >> 1, sign by c & 1), 0 and 1 the identity."""
+    factors = [("1" if c < 2 else c >> 1, -1 if c & 1 else 1) for c in codes]
+    return [2 * s + (e < 0) for s, e in free_reduce(factors)]
+
+
+@pytest.mark.parametrize("top", [255, 511])
+def test_reduce_codes_matches_free_reduce(top):
+    """bytes while the codes fit a byte (top 255), code tuples past it (top 511)."""
+    packed = bytes if top < 256 else tuple
+    hi = (top - 1, top)     # state top >> 1 and its inverse, side by side
+    cases = [(), (0,), (1,), (2,), (0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (2, 3), (3, 2),
+             (2, 2), hi, hi[::-1], (top, top), (2, 3, 4), (4, 2, 3), (4, 2, 0, 3),
+             (2, 4, 6, 7, 5, 3), (2, 1, 4, 5, 0, 3), (hi[0], 4, hi[1]), (4, *hi, 5), (6, *hi)]
+    rng = random.Random(top)
+    alphabet = (0, 1, 2, 3, 4, 5, top - 1, top)
+    words = [tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 40))) for _ in range(400)]
+    cases += words + [tuple(_reduce_by_factors(w)) for w in words]
+    assert any(len(_reduce_by_factors(w)) > 8 for w in words)
+    for codes in cases:
+        got = _reduce_codes(packed(codes))
+        assert type(got) is packed and list(got) == _reduce_by_factors(codes), codes
+
+
+def test_catalog_automata_pack_one_byte_per_factor():
+    for gid in cat.catalog():
+        assert cat.get(gid).automaton._packed is bytes, gid
+    assert _chain(127)._packed is bytes and _chain(128)._packed is tuple
+
+
+def test_200_state_automaton_decides_like_the_reference_search():
+    aut = _chain(200)
+    assert max(aut._codes.values()) == 401
+    rng = random.Random(200)
+    names = [f"s{i}" for i in range(200)]
+    trivial, nontrivial = set(), set()
+    for k in range(60):
+        signs = [rng.choice((1, -1)) for _ in range(rng.randint(1, 6))]
+        if k % 2:   # balanced: trivial
+            signs += [-e for e in signs]
+            rng.shuffle(signs)
+        word = _sprinkle(rng, tuple((rng.choice(names[:4] if k % 3 else names), e)
+                                    for e in signs))
+        verdict = aut.word_is_trivial(word)
+        assert verdict == _reference_trivial(aut, word, trivial, nontrivial), word
+        assert verdict == (sum(e for s, e in word if s != "1") == 0), word
+    assert aut._trivial == _coded(aut, trivial) and aut._nontrivial == _coded(aut, nontrivial)
+    assert max(max(w) for w in aut._trivial | aut._nontrivial) > 255

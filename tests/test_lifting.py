@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import fmt_word, invert_word
+from arboreal.core import fmt_word, free_reduce, invert_word, parse_wreath_spec
 from arboreal.levels import perm_group_on_level
 from arboreal.lifting import (
     GgsError,
@@ -287,3 +289,53 @@ def test_substitution_table():
     assert sigma.apply_word((("a", -1), ("b", 1))) == invert_word(aca) + (("d", 1),)
     with pytest.raises(LiftingError, match="undefined"):
         sigma.apply_word((("zz", 1),))
+
+
+# ---------------------------------------------------------------------------
+# sigma powers on packed words
+
+
+def _substitute(sigma, word, k):
+    """k rounds of the factor-level substitution, each followed by free_reduce."""
+    for _ in range(k):
+        word = free_reduce(tuple(f for s, e in word if s != "1" for f in sigma.image(s, e)))
+    return word
+
+
+@pytest.mark.parametrize("gid,name", [(e.id, name) for e in cat.entries_with_sigma()
+                                      for name in e.substitutions])
+def test_apply_power_matches_the_factor_substitution(gid, name):
+    sigma = cat.get(gid).sigma(name)
+    rng = random.Random(f"{gid} {name}")
+    names = list(sigma.domain) + ["1"]
+    for _ in range(12):
+        word = tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(0, 8)))
+        assert sigma.apply_power(word, 0) == word
+        assert sigma.apply_word(word) == _substitute(sigma, word, 1), word
+        for k in range(1, 5):
+            assert sigma.apply_power(word, k) == _substitute(sigma, word, k), (word, k)
+
+
+def test_apply_power_over_200_states():
+    """Past 127 states the packed words are code tuples, with the same answers."""
+    aut = parse_wreath_spec(",".join(f"s{i}=(s{(i + 1) % 200},1)(1,2)" for i in range(200)))
+    assert aut._packed is tuple
+    sigma = Substitution.parse(aut, {f"s{i}": f"s{(i + 7) % 200}*s{3 * i % 200}^-1*s{i}"
+                                     for i in range(200)})
+    rng = random.Random(200)
+    for _ in range(20):
+        word = tuple((f"s{rng.randrange(200)}", rng.choice((1, -1)))
+                     for _ in range(rng.randint(0, 6)))
+        for k in range(1, 4):
+            assert sigma.apply_power(word, k) == _substitute(sigma, word, k), (word, k)
+
+
+def test_apply_power_names_the_factor_off_the_domain():
+    sigma = Substitution.parse(cat.get("grigorchuk").automaton, {"a": "b*a", "b": "d"})
+    assert sigma.apply_power((("a", 1), ("1", -1), ("b", 1)), 1) == (
+        ("b", 1), ("a", 1), ("d", 1))
+    assert sigma.apply_power((("c", 1), ("1", 1)), 0) == (("c", 1), ("1", 1))
+    for word, k, name in (((("a", 1), ("c", 1)), 3, "c"), ((("zz", -1),), 1, "zz"),
+                          ((("a", 2),), 1, "a"), ((("b", 1),), 2, "d")):
+        with pytest.raises(LiftingError, match=f"sigma is undefined on '{name}'"):
+            sigma.apply_power(word, k)

@@ -32,7 +32,13 @@ the repeats of:
   L-presentation, on a fresh copy of its automaton (empty memos);
   `letters` is the word's length, the curve's x axis.  The search order
   is the same on every tree, so `trivial`, `memo_words` and `letters`
-  must all agree between the trees.
+  must all agree between the trees;
+- `power_cpu_s`, `peak_mb`, `letters` and `digest` (curve `sigma^k(a)
+  grigorchuk`, n = k): CPU seconds of `Substitution.apply_power((("a",
+  1),), k)` with the catalog's Grigorchuk lifting, then the tracemalloc
+  peak of a second, traced run of the same call; `letters` is the
+  length of sigma^k(a) and `digest` a hash of it, both of which must
+  agree between the trees.
 """
 
 import argparse
@@ -41,6 +47,7 @@ import random
 import resource
 import sys
 import time
+import tracemalloc
 
 import benchlib
 
@@ -51,12 +58,30 @@ BS13_MIXED_L = (2, 4, 8, 12, 16, 20, 24, 32, 48, 64)
 BS13_MEMORY_CAP_BYTES = 2 ** 29
 RELATOR_GROUPS = ("grigorchuk", "img_z2i")
 RELATOR_K = tuple(range(11))
+SIGMA_POWER_K = tuple(range(12, 21))
+
+
+def _digest(word):
+    return hashlib.sha256(repr(word).encode()).hexdigest()[:16]
 
 
 def child(curve, n):
     from arboreal import catalog
     from arboreal.core import MealyAutomaton, invert_word
     n = int(n)
+    if curve == "sigma_power":
+        sigma, a = catalog.get("grigorchuk").sigma(), (("a", 1),)
+        t0 = time.process_time()
+        word = sigma.apply_power(a, n)
+        cpu = time.process_time() - t0
+        letters, digest = len(word), _digest(word)
+        del word
+        tracemalloc.start()
+        sigma.apply_power(a, n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"power_cpu_s": cpu, "peak_mb": round(peak / 2 ** 20, 3), "letters": letters,
+                "digest": digest}
     if curve in RELATOR_GROUPS:
         entry = catalog.get(curve)
         rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
@@ -94,8 +119,7 @@ def child(curve, n):
     t0 = time.process_time()
     word = parse_word_factors(text, {"a", "b", "c", "d"})
     cpu = time.process_time() - t0
-    return {"parse_cpu_s": cpu, "factors": len(word),
-            "digest": hashlib.sha256(repr(word).encode()).hexdigest()[:16]}
+    return {"parse_cpu_s": cpu, "factors": len(word), "digest": _digest(word)}
 
 
 def measure(src, point):
@@ -113,21 +137,25 @@ def main():
               + [("juxtaposition", n) for n in JUXTAPOSITION_N]
               + [("bs13", n) for n in BS13_L]
               + [("bs13mixed", n) for n in BS13_MIXED_L]
-              + [(gid, k) for gid in RELATOR_GROUPS for k in RELATOR_K])
+              + [(gid, k) for gid in RELATOR_GROUPS for k in RELATOR_K]
+              + [("sigma_power", k) for k in SIGMA_POWER_K])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
     names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c",
              "bs13mixed": "bs13 4x mixed-sign c^-1 r c",
+             "sigma_power": "sigma^k(a) grigorchuk",
              **{gid: f"sigma(phi^k(r)) {gid}" for gid in RELATOR_GROUPS}}
     curves = []
     for (curve, n), row in results.items():
-        benchlib.same_answers(row, ("factors", "digest", "trivial", "memo_words", "letters")
+        benchlib.same_answers(row, ("letters", "digest") if curve == "sigma_power" else
+                              ("factors", "digest", "trivial", "memo_words", "letters")
                               if curve in RELATOR_GROUPS else ("factors", "digest", "trivial"))
         curves.append({"curve": names[curve], "n": n, **row})
     power = results[("power", 200000)]["change"]
     juxt = results[("juxtaposition", 100000)]["change"]
     bs13 = [results[(curve, 64)]["change"] for curve in ("bs13", "bs13mixed")]
     relators = [results[(gid, k)]["change"] for gid in RELATOR_GROUPS for k in RELATOR_K]
+    deep = results[("sigma_power", SIGMA_POWER_K[-1])]
     report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
     report["gates"] = {
         "(ad)^200000 gives 400000 factors, parse_cpu_s < 1":
@@ -138,6 +166,10 @@ def main():
             all(isinstance(p, dict) and p["trivial"] and p["decide_cpu_s"] < 0.01 for p in bs13),
         "sigma(phi^k(r)) decided trivial for k <= 10 on grigorchuk and img_z2i":
             all(isinstance(p, dict) and p["trivial"] for p in relators),
+        "sigma^20(a) grigorchuk: the change's power_cpu_s and peak_mb below the parent's":
+            all(isinstance(p, dict) for p in deep.values())
+            and all(deep["change"][key] < deep["parent"][key]
+                    for key in ("power_cpu_s", "peak_mb")),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)

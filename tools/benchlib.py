@@ -18,10 +18,11 @@ a point that timed out or ran out of memory are recorded as "skipped".
 
 Times are scaled to reference speed as `perfbench/run.py` scales them:
 every child also times the benchmark's fixed reference computation
-(`reference_s` in `perfbench/worker.py`, REFERENCE_TIMINGS times after
-its point), and each `*_s` entry of its answer is multiplied by
-`perfbench/run.py`'s REFERENCE_NOMINAL_S over the median of those
-timings, so the host's drift in speed between samples drops out.  A
+(`reference_s` in `perfbench/worker.py`, REFERENCE_TIMINGS times before
+its point and as many after it), and each `*_s` entry of its answer is
+multiplied by `perfbench/run.py`'s REFERENCE_NOMINAL_S over the median
+of all those timings, so the host's drift in speed between samples drops
+out, and a drift during the point weighs on both sides of it.  A
 sample measured outside a child (`run_cli`) is scaled by a reference
 timed in the harness right after it.  Each summary also keeps the median of
 every unscaled `X_s` entry as `X_raw` (`cpu_raw` beside `cpu_s`).
@@ -104,14 +105,16 @@ def run_cli(src, *argv, timeout=TIMEOUT_S):
 def child_main(child):
     """Run `child(*args)` and print its dict when invoked with --child ARGS.
 
-    The dict gains `reference_s`, the reference timings made after the
-    point.  Prints "memory" instead when the point exceeds MEMORY_CAP_BYTES.
+    The dict gains `reference_s`, the reference timings made before the
+    point and after it.  Prints "memory" instead when the point exceeds
+    MEMORY_CAP_BYTES.
     """
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
         try:
+            before = reference_timings()
             out = child(*sys.argv[2:])
-            out["reference_s"] = reference_timings()
+            out["reference_s"] = before + reference_timings()
         except MemoryError:
             out = "memory"
         print(json.dumps(out))
@@ -203,7 +206,8 @@ def report_header(harness, repeats):
         "reference": {
             "computation": "perfbench/worker.py reference_s: breadth-first closure of a "
                            "32-cycle and a transposition, stopped at 8000 elements, gc off",
-            "timings_per_sample": REFERENCE_TIMINGS,
+            "timings_per_sample": f"{REFERENCE_TIMINGS} before and {REFERENCE_TIMINGS} after "
+                                  f"a child's point; {REFERENCE_TIMINGS} after a `run_cli` sample",
             "nominal_s": reference_nominal_s(),
             "scaling": "every *_s entry of a sample is multiplied by nominal_s over the "
                        "median of that sample's reference timings; reference_s is that "

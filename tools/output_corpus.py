@@ -28,8 +28,12 @@ The corpus is what a behaviour-preserving change must leave alone:
 - `perm-group-on-level` at levels 1-4 (with the orbit of 000 at level 3)
   and `run perm-order` at level 3 on `HANOI`, the Hanoi towers group on
   three pegs, whose local actions are transpositions.  Both specs go to
-  the generic chain; they are written into a temporary directory, and
-  their argv names the file alone.
+  the generic chain;
+- `portrait --element s0*s0 --depth 3 --labels` on `CHAIN_200`, the 200
+  states s_i = (s_(i+1 mod 200), 1)(1,2), whose factor codes pass 255, so
+  the word problem keeps them as code tuples, not bytes.  The labels go
+  through `word_is_trivial`.  The specs are written into a temporary
+  directory, and their argv names the file alone.
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -76,6 +80,8 @@ PRIME_257 = {"id": "z257", "wreath": "a=(" + ",".join(["1"] * 257) + ")["
              + ",".join(str((x + 256) % 257) for x in range(257)) + "]"}
 
 HANOI = {"id": "hanoi", "wreath": "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)"}
+CHAIN_200 = {"id": "chain200",
+             "wreath": ",".join(f"s{i}=(s{(i + 1) % 200},1)(1,2)" for i in range(200))}
 
 
 def _blank_seconds(value):
@@ -141,7 +147,8 @@ def corpus():
               for a, b in BRACKETED]
     with tempfile.TemporaryDirectory() as tmp:
         spec, hanoi = os.path.join(tmp, "z257.json"), os.path.join(tmp, "hanoi.json")
-        for path, data in ((spec, PRIME_257), (hanoi, HANOI)):
+        chain = os.path.join(tmp, "chain200.json")
+        for path, data in ((spec, PRIME_257), (hanoi, HANOI), (chain, CHAIN_200)):
             with open(path, "w") as fh:
                 json.dump(data, fh)
         calls += [["perm-group-on-level", "--spec", spec, "--level", "1", "--format", "json"],
@@ -150,9 +157,11 @@ def corpus():
                    *(["--orbit", "000"] if level == 3 else []), "--format", "json"]
                   for level in range(1, 5)]
         calls.append(["run", "perm-order", "--spec", hanoi, "--level", "3", "--format", "json"])
+        calls.append(["portrait", "--spec", chain, "--element", "s0*s0", "--depth", "3",
+                      "--labels"])
         results = [_call(argv) for argv in calls]
     for result in results:  # the temporary directory is not part of the behaviour
-        result["argv"] = [os.path.basename(a) if a in (spec, hanoi) else a
+        result["argv"] = [os.path.basename(a) if a in (spec, hanoi, chain) else a
                           for a in result["argv"]]
     return results
 
