@@ -251,8 +251,6 @@ def _build():
                 "complement": ["(1,a)", "(1,c)"],
                 "complement_order": 8,
                 "complement_relators": ["a^2", "c^2", "(a*c)^4"],
-                "order_witness_gens": ["a", "c"],
-                "order_witness_level": 3,
                 "level": 4,
             },
             aliases=("erschler", "g_(01)inf"),

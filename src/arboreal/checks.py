@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import catalog as _catalog
-from .core import fmt_word, free_reduce, invert_word, parse_vertex
+from .core import fmt_word, invert_word, parse_vertex, reduced_product
 from .hnn import (
     HnnElement,
     UnrootedVertex,
@@ -441,9 +441,9 @@ def check_witnesses(params):
 # ---------------------------------------------------------------------------
 # the seeded property suites
 
-def _random_word(automaton, names, rng, max_len):
+def _random_element(automaton, names, rng, max_len):
     length = rng.randint(0, max_len)
-    return automaton.reduce(tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(length)))
+    return automaton.element([(rng.choice(names), rng.choice((1, -1))) for _ in range(length)])
 
 
 def _random_hnn(action, names, powers, rng, max_len):
@@ -462,11 +462,12 @@ def _random_hnn(action, names, powers, rng, max_len):
             low = min(low, height)
         else:
             letters.append((sym, rng.choice((1, -1)), height))
-    word = []
+    word = ()
     for s, e, h in letters:
         key = s, e, h - low
-        word += powers.get(key) or powers.setdefault(key, action.sigma_word(((s, e),), h - low))
-    return HnnElement(-low, free_reduce(word), height - low)
+        power = powers.get(key) or powers.setdefault(key, action.sigma_word(((s, e),), h - low))
+        word = reduced_product(word, power) if word else power
+    return HnnElement(-low, word, height - low)
 
 
 def _escalation_stop(d):
@@ -488,8 +489,8 @@ def check_properties(params):
         names = list(entry.generators)
         good = True
         for _ in range(60):
-            g = aut.element(_random_word(aut, names, rng, 6))
-            h = aut.element(_random_word(aut, names, rng, 6))
+            g = _random_element(aut, names, rng, 6)
+            h = _random_element(aut, names, rng, 6)
             level = rng.randint(1, 6)
             v = tuple(rng.randrange(aut.size) for _ in range(level))
             gh, gv = g * h, g.act(v)

@@ -3,7 +3,10 @@
 Vertices of the tree are tuples of letters 0..d-1; the empty tuple is the
 root.  An element is a formal word over the states of a finite wreath
 recursion (a Mealy automaton whose transitions may be words, not just
-states).  No minimization is performed: exact equality of two elements is
+states).  Words are (name, +-1) tuples at the API and packed factor codes
+inside the engine: one step table (`MealyAutomaton.step`) serves the tree
+action and the word problem, and `_reduce_codes` is the one free
+reduction.  No minimization is performed: exact equality of two elements is
 decided by `word_is_trivial` on the quotient, a memoized closure search
 over section words.  The closure is finite when every section of a state
 is a single state (a classical Mealy automaton): sectioning then never
@@ -19,10 +22,14 @@ same way: pmul(p, q)[x] = q[p[x]].
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 
 IDENTITY = "1"
+DEFAULT_MAX_POINTS = 1 << 20
+ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
 
 Vertex = tuple  # tuple of letters
 Word = tuple    # tuple of (state, +1|-1) factors
@@ -31,6 +38,25 @@ Perm = tuple    # tuple of images
 
 class WreathSpecError(ValueError):
     """Raised for malformed wreath-recursion text or inconsistent rules."""
+
+
+class SizeBoundExceeded(ValueError):
+    pass
+
+
+def max_points():
+    value = os.environ.get(ENV_MAX_POINTS) or str(DEFAULT_MAX_POINTS)
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{ENV_MAX_POINTS} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_points(d, n):
+    """Raise SizeBoundExceeded if level n of the d-ary tree has more than
+    max_points() vertices; d^n is not formed when n alone exceeds the limit."""
+    if n > (limit := max_points()).bit_length() or d ** n > limit:
+        raise SizeBoundExceeded(
+            f"{d}^{n} points exceed the limit {limit} (set {ENV_MAX_POINTS} to raise it)")
 
 
 # ---------------------------------------------------------------------------
@@ -102,26 +128,9 @@ def invert_word(word):
     return tuple((s, -e) for s, e in reversed(word))
 
 
-def free_reduce(factors):
-    """Free reduction: drop identity factors, cancel s^e s^-e."""
-    out = []
-    pop = out.pop
-    push = out.append
-    last_s, last_e = None, 0    # the last factor kept
-    for f in factors:
-        s, e = f
-        if e == -last_e and s == last_s:
-            pop()
-            last_s, last_e = out[-1] if out else (None, 0)
-        elif s != IDENTITY:
-            push(f)
-            last_s, last_e = f
-    return tuple(out)
-
-
 def _reduce_codes(codes):
-    """free_reduce on a packed word (see `MealyAutomaton.__init__`), whose codes cancel iff their
-    xor is 1; the identity codes 0, 1 are dropped.  A reduced word is recognised, and returned,
+    """Free reduction of a packed word (see `MealyAutomaton.__init__`): codes cancel iff their
+    xor is 1, and the identity codes 0, 1 are dropped.  A reduced word is recognised, and returned,
     without a loop in Python: bytes by one big-integer xor with the word shifted by a byte."""
     if type(codes) is bytes:    # a code tuple (past 127 states) always takes the loop
         x = int.from_bytes(codes, "big")
@@ -137,7 +146,7 @@ def _reduce_codes(codes):
 
 
 def reduced_product(x, y):
-    """free_reduce(x + y) for reduced words x and y: cancels only at the seam.
+    """The free reduction of x + y for reduced words x and y: cancels only at the seam.
 
     A reduced word has no cancelling neighbours, so only the end of x can
     meet the start of y: the cost is one concatenation, with no reduction
@@ -205,21 +214,17 @@ class MealyAutomaton:
                     if exp not in (1, -1):
                         raise WreathSpecError(f"state {name}: exponent {exp} not allowed")
         self._rules = full
-        # state -> exponent -> (images of letters, reduced section entered at each letter)
-        self._steps = {}
-        for name, (perm, sections) in full.items():
-            inv = pinv(perm)
-            sections = tuple(free_reduce(w) for w in sections)
-            self._steps[name] = {1: (perm, sections),
-                                 -1: (inv, tuple(invert_word(sections[y]) for y in inv))}
-        # word-problem factor codes (state i, +-1) -> 2i, 2i+1, so c ^ 1 inverts c and "1" is
-        # 0, 1.  A packed word is bytes, one code per byte, or past 127 states besides "1" a
-        # code tuple; code -> letter -> (image of the letter, packed section entered at it)
+        # factor codes (state i, +-1) -> 2i, 2i+1, so c ^ 1 inverts c and "1" is 0, 1.  A
+        # packed word is bytes, one code per byte, or past 127 states besides "1" a code tuple.
+        # The step table: code -> letter -> (image of the letter, reduced packed section there)
         self._codes = {(name, e): 2 * i + (e < 0) for i, name in enumerate(full) for e in (1, -1)}
         self._factors = tuple(self._codes)      # code -> factor
         self._packed, self._buffer = (bytes, bytearray) if len(full) <= 128 else (tuple, list)
-        self._table = [tuple((perm[y], self._pack(sections[y])) for y in range(d))
-                       for perm, sections in (self._steps[s][e] for s, e in self._codes)]
+        self._table = []
+        for perm, sections in full.values():
+            inv, sections = pinv(perm), [_reduce_codes(self._pack(w)) for w in sections]
+            inverses = [self._packed(c ^ 1 for c in reversed(sections[x])) for x in inv]
+            self._table += [tuple(zip(perm, sections)), tuple(zip(inv, inverses))]
         self.generators = tuple(generators) if generators is not None else tuple(
             n for n in rules if n != IDENTITY)
         self._trivial = set()
@@ -230,6 +235,11 @@ class MealyAutomaton:
         """The packed factor tuple w; `itemgetter` reads the codes in C, twice as fast as `map`."""
         c = self._codes
         return self._packed(itemgetter(*w)(c) if len(w) > 1 else (c[w[0]],) if w else ())
+
+    def _unpack(self, packed):
+        """The factor tuple of a packed word, read through `itemgetter` as `_pack` packs."""
+        f = self._factors
+        return itemgetter(*packed)(f) if len(packed) > 1 else (f[packed[0]],) if packed else ()
 
     @property
     def states(self):
@@ -253,7 +263,9 @@ class MealyAutomaton:
 
     # -- words ------------------------------------------------------------
 
-    reduce = staticmethod(free_reduce)
+    def reduce(self, word):
+        """Free reduction of a word: identity factors dropped, s^e s^-e cancelled."""
+        return self._unpack(_reduce_codes(self._pack(word)))
 
     def element(self, word):
         """TreeAutomorphism from a word (iterable of factors) or text."""
@@ -278,72 +290,92 @@ class MealyAutomaton:
     # -- action -----------------------------------------------------------
 
     def step(self, word, x):
-        """(image of the letter x, section of word at x), one pass over the factors.
+        """(image of the letter x, packed section of word at x) for a packed word.
 
         The factors are applied in order; the sections they pass through,
         freely reduced, form the word that acts below x.  Free reduction
         commutes with sectioning, so reducing once gives the reduced
-        section.  The sections of states are stored reduced, so a section
-        of at most one factor needs no reduction.
+        section.  The table holds the sections of states reduced, so a
+        section of at most one factor needs no reduction.
         """
-        steps = self._steps
-        below = []
-        for s, e in word:
-            perm, sections = steps[s][e]
-            below += sections[x]
-            x = perm[x]
-        return x, (tuple(below) if len(below) < 2 else free_reduce(below))
+        table = self._table
+        if len(word) == 1:
+            return table[word[0]][x]
+        below = self._buffer()
+        for c in word:
+            x, section = table[c][x]
+            below += section
+        return x, (_reduce_codes(self._packed(below)) if len(below) > 1 else self._packed(below))
 
     def split(self, word):
         """First-level decomposition: (root permutation, section at each letter)."""
-        return tuple(zip(*(self.step(word, x) for x in range(self.size))))
+        images, sections = zip(*(self.step(self._pack(word), x) for x in range(self.size)))
+        return images, tuple(map(self._unpack, sections))
 
     def walk(self, word, v):
-        """(image of v, section of word at v), one level at a time.
+        """(image of v, reduced section of word at v), one level at a time; see `_walk`."""
+        image, section = self._walk(_reduce_codes(self._pack(word)), v)
+        return image, self._unpack(section)
 
-        Each level is one `step`, written out inline: on deep vertices a
-        function call per level costs about 15% of the boundary action.
-        Once the section is the empty word the rest of v is fixed.
-        Iterative: the depth of v costs no stack.
+    def _walk(self, word, v):
+        """`walk` on a packed word, with a packed section.
+
+        Each level is one `step`, written out inline: a call per level
+        costs more than a one-factor word's table lookup.  Once the section
+        is the empty word the rest of v is fixed.  Iterative: the depth of
+        v costs no stack.
         """
-        if not v:
-            return (), free_reduce(word)
-        steps = self._steps
+        table, packed, buffer = self._table, self._packed, self._buffer
         image = []
         for x in v:
-            if not word:
+            if len(word) == 1:
+                x, word = table[word[0]][x]
+            elif word:
+                below = buffer()
+                for c in word:
+                    x, section = table[c][x]
+                    below += section
+                word = _reduce_codes(packed(below)) if len(below) > 1 else packed(below)
+            else:
                 break
-            below = []
-            for s, e in word:
-                perm, sections = steps[s][e]
-                below += sections[x]
-                x = perm[x]
             image.append(x)
-            word = below if len(below) < 2 else free_reduce(below)
-        return tuple(image) + tuple(v[len(image):]), tuple(word)
+        return tuple(image) + tuple(v[len(image):]), word
 
     def act_word(self, word, v):
-        return self.walk(word, v)[0]
+        return self._walk(self._pack(word), v)[0]
 
     def section_word(self, word, v):
         return self.walk(word, v)[1]
 
     def root_perm(self, word):
-        p = identity_perm(self.size)
-        for s, e in word:
-            p = pmul(p, self._steps[s][e][0])
-        return p
+        return self.split(word)[0]
+
+    def _levels(self, word, depth):
+        """The sections of a packed word on levels 0..depth (refused past `check_points`), each
+        distinct one stepped once: yields per level the section id at each vertex in lexicographic
+        order, `turns` (id -> images of the letters) and `words` (id -> packed section)."""
+        check_points(self.size, depth)
+        ids, turns, below, sections = {word: 0}, [], [], [0]
+        for level in range(depth + 1):
+            if level:
+                sections = [t for s in sections for t in below[s]]
+            words = list(ids)
+            for w in words[len(turns):]:
+                ys, subs = zip(*(self.step(w, x) for x in range(self.size)))
+                turns.append(ys)
+                below.append([ids.setdefault(s, len(ids)) for s in subs])
+            yield sections, turns, words
 
     # -- the word problem ---------------------------------------------------
 
     def word_is_trivial(self, word):
         """Exact triviality via memoized closure over section words.
 
+        The word is packed (see `__init__`) and reduced by `_reduce_codes`.
         With `self.affine`, a certified `padic.AffineModel` (None by default,
-        not kept by `extend`), a reduced word is trivial iff its factors' maps
-        compose to x -> x.  Otherwise the word is packed (see `__init__`) and
-        reduced by `_reduce_codes`, and it is trivial iff every word in its
-        section closure fixes the first level.  A visited word costs one
+        not kept by `extend`), it is trivial iff its factors' maps compose to
+        x -> x.  Otherwise it is trivial iff every word in its section
+        closure fixes the first level.  A visited word costs one
         step-table lookup per factor per letter, which gives the letter's
         image and the packed section below it; the first moved letter ends
         the search with "nontrivial".  The memos hold packed words.  When all
@@ -352,9 +384,9 @@ class MealyAutomaton:
         terminates.  Word-valued sections (x=(x*x,1)(1,2)) can make the
         closure infinite; no budget bounds the search yet.
         """
-        if self.affine is not None:
-            return self.affine.is_identity(self.reduce(word))
         word = _reduce_codes(self._pack(word))
+        if self.affine is not None:
+            return self.affine.is_identity(self._unpack(word))
         if not word or word in self._trivial:
             return True
         if word in self._nontrivial:
@@ -378,7 +410,7 @@ class MealyAutomaton:
 
     def _sections_if_fixed(self, word):
         """The packed sections of a packed word at the letters 0..d-1, or None if it moves one.
-        Each section is gathered in a bytearray (a list past 127 states), then reduced."""
+        Each letter is one `step`, written out inline on the word problem's hottest loop."""
         table, packed = self._table, self._packed
         sections = []
         for x in range(self.size):
@@ -442,12 +474,13 @@ class TreeAutomorphism:
             v = parse_vertex(v)
         if v and (min(v) < 0 or max(v) >= self.automaton.size):
             raise ValueError(f"vertex {v} has letters outside the alphabet")
-        return self.automaton.walk(self.word, tuple(v))[0]
+        return self.automaton._walk(self.automaton._pack(self.word), tuple(v))[0]
 
     def section(self, v):
         if isinstance(v, str):
             v = parse_vertex(v)
-        return TreeAutomorphism(self.automaton, self.automaton.walk(self.word, tuple(v))[1])
+        aut = self.automaton     # the word is reduced, so `walk`'s reduction is not needed
+        return TreeAutomorphism(aut, aut._unpack(aut._walk(aut._pack(self.word), tuple(v))[1]))
 
     def is_trivial(self):
         return self.automaton.word_is_trivial(self.word)
@@ -628,24 +661,14 @@ def parse_elements(texts, automaton):
 # ---------------------------------------------------------------------------
 # portraits
 
-def _sections_by_level(g, depth):
-    """(vertex, section word of g there) for levels 0..depth, level by level."""
-    from .levels import check_points   # levels imports core
-    aut = g.automaton
-    check_points(aut.size, depth)
-    frontier = {(): g.word}
-    for level in range(depth + 1):
-        if level:
-            frontier = {v + (x,): section for v, w in frontier.items()
-                        for x, section in enumerate(aut.split(w)[1])}
-        yield from frontier.items()
-
-
 def portrait(g, depth):
     """Map vertex -> root permutation of the section there, levels 0..depth."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return {v: g.automaton.root_perm(w) for v, w in _sections_by_level(g, depth)}
+    aut, nodes = g.automaton, {}
+    for level, (sections, turns, _) in enumerate(aut._levels(aut._pack(g.word), depth)):
+        nodes.update(zip(product(range(aut.size), repeat=level), map(turns.__getitem__, sections)))
+    return nodes
 
 
 def match_label(automaton, word, candidates):
@@ -662,9 +685,15 @@ def label_portrait(g, depth, candidates):
     """Canonical section labels: vertex -> candidate name, via exact equality.
 
     `candidates` maps names to TreeAutomorphisms (the identity is always
-    tried first).  Unmatched sections are labelled None.
+    tried first).  Unmatched sections are labelled None.  Each distinct
+    section is matched once.
     """
-    return {v: match_label(g.automaton, w, candidates) for v, w in _sections_by_level(g, depth)}
+    aut, names, labels = g.automaton, {}, {}
+    for level, (sections, _, words) in enumerate(aut._levels(aut._pack(g.word), depth)):
+        names.update({s: match_label(aut, aut._unpack(words[s]), candidates)
+                      for s in dict.fromkeys(sections) if s not in names})
+        labels.update(zip(product(range(aut.size), repeat=level), map(names.__getitem__, sections)))
+    return labels
 
 
 def portrait_json(nodes, labels=None):

@@ -11,15 +11,15 @@ len(w) - m; the spine vertex at level -n is (n, ()) and at level n >= 0 is
 theta sends g in G to the automorphism acting on T^(m) as sigma^m(g), and
 the stable letter t to the shift toward the fixed end: theta(t)(m, w) =
 (m+1, w), dropping the level by one.  sigma^m(g) is never written out:
-`ScaleAction` memoizes sigma^m(s) by its sections on the m digits above
-the dot, so the memo grows with the prefixes visited, not with whole
-windows.  `theta_map` binds theta(e), caching for e alone each prefix's
-image and each section's moves below; `moved_vertex` binds it once per
-box scan, `sigma_mismatch` (the spine and projection checks) once per
-generator, `theta_apply` and `boundary_apply` per window.
-Elements of the extension are kept in the form t^-m g t^n; equality is
-decided exactly through the group's word problem (Britton uniqueness is
-never needed).
+`ScaleAction` memoizes sigma^m(s) by its packed sections (see `core`) on
+the m digits above the dot, so the memo grows with the prefixes visited,
+not with whole windows.  `theta_map` binds theta(e), caching for e alone
+each prefix's image and each packed section's moves below; `moved_vertex`
+binds it once per box scan, `sigma_mismatch` (the spine and projection
+checks) once per generator, `theta_apply` and `boundary_apply` per window.
+Elements of the extension are kept in the form t^-m g t^n, with g a
+(name, +-1) tuple word; equality is decided exactly through the group's
+word problem (Britton uniqueness is never needed).
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product, starmap
 
-from .core import (TreeAutomorphism, fmt_vertex, fmt_word, free_reduce, invert_word,
-                   portrait, reduced_product)
+from .core import (TreeAutomorphism, _reduce_codes, check_points, fmt_vertex, fmt_word,
+                   invert_word, portrait, reduced_product)
 from .lifting import LiftingError, check_lifting
-from .levels import (check_points, level_perm, orbit, point_stabilizer_gens, schreier_tree,
-                     vertex_index)
+from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
 
 
@@ -127,12 +126,12 @@ class ScaleAction:
     """A certified lifting packaged with the machinery to act on the tree.
 
     Construction verifies the lifting conditions (exactly).  sigma-power
-    actions are memoized by sections: an entry is keyed on a state, its
-    exponent, a depth k and the k digits above the dot, and holds their
-    image under sigma^k of the state and its reduced section there.  The
-    digits below the dot never enter a key, so random windows share
-    entries; prefixes are interned as (parent id, digit), so an entry has
-    constant size however deep the copy.
+    actions are memoized by sections: an entry is keyed on a factor code
+    (`MealyAutomaton.__init__`), a depth k and the k digits above the dot,
+    and holds their image under sigma^k of the factor and its reduced packed
+    section there.  The digits below the dot never enter a key, so random
+    windows share entries; prefixes are interned as (parent id, digit), so
+    an entry has constant size however deep the copy.
     """
 
     def __init__(self, automaton, sigma):
@@ -144,7 +143,7 @@ class ScaleAction:
         report = check_lifting(sigma)
         if not report.ok:
             raise LiftingError(f"sigma is not a lifting; failures: {report.failures}")
-        self._act_cache = {}   # (s, e, k, prefix id) -> (image prefix id, reduced section)
+        self._act_cache = {}   # (code, k, prefix id) -> (image prefix id, packed section)
         self._prefixes = {}    # prefix id -> (parent id, last digit); 0 is the empty prefix
         self._prefix_ids = {}  # (parent id, digit) -> prefix id
         self._next_id = count(1)
@@ -153,20 +152,22 @@ class ScaleAction:
         return self.sigma.domain
 
     def prefix_image(self, word, k, v):
-        """(image, reduced section) of the k digits of v above the dot under sigma^k(word),
-        through the memo; a window shorter than k is padded with the spine letter."""
+        """(image, reduced packed section) of the k digits of v above the dot under
+        sigma^k(word), through the memo; a window shorter than k is padded with the spine letter."""
         ids, node = self._prefix_ids, 0
         for x in (v + (self.letter,) * (k - len(v)))[:k]:
             node = ids.get((node, x)) or self._prefix(node, x)
-        below = []
-        for s, e in word:
-            node, section = self._act_cache.get((s, e, k, node)) or self._section((s, e, k, node))
+        aut, cache = self.automaton, self._act_cache
+        below = aut._buffer()
+        for c in map(aut._codes.__getitem__, word):
+            node, section = cache.get((c, k, node)) or self._section((c, k, node))
             below += section
         image = []
         while node:
             node, x = self._prefixes[node]
             image.append(x)
-        return tuple(reversed(image)), (tuple(below) if len(below) < 2 else free_reduce(below))
+        below = aut._packed(below)
+        return tuple(reversed(image)), (_reduce_codes(below) if len(below) > 1 else below)
 
     def _prefix(self, parent, digit):
         """The id of the prefix `parent` followed by `digit`.
@@ -183,25 +184,25 @@ class ScaleAction:
         return node
 
     def _section(self, key):
-        """Build and return the memo entry of key = (s, e, k, prefix id).
+        """Build and return the memo entry of key = (code, k, prefix id).
 
-        sigma^k(s^e) is the product of sigma^(k-1)(f) over the letters f
-        of sigma(s^e): their entries on the parent prefix, chained, then
-        one step on the last digit.  Missing entries wait on an explicit
+        sigma^k(c) is the product of sigma^(k-1)(f) over the codes f of
+        sigma(c): their entries on the parent prefix, chained, then one
+        step on the last digit.  Missing entries wait on an explicit
         stack, so the copy depth k costs no Python stack.
         """
         cache, stack = self._act_cache, [key]
         while stack:
-            s, e, k, node = stack[-1]
+            c, k, node = stack[-1]
             if not k:
-                cache[stack.pop()] = 0, ((s, e),)
+                cache[stack.pop()] = 0, self.automaton._packed((c,))
                 continue
             x, digit = self._prefixes[node]
-            below = []
-            for f, g in self.sigma.image(s, e):
-                entry = cache.get((f, g, k - 1, x))
+            below = self.automaton._buffer()
+            for f in self.sigma._images[c]:
+                entry = cache.get((f, k - 1, x))
                 if entry is None:
-                    stack.append((f, g, k - 1, x))
+                    stack.append((f, k - 1, x))
                     break
                 x, section = entry
                 below += section
@@ -228,8 +229,8 @@ def theta_map(e, action):
     because the lifting gives sigma^k(g)(i^r w) = i^r sigma^(k-r)(g)(w).
 
     For this element only, the map caches each k-digit prefix's image with
-    g's reduced section there (`ScaleAction.prefix_image`), and each move
-    (section, digit) -> (image digit, next section) below; both die with it.
+    g's reduced packed section there (`ScaleAction.prefix_image`), and each
+    move (section, digit) -> (image digit, next section) below; both die with it.
     """
     letter, word, tneg, tpos = action.letter, e.word, e.tneg, e.tpos
     lifts, moves, step = {}, {}, action.automaton.step
@@ -273,15 +274,15 @@ def moved_vertex(e, action, copies, length):
 
 def sigma_mismatch(word, action, copies, length):
     """The first window (m, w) with m <= copies and |w| <= length on which theta(word)
-    and sigma^m(word), written out and walked by `act_word`, disagree, or None.  Every
+    and sigma^m(word), written out, packed once and walked, disagree, or None.  Every
     w is tried, those led by the spine letter too, so `theta_map`'s lifting shortcut
     is compared; w = () is the spine vertex (m, ())."""
-    apply, act = theta_map(action.element(word), action), action.automaton.act_word
+    apply, aut = theta_map(action.element(word), action), action.automaton
     for m in range(copies + 1):
-        written = action.sigma_word(word, m)
+        written = aut._pack(action.sigma_word(word, m))
         for n in range(length + 1):
-            for w in product(range(action.automaton.size), repeat=n):
-                if apply(1 - m, w) != (1 - m, act(written, w)):
+            for w in product(range(aut.size), repeat=n):
+                if apply(1 - m, w) != (1 - m, aut._walk(written, w)[0]):
                     return m, w
     return None
 
@@ -351,8 +352,9 @@ def transitivity_witness(target, action):
     automaton = action.automaton
     names = action.generators()
     symbols = [(n, 1) for n in names] + [(n, -1) for n in names]
+    packed = {sym: automaton._pack((sym,)) for sym in symbols}
     reps = schreier_tree((action.letter,) * k, (), symbols,
-                         lambda sym, v: automaton.act_word((sym,), v),
+                         lambda sym, v: automaton._walk(packed[sym], v)[0],
                          lambda w, sym: w + (sym,))
     if target.word not in reps:
         return None

@@ -28,35 +28,15 @@ Both are deterministic, so orders reproduce in CI.
 
 from __future__ import annotations
 
-import os
+from itertools import islice
 from math import isqrt, prod
 from operator import getitem, itemgetter
 from dataclasses import dataclass, field
 
-from .core import identity_perm, invert_word, pinv, pmul, power_by_squaring, reduced_product
+from .core import (SizeBoundExceeded, identity_perm, invert_word, max_points, pinv, pmul,
+                   power_by_squaring, reduced_product)
 
-DEFAULT_MAX_POINTS = 1 << 20
-ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
 ENUMERATION_LIMIT = 10 ** 6   # largest group intersection_trivial_on_level enumerates
-
-
-class SizeBoundExceeded(ValueError):
-    pass
-
-
-def max_points():
-    value = os.environ.get(ENV_MAX_POINTS) or str(DEFAULT_MAX_POINTS)
-    if not value.isdecimal() or int(value) < 1:
-        raise ValueError(f"{ENV_MAX_POINTS} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def check_points(d, n):
-    """Raise SizeBoundExceeded if level n of the d-ary tree has more than
-    max_points() vertices; d^n is not formed when n alone exceeds the limit."""
-    if n > (limit := max_points()).bit_length() or d ** n > limit:
-        raise SizeBoundExceeded(
-            f"{d}^{n} points exceed the limit {limit} (set {ENV_MAX_POINTS} to raise it)")
 
 
 def vertex_index(v, d):
@@ -68,24 +48,15 @@ def vertex_index(v, d):
 
 
 def level_perm(g, n):
-    """Dense image array of g on the d^n vertices of level n, built one level
-    at a time from each vertex's image and the id of g's section there:
-    `MealyAutomaton.step` runs once per (section, letter) pair, and the
-    arrays hold d^n entries at the last level."""
+    """Dense image array of g on the d^n vertices of level n, built one level at a time
+    from each vertex's image and the id of g's section there: `MealyAutomaton._levels`
+    walks levels 0..n-1, stepping each (section, letter) pair once, and refuses d^n past
+    the point limit.  The arrays hold d^n entries at the last level."""
     automaton = g.automaton
     d = automaton.size
-    check_points(d, n)
-    ids = {g.word: 0}
-    turns, below = [], []   # section id -> letter images, ids of the sections entered
-    images, sections = [0], [0]
-    for level in range(n):
-        for word in list(ids)[len(turns):]:
-            ys, subs = zip(*(automaton.step(word, x) for x in range(d)))
-            turns.append(ys)
-            below.append([ids.setdefault(s, len(ids)) for s in subs])
+    images = [0]
+    for sections, turns, _ in islice(automaton._levels(automaton._pack(g.word), n), n):
         images = [i * d + y for i, s in zip(images, sections) for y in turns[s]]
-        if level + 1 < n:
-            sections = [t for s in sections for t in below[s]]
     return tuple(images)
 
 

@@ -12,7 +12,6 @@ finite-quotient separation argument (for the group G_(01)^inf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, _reduce_codes, fmt_word, invert_word
 from .levels import (_is_prime, intersection_trivial_on_level, orbit, perm_group_on_level,
@@ -45,15 +44,13 @@ class Substitution:
         return cls(automaton, tuple(pairs), letter)
 
     def __post_init__(self):
-        # factor -> image, and code -> packed image ("1": empty; off the domain: None), built once
-        table = {}
-        for name, word in self.images:
-            table[(name, 1)] = word
-            table[(name, -1)] = invert_word(word)
+        # code -> packed image ("1": empty; off the domain: None), built once
         aut = self.automaton
-        images = [table.get(f, () if f[0] == IDENTITY else None) for f in aut._factors]
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_images", [w if w is None else aut._pack(w) for w in images])
+        images = [aut._packed() if s == IDENTITY else None for s, _ in aut._factors]
+        for name, word in self.images:
+            code = aut._codes[(name, 1)]
+            images[code], images[code + 1] = aut._pack(word), aut._pack(invert_word(word))
+        object.__setattr__(self, "_images", images)
 
     @property
     def domain(self):
@@ -61,7 +58,7 @@ class Substitution:
 
     def image(self, name, e=1):
         """sigma(name), or its inverse for e = -1."""
-        return self._table[(name, e)]
+        return self.automaton._unpack(self._images[self.automaton._codes[(name, e)]])
 
     def apply_word(self, word):
         """sigma applied to a word over the domain, symbolically."""
@@ -87,8 +84,7 @@ class Substitution:
                 packed = _reduce_codes(aut._packed(below))
         except TypeError:           # the image of c is None
             raise LiftingError(f"sigma is undefined on {aut._factors[c][0]!r}") from None
-        f = aut._factors    # itemgetter unpacks in C, as `MealyAutomaton._pack` packs
-        return itemgetter(*packed)(f) if len(packed) > 1 else (f[packed[0]],) if packed else ()
+        return aut._unpack(packed)
 
 
 @dataclass

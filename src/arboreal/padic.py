@@ -182,6 +182,7 @@ class AffineModel:
             raise AffineModelError(f"malformed affine model: {err!r}") from err
         if not relabel or set(maps) != set(automaton.states) - {IDENTITY}:
             raise AffineModelError("an affine model needs a relabelling and one map per state")
+        stack = [(automaton._pack(w), j, f) for w, j, f in stack]
         seen = {(w, j): f for w, j, f in stack}
         while stack:
             w, j, (alpha, beta) = stack.pop()
@@ -192,14 +193,15 @@ class AffineModel:
                 known = seen.setdefault(key, g)
                 if gcd(g[1].denominator, d) > 1 or known != g:
                     raise AffineModelError(f"the automaton leaves the affine model at word "
-                                           f"{fmt_word(w)}, phase {j}, letter {x}")
+                                           f"{fmt_word(automaton._unpack(w))}, phase {j}, "
+                                           f"letter {x}")
                 if known is g:
                     if len(seen) > self.VISITS:
                         raise AffineModelError(f"the certificate visited {self.VISITS} pairs")
                     stack.append((section, key[1], g))
-        self._triples = {w[0]: (a.numerator * b.denominator, b.numerator * a.denominator,
-                                a.denominator * b.denominator) for (w, j), (a, b) in seen.items()
-                         if j == 0 and len(w) == 1}
+        self._triples = {automaton._factors[w[0]]: (
+            a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
+            for (w, j), (a, b) in seen.items() if j == 0 and len(w) == 1}
 
     def is_identity(self, word):
         """Whether the maps x -> (ax + b)/n compose to x -> x, in runs of BLOCK, then pairwise."""

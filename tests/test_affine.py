@@ -175,18 +175,26 @@ def test_affine_bundles_load_with_a_certified_model(tmp_path):
         assert cat.load_spec(str(spec)).automaton.affine is not None, (p, r)
 
 
-# the check passes at level l iff r generates (Z/p^l)^*: levels 1..3 for
+# the check passes at level l iff r generates (Z/p^l)^*: levels 1..6 for
 # (3, 2), 1 for (5, 7), 1..2 for (2, 3), none for (5, 4)
 @pytest.mark.parametrize("p, r, level, passes", [
     (3, 2, 3, {1: True, 2: True, 3: True}),
     (5, 7, 2, {1: True, 2: False}),
     (2, 3, 3, {1: True, 2: True, 3: False}),
     (5, 4, 1, {1: False}),
+    (3, 2, 6, {l: True for l in range(1, 7)}),
 ])
 def test_affine_two_transitivity(tmp_path, p, r, level, passes):
     report = _run_affine(tmp_path, p, r, "two-transitivity", level=level)
     assert report.evidence["levels"] == passes
     assert report.status == ("pass" if all(passes.values()) else "fail")
+
+
+@pytest.mark.parametrize("gid", ["gs3", "gs5", "gs7"])
+def test_catalog_ggs_groups_fail_two_transitivity_from_level_1(gid):
+    """The catalog's groups with d > 2 all fail where the (3, 2) bundle passes."""
+    report = run_check("two-transitivity", {"group": gid, "level": 1})
+    assert report.status == "fail" and report.evidence["levels"] == {1: False}
 
 
 @pytest.mark.parametrize("p, r, orders", [

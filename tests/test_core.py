@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,6 @@ from arboreal.core import (
     fmt_perm,
     fmt_vertex,
     fmt_word,
-    free_reduce,
     invert_word,
     label_portrait,
     parse_elements,
@@ -23,6 +23,10 @@ from arboreal.core import (
     portrait_dot,
     portrait_json,
 )
+from arboreal.levels import level_perm, vertex_index
+from arboreal.lifting import GgsVector, ggs_lifting
+
+from free_words import free_reduce
 
 
 @pytest.fixture(scope="module")
@@ -550,3 +554,61 @@ def test_200_state_automaton_decides_like_the_reference_search():
         assert verdict == (sum(e for s, e in word if s != "1") == 0), word
     assert aut._trivial == _coded(aut, trivial) and aut._nontrivial == _coded(aut, nontrivial)
     assert max(max(w) for w in aut._trivial | aut._nontrivial) > 255
+
+
+# ---------------------------------------------------------------------------
+# the tree action on packed words against the rules-only evaluator
+
+
+def _rule_walk(aut, word, v):
+    """(image of v, section there), one `_rule_split` per level."""
+    word, image = _rule_reduce(word), []
+    for x in v:
+        perm, sections = _rule_split(aut, word)
+        image.append(perm[x])
+        word = sections[x]
+    return tuple(image), word
+
+
+def _action_automaton(name):
+    """A catalog automaton, the 200-state chain (packed as code tuples), or the GGS group
+    b = (a, a^2, 1, 1, b) with a word-valued section."""
+    if name == "chain200":
+        return _chain(200)
+    if name == "ggs5":
+        aut = ggs_lifting(GgsVector(5, (1, 2, 0, 0))).automaton
+        assert aut.rule("b")[1][1] == (("a", 1), ("a", 1))
+        return aut
+    return cat.get(name).automaton
+
+
+@pytest.mark.parametrize("name", sorted(cat.catalog()) + ["chain200", "ggs5"])
+def test_walk_split_root_perm_and_level_perm_match_the_rules(name):
+    """Seeded unreduced words with identity factors against `_rule_split`."""
+    aut = _action_automaton(name)
+    rng = random.Random(name)
+    names = [s for s in aut.states if s != "1"]
+    d = aut.size
+    for k in range(40):
+        word = _sprinkle(rng, tuple((rng.choice(names), rng.choice((1, -1)))
+                                    for _ in range(rng.randint(0, 8))))
+        if k % 4 == 0:      # a cancelling pair in the middle
+            f = (rng.choice(names), 1)
+            word = word[:2] + (f, (f[0], -1)) + word[2:]
+        perm, sections = _rule_split(aut, word)
+        assert aut.split(word) == (perm, tuple(sections)), (name, word)
+        assert aut.root_perm(word) == perm, (name, word)
+        for _ in range(4):
+            v = tuple(rng.randrange(d) for _ in range(rng.randint(0, 6)))
+            assert aut.walk(word, v) == _rule_walk(aut, word, v), (name, word, v)
+        n = 3 if d < 5 else 2
+        expected = tuple(vertex_index(_rule_walk(aut, word, v)[0], d)
+                         for v in product(range(d), repeat=n))
+        assert level_perm(aut.element(word), n) == expected, (name, word)
+
+
+def test_walk_deep_vertices_without_recursion(grig):
+    aut = grig.automaton
+    for v in ((1,) * 5000, (1,) * 4999 + (0,)):
+        assert aut.walk((("b", 1),), v) == _rule_walk(aut, (("b", 1),), v)
+    assert aut.walk((("b", 1),), (1,) * 5000) == ((1,) * 5000, (("d", 1),))

@@ -5,10 +5,11 @@ import time
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.core import free_reduce, invert_word, power_by_squaring, reduced_product
+from arboreal.core import invert_word, power_by_squaring, reduced_product
 from arboreal.hnn import HNN_IDENTITY, HnnElement, hnn_inverse, hnn_multiply, parse_hnn
 from arboreal.words import MAX_NESTING, GroupOps, WordSyntaxError, evaluate, parse_word_factors
 
+from free_words import free_reduce
 import lamplighter_oracle as lamp
 
 

@@ -32,8 +32,15 @@ The corpus is what a behaviour-preserving change must leave alone:
 - `portrait --element s0*s0 --depth 3 --labels` on `CHAIN_200`, the 200
   states s_i = (s_(i+1 mod 200), 1)(1,2), whose factor codes pass 255, so
   the word problem keeps them as code tuples, not bytes.  The labels go
-  through `word_is_trivial`.  The specs are written into a temporary
-  directory, and their argv names the file alone.
+  through `word_is_trivial`;
+- `run two-transitivity`, `run perm-order --level 3`, `run lifting` and
+  `run spine` on `AFFINE_3_2`, the affine group of Q_3 generated by
+  x -> x+1 and x -> 2x (the bundle `affine_bundle(3, 2)` of
+  tests/test_affine.py, with an id), which its certified affine model
+  decides, and `run lifting` on `AFFINE_REJECTED`, the same bundle with
+  m1's map changed, whose certificate fails (exit 3, naming the word,
+  phase and letter).  The specs are written into a temporary directory,
+  and their argv names the file alone.
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -82,6 +89,16 @@ PRIME_257 = {"id": "z257", "wreath": "a=(" + ",".join(["1"] * 257) + ")["
 HANOI = {"id": "hanoi", "wreath": "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)"}
 CHAIN_200 = {"id": "chain200",
              "wreath": ",".join(f"s{i}=(s{(i + 1) % 200},1)(1,2)" for i in range(200))}
+AFFINE_3_2 = {"id": "affine32",
+              "wreath": "a=(1,1,a)(1,2,3),m0=(m0,m0,m1)(2,3),m1=(m0,m1,m1)(1,2)",
+              "substitutions": {"sigma": {"letter": 0,
+                                          "images": {"a": "a^3", "m0": "m0", "m1": "m0*a^3"}}},
+              "default_sigma": "sigma",
+              "affine": {"relabel": [[0, 1, 2]],
+                         "maps": {"a": ["1", "1"], "m0": ["2", "0"], "m1": ["2", "1"]}}}
+AFFINE_REJECTED = {**AFFINE_3_2, "id": "affine32x",
+                   "affine": {"relabel": [[0, 1, 2]],
+                              "maps": {"a": ["1", "1"], "m0": ["2", "0"], "m1": ["2", "0"]}}}
 
 
 def _blank_seconds(value):
@@ -148,7 +165,10 @@ def corpus():
     with tempfile.TemporaryDirectory() as tmp:
         spec, hanoi = os.path.join(tmp, "z257.json"), os.path.join(tmp, "hanoi.json")
         chain = os.path.join(tmp, "chain200.json")
-        for path, data in ((spec, PRIME_257), (hanoi, HANOI), (chain, CHAIN_200)):
+        affine, rejected = os.path.join(tmp, "affine32.json"), os.path.join(tmp, "affine32x.json")
+        specs = {spec: PRIME_257, hanoi: HANOI, chain: CHAIN_200, affine: AFFINE_3_2,
+                 rejected: AFFINE_REJECTED}
+        for path, data in specs.items():
             with open(path, "w") as fh:
                 json.dump(data, fh)
         calls += [["perm-group-on-level", "--spec", spec, "--level", "1", "--format", "json"],
@@ -159,9 +179,12 @@ def corpus():
         calls.append(["run", "perm-order", "--spec", hanoi, "--level", "3", "--format", "json"])
         calls.append(["portrait", "--spec", chain, "--element", "s0*s0", "--depth", "3",
                       "--labels"])
+        calls += [["run", *check, "--spec", affine, "--format", "json"] for check in (
+            ["two-transitivity"], ["perm-order", "--level", "3"], ["lifting"], ["spine"])]
+        calls.append(["run", "lifting", "--spec", rejected, "--format", "json"])
         results = [_call(argv) for argv in calls]
     for result in results:  # the temporary directory is not part of the behaviour
-        result["argv"] = [os.path.basename(a) if a in (spec, hanoi, chain) else a
+        result["argv"] = [os.path.basename(a) if a in specs else a
                           for a in result["argv"]]
     return results
 
