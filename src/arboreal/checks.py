@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import catalog as _catalog
-from .core import fmt_word, invert_word, parse_vertex, reduced_product
+from .core import _reduce_codes, fmt_word, invert_word, parse_vertex, reduced_product
 from .hnn import (
     HnnElement,
     UnrootedVertex,
@@ -171,31 +171,25 @@ def check_lifting_certificate(params):
         return report, "inconclusive", {"liftable": entry.liftable}
     names = [sigma_name] if sigma_name else sorted(entry.substitutions)
     evidence = {}
-    ok = True
     for name in names:
         sigma = entry.sigma(name)
         rep = check_lifting(sigma)
         evidence[f"{name}.lifting"] = "pass" if rep.ok else f"fail {rep.failures}"
-        ok &= rep.ok
-        if entry.presentation is not None or entry.relator_texts is not None:
-            if entry.presentation is not None:
-                rrep = verify_endomorphism_by_relators(sigma, entry.presentation, depth)
-                evidence[f"{name}.relators"] = (
-                    "pass" if rrep.ok else f"fail {rrep.failures[:4]}")
-                ok &= rrep.ok
-            if entry.relator_texts is not None:
-                aut = entry.automaton
-                bad = [label for label, r in entry.relators(depth)
-                       if not aut.word_is_trivial(sigma.apply_word(r))]
-                evidence[f"{name}.stated-relators"] = "pass" if not bad else f"fail {bad[:4]}"
-                ok &= not bad
-        elif entry.separation is not None:
+        if entry.presentation is not None:
+            rrep = verify_endomorphism_by_relators(sigma, entry.presentation, depth)
+            evidence[f"{name}.relators"] = (
+                "pass" if rrep.ok else f"fail {rrep.failures[:4]}")
+        if entry.relator_texts is not None:
+            aut = entry.automaton
+            bad = [label for label, r in entry.relators(depth)
+                   if not aut._is_trivial(sigma._power(aut._pack(r), 1))]
+            evidence[f"{name}.stated-relators"] = "pass" if not bad else f"fail {bad[:4]}"
+        if entry.separation is not None:
             gens, comp, order = _catalog.separation_complement(entry)
             srep = verify_endomorphism_by_quotient_separation(
                 gens, comp, order, entry.separation["level"])
             evidence[f"{name}.separation"] = "pass" if srep.ok else "fail"
-            ok &= srep.ok
-    return report, ("pass" if ok else "fail"), evidence
+    return report, ("pass" if all(v == "pass" for v in evidence.values()) else "fail"), evidence
 
 
 @declare("perm-order", *ENTRY, Param("level", int, REQUIRED), Param("gens"), Param("expect", int))
@@ -250,20 +244,18 @@ def check_hnn_relators(params):
     known = ["all", *sorted({*entry.hnn_presentations, *(("base",) if base else ())})]
     if which not in known:
         raise KeyError(f"{entry.id} has no relator suite {which!r}; known: {', '.join(known)}")
-    suites = {name: list(rels) for name, rels in entry.hnn_presentations.items()
-              if which in ("all", name)}
+    suites = {name: [(r, parse_hnn(r, action)) for r in rels]
+              for name, rels in entry.hnn_presentations.items() if which in ("all", name)}
     if base and which in ("all", "base"):
-        # base-group relators hold in the extension as well
-        suites["base"] = [fmt_word(r) for _, r in entry.relators(depth)]
+        # base-group relators hold in the extension as well; an element prints as its word
+        suites["base"] = [(e, e) for e in (HnnElement(0, r, 0) for _, r in entry.relators(depth))]
     if not suites:
         return report, "inconclusive", {"reason": "no relator suites configured"}
     evidence = {}
-    ok = True
     for name, rels in suites.items():
-        bad = [r for r in rels if not hnn_is_trivial(parse_hnn(r, action), action)]
+        bad = [str(r) for r, e in rels if not hnn_is_trivial(e, action)]
         evidence[name] = "pass" if not bad else f"fail {bad}"
-        ok &= not bad
-    return report, ("pass" if ok else "fail"), evidence
+    return report, ("pass" if all(v == "pass" for v in evidence.values()) else "fail"), evidence
 
 
 @declare("transitivity", *ENTRY, Param("copies", int, 3, 0), Param("length", int, 3, 0))
@@ -365,20 +357,20 @@ def check_grig_recursions(params):
     entry = _catalog.get("grigorchuk")
     aut = entry.automaton
     sigma = entry.sigma()
-    word = (("a", 1),)
+    word = aut._pack((("a", 1),))
     string_ok, group_ok, alpha_ok = [], [], []
     for n in range(1, max(string_bound, group_bound, alpha_bound) + 1):
-        word = sigma.apply_word(word)
+        word = sigma._power(word, 1)
         if n <= string_bound:
-            string_ok.append(fmt_word(word).replace("*", "") == _catalog.grig_P(n))
+            string_ok.append(fmt_word(aut._unpack(word)).replace("*", "") == _catalog.grig_P(n))
         if n <= group_bound:
             p_word = tuple((c, 1) for c in _catalog.grig_P(n))
-            group_ok.append(aut.word_is_trivial(word + invert_word(p_word)))
+            group_ok.append(aut._is_trivial(_reduce_codes(word + aut._pack(invert_word(p_word)))))
         if n <= alpha_bound:
-            sec = aut.section_word(word, (0,))
+            sec = aut._walk(word, (0,))[1]
             alpha = _catalog.grig_alpha(n)
             alpha_word = tuple((c, -1) for c in reversed(alpha)) if alpha != "1" else ()
-            alpha_ok.append(aut.word_is_trivial(sec + alpha_word))
+            alpha_ok.append(aut._is_trivial(_reduce_codes(sec + aut._pack(alpha_word))))
     ok = all(string_ok) and all(group_ok) and all(alpha_ok)
     return "grig-recursions", ("pass" if ok else "fail"), {
         "P_n_as_string": f"{sum(string_ok)}/{string_bound}",

@@ -384,7 +384,11 @@ class MealyAutomaton:
         terminates.  Word-valued sections (x=(x*x,1)(1,2)) can make the
         closure infinite; no budget bounds the search yet.
         """
-        word = _reduce_codes(self._pack(word))
+        return self._is_trivial(_reduce_codes(self._pack(word)))
+
+    def _is_trivial(self, word):
+        """`word_is_trivial` on a reduced packed word: chains inside the library pass packed
+        words, and only public methods pack or unpack (the affine model reads it unpacked)."""
         if self.affine is not None:
             return self.affine.is_identity(self._unpack(word))
         if not word or word in self._trivial:

@@ -273,17 +273,20 @@ def moved_vertex(e, action, copies, length):
 
 
 def sigma_mismatch(word, action, copies, length):
-    """The first window (m, w) with m <= copies and |w| <= length on which theta(word)
-    and sigma^m(word), written out, packed once and walked, disagree, or None.  Every
-    w is tried, those led by the spine letter too, so `theta_map`'s lifting shortcut
-    is compared; w = () is the spine vertex (m, ())."""
+    """The first window (m, w) with m <= copies and |w| <= length on which theta(word) and
+    sigma^m(word), written packed from sigma^(m-1)(word) and read level by level through
+    `MealyAutomaton._levels`, disagree, or None.  Every w is tried, those led by the spine
+    letter too, so `theta_map`'s lifting shortcut is compared; w = () is the spine vertex."""
     apply, aut = theta_map(action.element(word), action), action.automaton
     for m in range(copies + 1):
-        written = aut._pack(action.sigma_word(word, m))
-        for n in range(length + 1):
-            for w in product(range(aut.size), repeat=n):
-                if apply(1 - m, w) != (1 - m, aut._walk(written, w)[0]):
+        written = action.sigma._power(written, 1) if m else aut._pack(word)
+        images = [()]
+        for n, (sections, turns, _) in enumerate(aut._levels(written, length)):
+            for w, image in zip(product(range(aut.size), repeat=n), images):
+                if apply(1 - m, w) != (1 - m, image):
                     return m, w
+            if n < length:
+                images = [image + (y,) for image, s in zip(images, sections) for y in turns[s]]
     return None
 
 

@@ -65,17 +65,20 @@ class Substitution:
         return self.apply_power(word, 1)
 
     def apply_power(self, word, k):
-        """sigma^k(word), reduced (for k = 0, the word as given): packed once, each pass joins
-        the packed images in a bytearray (a list past 127 states) and reduces, unpacked once."""
+        """sigma^k(word), reduced (for k = 0, the word as given): `_power`, packed and unpacked."""
         if k < 0:
             raise ValueError("sigma is not invertible; powers must be >= 0")
         if not k:
             return word
-        aut, images = self.automaton, self._images
         try:
-            packed = aut._pack(word)
+            return self.automaton._unpack(self._power(self.automaton._pack(word), k))
         except KeyError as exc:     # a name off the automaton, or an exponent not +-1
             raise LiftingError(f"sigma is undefined on {exc.args[0][0]!r}") from None
+
+    def _power(self, packed, k):
+        """Packed sigma^k: internal chains pass reduced packed words, only public methods pack or
+        unpack.  Each pass joins the images in a bytearray (a list past 127 states) and reduces."""
+        aut, images = self.automaton, self._images
         try:
             for _ in range(k):
                 below = aut._buffer()
@@ -84,7 +87,7 @@ class Substitution:
                 packed = _reduce_codes(aut._packed(below))
         except TypeError:           # the image of c is None
             raise LiftingError(f"sigma is undefined on {aut._factors[c][0]!r}") from None
-        return aut._unpack(packed)
+        return packed
 
 
 @dataclass
@@ -105,10 +108,10 @@ def _lifting_condition(automaton, word, i, name):
     The section is compared exactly, by triviality of section * name^-1;
     it is not compared when the vertex moves.
     """
-    image, section = automaton.walk(word, (i,))
+    image, section = automaton._walk(automaton._pack(word), (i,))
     if image != (i,):
         return False, False
-    return True, automaton.word_is_trivial(section + ((name, -1),))
+    return True, automaton._is_trivial(_reduce_codes(section + automaton._pack(((name, -1),))))
 
 
 def check_lifting(sigma):
@@ -152,17 +155,25 @@ class LPresentation:
         return cls(tuple(generators), fixed_words, iterated_words, phi_sub)
 
     def relators(self, depth):
-        """Q together with phi^k(R) for k <= depth, with labels."""
-        out = [(f"Q[{i}]={fmt_word(r)}", r) for i, r in enumerate(self.fixed)]
+        """Q together with phi^k(R) for k <= depth, with labels: `_relators`, unpacked once."""
+        aut = self.phi and self.phi.automaton
+        return [(label, aut._unpack(w) if aut else w) for label, w, _ in self._relators(aut, depth)]
+
+    def _relators(self, aut, depth, sigma=None):
+        """(label, word, sigma(word) or None) per relator, packed over `aut` (as given without
+        it).  phi^(k+1)(r) is written once, as sigma(phi^k(r)) itself when sigma = phi."""
+        phi, pack = self.phi, (aut._pack if aut else tuple)
+        if self.iterated and depth and phi is None:
+            raise LiftingError("iterated relators need phi")
+        for i, r in enumerate(self.fixed):
+            yield f"Q[{i}]={fmt_word(r)}", pack(r), sigma and sigma._power(pack(r), 1)
         for i, r in enumerate(self.iterated):
-            w = r
+            w = pack(r)
             for k in range(depth + 1):
-                out.append((f"phi^{k}(R[{i}]={fmt_word(r)})", w))
+                image = sigma and sigma._power(w, 1)
+                yield f"phi^{k}(R[{i}]={fmt_word(r)})", w, image
                 if k < depth:
-                    if self.phi is None:
-                        raise LiftingError("iterated relators need phi")
-                    w = self.phi.apply_word(w)
-        return out
+                    w = image if sigma and sigma._images == phi._images else phi._power(w, 1)
 
 
 @dataclass
@@ -182,16 +193,16 @@ def verify_endomorphism_by_relators(sigma, presentation, depth):
     """Check is_trivial(sigma(r)) for r in Q and phi^k(R), k <= depth.
 
     This certifies that sigma respects the listed relators; the certificate
-    is as strong as the presentation supplied.
+    is as strong as the presentation supplied.  Relators stay packed (`_relators`), no public
+    method packs them, and when sigma = phi, sigma(phi^k(r)) is the next iterate phi^(k+1)(r).
     """
     if set(presentation.generators) - set(sigma.domain):
         raise LiftingError("presentation generators do not match sigma's domain")
-    aut = sigma.automaton
-    checks = []
-    for label, relator in presentation.relators(depth):
-        image = sigma.apply_word(relator)
-        checks.append((f"sigma({label})", aut.word_is_trivial(image)))
-    return RelatorReport(checks)
+    aut, phi = sigma.automaton, presentation.phi
+    if phi is not None and phi.automaton._factors != aut._factors:
+        raise LiftingError("phi and sigma act on automata with different states")
+    return RelatorReport([(f"sigma({label})", aut._is_trivial(image))
+                          for label, _, image in presentation._relators(aut, depth, sigma)])
 
 
 @dataclass

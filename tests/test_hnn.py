@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from arboreal import acceptance
+from arboreal import acceptance, hnn
 from arboreal import catalog as cat
 from arboreal.checks import run_check
 from arboreal.core import fmt_word, invert_word
@@ -21,6 +21,7 @@ from arboreal.hnn import (
     hnn_multiply,
     moved_vertex,
     parse_hnn,
+    sigma_mismatch,
     theta_apply,
     theta_map,
     theta_portrait,
@@ -586,3 +587,52 @@ def test_moved_vertex_matches_the_plain_scan(gid, sigma_name):
                 assert moved_vertex(e, action, copies, length) == expected, (kind, str(e))
         kinds.add(kind)
     assert kinds == {"unbalanced", "t^-m t^m", "nontrivial", "trivial word"}
+
+
+def _walked_mismatch(word, action, copies, length):
+    """sigma_mismatch by walking sigma^m(word), written out, from the root for every window."""
+    apply, aut = hnn.theta_map(action.element(word), action), action.automaton
+    for m in range(copies + 1):
+        written = aut._pack(action.sigma_word(word, m))
+        for n in range(length + 1):
+            for w in itertools.product(range(aut.size), repeat=n):
+                if apply(1 - m, w) != (1 - m, aut._walk(written, w)[0]):
+                    return m, w
+    return None
+
+
+def _theta_wrong_below(theta_map, n):
+    """theta(e) with the last digit of every window of length n moved by one mod d."""
+    def faulty(e, action):
+        apply, d = theta_map(e, action), action.automaton.size
+
+        def moved(offset, digits):
+            offset, digits = apply(offset, digits)
+            if len(digits) == n:
+                digits = digits[:-1] + ((digits[-1] + 1) % d,)
+            return offset, digits
+        return moved
+    return faulty
+
+
+@pytest.mark.parametrize("gid, sigma_name", [
+    (entry.id, name) for entry in cat.entries_with_sigma() for name in entry.substitutions])
+def test_sigma_mismatch_matches_the_walk_of_every_window(gid, sigma_name, monkeypatch):
+    # the levels of sigma^m(g) read through `_levels` against each window walked from the
+    # root, with the true theta (no mismatch) and with theta wrong on one level of windows
+    action = cat.get(gid).action(sigma_name)
+    depths = range(6)
+    for g in action.generators():
+        word = ((g, 1),)
+        for depth in depths:
+            assert sigma_mismatch(word, action, depth, depth) is None
+            assert _walked_mismatch(word, action, depth, depth) is None
+    original = hnn.theta_map
+    for n in depths[1:]:
+        monkeypatch.setattr(hnn, "theta_map", _theta_wrong_below(original, n))
+        for g in action.generators():
+            word = ((g, 1),)
+            for depth in depths:
+                expected = _walked_mismatch(word, action, depth, depth)
+                assert sigma_mismatch(word, action, depth, depth) == expected, (g, n, depth)
+                assert expected == (None if depth < n else (0, (0,) * n))

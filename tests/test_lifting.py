@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
 from arboreal import catalog as cat
+from arboreal.checks import run_check
+from arboreal.cli import main
 from arboreal.core import fmt_word, invert_word, parse_wreath_spec
 from arboreal.levels import perm_group_on_level
 from arboreal.lifting import (
@@ -19,6 +22,7 @@ from arboreal.lifting import (
 )
 
 from free_words import free_reduce
+import relator_certificate as reference
 
 
 def test_check_lifting_grigorchuk():
@@ -87,12 +91,87 @@ def test_relators_img_depth2():
     assert len(report.checks) == 7 * 3  # seven families, phi^0..phi^2
 
 
+# the bundle of a lifting that is not an endomorphism: Grigorchuk's catalog
+# lifting with b -> d*a*d*a, which still fixes 1 with section b there
+WRONG_B = {"id": "grigorchuk-wrong-b", "wreath": "a=(1,1)(1,2),b=(a,c),c=(a,d),d=(1,b)",
+           "substitutions": {"sigma": {"letter": 1, "images": {"a": "a*c*a", "b": "d*a*d*a",
+                                                               "c": "b", "d": "c"}}},
+           "default_sigma": "sigma",
+           "presentation": {"fixed": ["a^2", "b^2", "c^2", "d^2", "b*c*d"],
+                            "iterated": ["(a*d)^4", "(a*d*a*c*a*c)^4"],
+                            "phi": {"a": "a*c*a", "b": "d", "c": "b", "d": "c"}}}
+
+
+@pytest.fixture
+def wrong_b_spec(tmp_path):
+    path = tmp_path / "wrong_b.json"
+    path.write_text(json.dumps(WRONG_B))
+    return str(path)
+
+
+def _wrong_substitution():
+    entry = cat.get("grigorchuk")
+    return Substitution.parse(
+        entry.automaton, {"a": "a*c*a", "b": "d", "c": "b", "d": "b"}, letter=1)
+
+
 def test_relators_catch_a_wrong_substitution():
     entry = cat.get("grigorchuk")
-    wrong = Substitution.parse(
-        entry.automaton, {"a": "a*c*a", "b": "d", "c": "b", "d": "b"}, letter=1)
-    report = verify_endomorphism_by_relators(wrong, entry.presentation, 1)
+    report = verify_endomorphism_by_relators(_wrong_substitution(), entry.presentation, 1)
     assert not report.ok
+
+
+@pytest.mark.parametrize("gid", ["grigorchuk", "basilica", "img_z2i"])
+def test_relator_certificate_matches_the_tuple_reference(gid):
+    # sigma = phi: each sigma(phi^k(r)) is reused as phi^(k+1)(r)
+    entry = cat.get(gid)
+    sigma, pres = entry.sigma(), entry.presentation
+    assert sigma._images == pres.phi._images
+    for depth in range(7):
+        assert pres.relators(depth) == reference.relators(pres, depth), depth
+        report = verify_endomorphism_by_relators(sigma, pres, depth)
+        assert report.checks == reference.certificate(sigma, pres, depth), depth
+
+
+def test_relator_certificate_matches_the_reference_when_sigma_is_not_phi(wrong_b_spec):
+    wrong, pres = _wrong_substitution(), cat.get("grigorchuk").presentation
+    entry = cat.load_spec(wrong_b_spec)
+    for sigma, pres in ((wrong, pres), (entry.sigma(), entry.presentation)):
+        assert sigma._images != pres.phi._images
+        for depth in range(7):
+            report = verify_endomorphism_by_relators(sigma, pres, depth)
+            assert report.checks == reference.certificate(sigma, pres, depth), depth
+            assert not report.ok
+
+
+def test_lifting_that_is_not_an_endomorphism_fails_its_certificate(wrong_b_spec, capsys):
+    report = run_check("lifting", {"spec": wrong_b_spec})
+    assert report.status == "fail"
+    assert report.evidence == {
+        "sigma.lifting": "pass",
+        "sigma.relators": "fail ['sigma(Q[4]=b*c*d)', 'sigma(phi^2(R[0]=a*d*a*d*a*d*a*d))', "
+                          "'sigma(phi^3(R[0]=a*d*a*d*a*d*a*d))', "
+                          "'sigma(phi^5(R[0]=a*d*a*d*a*d*a*d))']"}
+    assert main(["run", "lifting", "--spec", wrong_b_spec]) == 1
+    capsys.readouterr()
+
+
+def test_relators_without_phi_and_phi_over_other_states():
+    entry = cat.get("grigorchuk")
+    pres = LPresentation.parse(entry.automaton, list("abcd"), fixed=["a^2", "b*c*d"],
+                               iterated=["(ad)^4"])
+    assert pres.relators(0) == reference.relators(pres, 0)
+    assert verify_endomorphism_by_relators(entry.sigma(), pres, 0).checks == (
+        reference.certificate(entry.sigma(), pres, 0))
+    with pytest.raises(LiftingError, match="need phi"):
+        pres.relators(1)
+    # the same recursion with its states listed in another order numbers them differently
+    other = parse_wreath_spec("d=(1,b),c=(a,d),b=(a,c),a=(1,1)(1,2)")
+    moved = LPresentation.parse(other, list("abcd"), fixed=["b*c*d"], iterated=["(ad)^4"],
+                                phi={"a": "a*c*a", "b": "d", "c": "b", "d": "c"})
+    assert moved.relators(3) == reference.relators(moved, 3)
+    with pytest.raises(LiftingError, match="different states"):
+        verify_endomorphism_by_relators(entry.sigma(), moved, 1)
 
 
 def test_relators_domain_mismatch():

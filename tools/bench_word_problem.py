@@ -33,6 +33,13 @@ the repeats of:
   `letters` is the word's length, the curve's x axis.  The search order
   is the same on every tree, so `trivial`, `memo_words` and `letters`
   must all agree between the trees;
+- `cold_cpu_s`, `warm_cpu_s`, `relators` and `digest` (curves
+  `certificate depth k grigorchuk` and `certificate depth k img_z2i`,
+  n = k): CPU seconds of `verify_endomorphism_by_relators` at depth k
+  with the catalog's lifting and L-presentation, first with the word
+  problem's memos emptied, then again right after on the warm memos;
+  `relators` is the number of relators decided and `digest` a hash of
+  the labels and booleans, both of which must agree between the trees;
 - `power_cpu_s`, `peak_mb`, `letters` and `digest` (curve `sigma^k(a)
   grigorchuk`, n = k): CPU seconds of `Substitution.apply_power((("a",
   1),), k)` with the catalog's Grigorchuk lifting, then the tracemalloc
@@ -82,6 +89,18 @@ def child(curve, n):
         tracemalloc.stop()
         return {"power_cpu_s": cpu, "peak_mb": round(peak / 2 ** 20, 3), "letters": letters,
                 "digest": digest}
+    if curve.startswith("certificate:"):
+        from arboreal.lifting import verify_endomorphism_by_relators
+        entry = catalog.get(curve.split(":")[1])
+        entry.automaton._trivial.clear()
+        entry.automaton._nontrivial.clear()
+        cpu = []
+        for _ in range(2):
+            t0 = time.process_time()
+            report = verify_endomorphism_by_relators(entry.sigma(), entry.presentation, n)
+            cpu.append(time.process_time() - t0)
+        return {"cold_cpu_s": cpu[0], "warm_cpu_s": cpu[1], "relators": len(report.checks),
+                "digest": _digest(report.checks)}
     if curve in RELATOR_GROUPS:
         entry = catalog.get(curve)
         rules = {s: entry.automaton.rule(s) for s in entry.automaton.states if s != "1"}
@@ -138,16 +157,19 @@ def main():
               + [("bs13", n) for n in BS13_L]
               + [("bs13mixed", n) for n in BS13_MIXED_L]
               + [(gid, k) for gid in RELATOR_GROUPS for k in RELATOR_K]
+              + [(f"certificate:{gid}", k) for gid in RELATOR_GROUPS for k in RELATOR_K]
               + [("sigma_power", k) for k in SIGMA_POWER_K])
     sides = {"parent": args.parent, "change": args.change}
     results = benchlib.compare(sides, points, args.repeats, measure)
     names = {"power": "(ad)^N", "juxtaposition": "juxtaposition", "bs13": "bs13 c^-1 r c",
              "bs13mixed": "bs13 4x mixed-sign c^-1 r c",
              "sigma_power": "sigma^k(a) grigorchuk",
-             **{gid: f"sigma(phi^k(r)) {gid}" for gid in RELATOR_GROUPS}}
+             **{gid: f"sigma(phi^k(r)) {gid}" for gid in RELATOR_GROUPS},
+             **{f"certificate:{gid}": f"certificate depth k {gid}" for gid in RELATOR_GROUPS}}
     curves = []
     for (curve, n), row in results.items():
         benchlib.same_answers(row, ("letters", "digest") if curve == "sigma_power" else
+                              ("relators", "digest") if curve.startswith("certificate:") else
                               ("factors", "digest", "trivial", "memo_words", "letters")
                               if curve in RELATOR_GROUPS else ("factors", "digest", "trivial"))
         curves.append({"curve": names[curve], "n": n, **row})
@@ -156,6 +178,7 @@ def main():
     bs13 = [results[(curve, 64)]["change"] for curve in ("bs13", "bs13mixed")]
     relators = [results[(gid, k)]["change"] for gid in RELATOR_GROUPS for k in RELATOR_K]
     deep = results[("sigma_power", SIGMA_POWER_K[-1])]
+    certificates = [results[(f"certificate:{gid}", RELATOR_K[-1])] for gid in RELATOR_GROUPS]
     report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
     report["gates"] = {
         "(ad)^200000 gives 400000 factors, parse_cpu_s < 1":
@@ -170,6 +193,11 @@ def main():
             all(isinstance(p, dict) for p in deep.values())
             and all(deep["change"][key] < deep["parent"][key]
                     for key in ("power_cpu_s", "peak_mb")),
+        "certificate at depth 10 on grigorchuk and img_z2i: the change's warm_cpu_s below the "
+        "parent's":
+            all(isinstance(p, dict) for row in certificates for p in row.values())
+            and all(row["change"]["warm_cpu_s"] < row["parent"]["warm_cpu_s"]
+                    for row in certificates),
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)

@@ -39,8 +39,15 @@ The corpus is what a behaviour-preserving change must leave alone:
   tests/test_affine.py, with an id), which its certified affine model
   decides, and `run lifting` on `AFFINE_REJECTED`, the same bundle with
   m1's map changed, whose certificate fails (exit 3, naming the word,
-  phase and letter).  The specs are written into a temporary directory,
-  and their argv names the file alone.
+  phase and letter);
+- `run lifting --depth 8` on the three groups with an L-presentation
+  (`DEEP_CERTIFICATES`), which decides every phi^k relator up to 8, and
+  `run spine --group grigorchuk --depth 8`;
+- `run lifting` on `WRONG_B`, Grigorchuk's catalog lifting with
+  b -> d*a*d*a and the catalog presentation: a lifting that is not an
+  endomorphism, so sigma differs from phi and the certificate fails.
+  The specs are written into a temporary directory, and their argv names
+  the file alone.
 
 Each entry records the exit code, stdout and stderr; the `seconds` field
 of every report is blanked.  Usage:
@@ -96,6 +103,14 @@ AFFINE_3_2 = {"id": "affine32",
               "default_sigma": "sigma",
               "affine": {"relabel": [[0, 1, 2]],
                          "maps": {"a": ["1", "1"], "m0": ["2", "0"], "m1": ["2", "1"]}}}
+DEEP_CERTIFICATES = ("grigorchuk", "basilica", "img_z2i")
+WRONG_B = {"id": "grigorchuk-wrong-b", "wreath": "a=(1,1)(1,2),b=(a,c),c=(a,d),d=(1,b)",
+           "substitutions": {"sigma": {"letter": 1, "images": {"a": "a*c*a", "b": "d*a*d*a",
+                                                               "c": "b", "d": "c"}}},
+           "default_sigma": "sigma",
+           "presentation": {"fixed": ["a^2", "b^2", "c^2", "d^2", "b*c*d"],
+                            "iterated": ["(a*d)^4", "(a*d*a*c*a*c)^4"],
+                            "phi": {"a": "a*c*a", "b": "d", "c": "b", "d": "c"}}}
 AFFINE_REJECTED = {**AFFINE_3_2, "id": "affine32x",
                    "affine": {"relabel": [[0, 1, 2]],
                               "maps": {"a": ["1", "1"], "m0": ["2", "0"], "m1": ["2", "0"]}}}
@@ -147,6 +162,8 @@ def corpus():
              for g in lifted for depth in range(5)]
     runs += [["run", "dilation", "--group", g, "--element", "t^-2*a*t^5"] for g in lifted]
     runs.append(["run", "dilation", "--group", "grigorchuk", "--element", "T^600*a*t^600"])
+    runs += [["run", "lifting", "--group", g, "--depth", "8"] for g in DEEP_CERTIFICATES]
+    runs.append(["run", "spine", "--group", "grigorchuk", "--depth", "8"])
     calls = [argv + ["--format", "json"] for argv in runs] + USAGE_ERRORS
     for g in groups:
         entry = _catalog.get(g)
@@ -166,8 +183,9 @@ def corpus():
         spec, hanoi = os.path.join(tmp, "z257.json"), os.path.join(tmp, "hanoi.json")
         chain = os.path.join(tmp, "chain200.json")
         affine, rejected = os.path.join(tmp, "affine32.json"), os.path.join(tmp, "affine32x.json")
+        wrong = os.path.join(tmp, "wrong_b.json")
         specs = {spec: PRIME_257, hanoi: HANOI, chain: CHAIN_200, affine: AFFINE_3_2,
-                 rejected: AFFINE_REJECTED}
+                 rejected: AFFINE_REJECTED, wrong: WRONG_B}
         for path, data in specs.items():
             with open(path, "w") as fh:
                 json.dump(data, fh)
@@ -182,6 +200,7 @@ def corpus():
         calls += [["run", *check, "--spec", affine, "--format", "json"] for check in (
             ["two-transitivity"], ["perm-order", "--level", "3"], ["lifting"], ["spine"])]
         calls.append(["run", "lifting", "--spec", rejected, "--format", "json"])
+        calls.append(["run", "lifting", "--spec", wrong, "--format", "json"])
         results = [_call(argv) for argv in calls]
     for result in results:  # the temporary directory is not part of the behaviour
         result["argv"] = [os.path.basename(a) if a in specs else a
