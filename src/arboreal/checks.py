@@ -10,7 +10,8 @@ are the declared params, passed as text, so a check behaves identically
 everywhere; the group-free check `properties` holds
 the seeded property suites, where a single counterexample fails.
 Outputs are deterministic for fixed parameters: searches use fixed
-orders and all sampling is driven by a seeded generator.
+orders and all sampling is driven by a seeded generator, each bounded int
+drawn by `_below` exactly as its choice, randint and randrange would draw it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from typing import NamedTuple
 from . import catalog as _catalog
 from .core import _reduce_codes, fmt_word, invert_word, parse_vertex, reduced_product
 from .hnn import (
+    LAMBDA,
     HnnElement,
     UnrootedVertex,
+    _canonical,
+    _canonical_pairs,
     canonical_vertices,
     hnn_inverse,
     hnn_is_trivial,
@@ -34,6 +38,7 @@ from .hnn import (
     parse_hnn,
     sigma_mismatch,
     theta_apply,
+    theta_map,
     transitivity_witness,
     two_transitivity_level_check,
 )
@@ -262,12 +267,11 @@ def check_hnn_relators(params):
 def check_transitivity(params):
     entry = _catalog.resolve(params)
     action = entry.action()
-    lam = UnrootedVertex(0, ())
     box = list(canonical_vertices(action, params["copies"], params["length"]))
     missing = []
     for v in box:
         e = transitivity_witness(v, action)
-        if e is None or theta_apply(e, lam, action) != v:
+        if e is None or theta_apply(e, LAMBDA, action) != v:
             missing.append(str(v))
     return f"transitivity[{entry.id}]", ("inconclusive" if missing else "pass"), {
         "vertices": len(box), "missing": missing}
@@ -331,7 +335,7 @@ def check_stabilizer_projection(params):
     """
     entry = _catalog.resolve(params)
     action, depth = entry.action(), params["depth"]
-    aut, names, lam = action.automaton, action.generators(), UnrootedVertex(0, ())
+    aut, names = action.automaton, action.generators()
     generators = {g: sigma_mismatch(((g, 1),), action, 0, depth) is None for g in names}
     sampled, failures = 0, []
     for k in (1, 2, 3):
@@ -340,7 +344,7 @@ def check_stabilizer_projection(params):
             if aut.act_word(word, spine) != spine:
                 continue
             e = action.element(word, k, k)
-            fixes = theta_apply(e, lam, action) == lam
+            fixes = theta_apply(e, LAMBDA, action) == LAMBDA
             projection = action.element(aut.section_word(word, spine))
             residual = hnn_multiply(e, hnn_inverse(projection), action)
             sampled += 1
@@ -433,27 +437,38 @@ def check_witnesses(params):
 # ---------------------------------------------------------------------------
 # the seeded property suites
 
-def _random_element(automaton, names, rng, max_len):
-    length = rng.randint(0, max_len)
-    return automaton.element([(rng.choice(names), rng.choice((1, -1))) for _ in range(length)])
+def _below(bits, n):
+    """rng._randbelow(n), the draw under rng.choice and rng.randint, from bits = rng.getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
-def _random_hnn(action, names, powers, rng, max_len):
+def _random_element(automaton, names, bits, max_len):
+    return automaton.element([(names[_below(bits, len(names))], (1, -1)[_below(bits, 2)])
+                              for _ in range(_below(bits, max_len + 1))])
+
+
+def _random_hnn(action, names, powers, bits, max_len):
     """A random word over `names` (the generators, t and T) in normal form t^-m w t^n.
 
     Each letter s^e is kept with its height h, the t's less the T's drawn before it; m is
     minus the lowest height, n the last height plus m, and w the reduced product of the
-    sigma^(h+m)(s^e), read from `powers`, the caller's table keyed (s, e, h+m)."""
+    sigma^(h+m)(s^e), read from `powers`, the caller's table keyed (s, e, h+m).  Drawn by
+    `_below` from bits = rng.getrandbits: rng.randint(1, max_len), then per letter
+    rng.choice(names) and, for a generator, rng.choice((1, -1))."""
     letters, height, low = [], 0, 0
-    for _ in range(rng.randint(1, max_len)):
-        sym = rng.choice(names)
+    for _ in range(1 + _below(bits, max_len)):
+        sym = names[_below(bits, len(names))]
         if sym == "t":
             height += 1
         elif sym == "T":
             height -= 1
             low = min(low, height)
         else:
-            letters.append((sym, rng.choice((1, -1)), height))
+            letters.append((sym, (1, -1)[_below(bits, 2)], height))
     word = ()
     for s, e, h in letters:
         key = s, e, h - low
@@ -472,7 +487,7 @@ def _escalation_stop(d):
 @declare("properties")
 def check_properties(params):
     """Algebra laws, ultrametric, theta homomorphism, triviality agreement."""
-    rng = random.Random(DEFAULT_SEED)
+    bits = random.Random(DEFAULT_SEED).getrandbits
     evidence = {}   # every suite's bool; one False fails the check
 
     # tree-core algebra laws on every catalog group
@@ -481,10 +496,10 @@ def check_properties(params):
         names = list(entry.generators)
         good = True
         for _ in range(60):
-            g = _random_element(aut, names, rng, 6)
-            h = _random_element(aut, names, rng, 6)
-            level = rng.randint(1, 6)
-            v = tuple(rng.randrange(aut.size) for _ in range(level))
+            g = _random_element(aut, names, bits, 6)
+            h = _random_element(aut, names, bits, 6)
+            level = 1 + _below(bits, 6)
+            v = tuple(_below(bits, aut.size) for _ in range(level))
             gh, gv = g * h, g.act(v)
             good &= gh.act(v) == h.act(gv)
             good &= gh.section(v).same_action(g.section(v) * h.section(gv))
@@ -496,7 +511,7 @@ def check_properties(params):
     # distance d^(-l+1) is monotone decreasing in l
     good = True
     for _ in range(300):
-        x, y, z = (BoundaryPoint(rng.randint(-6, 1), tuple(rng.randrange(2) for _ in range(10)),
+        x, y, z = (BoundaryPoint(_below(bits, 8) - 6, tuple(_below(bits, 2) for _ in range(10)),
                                  2, 0) for _ in range(3))
         lxz, lxy, lyz = boundary_distance(x, z), boundary_distance(x, y), boundary_distance(y, z)
         good &= None in (lxz, lxy, lyz) or lxz >= min(lxy, lyz)
@@ -507,21 +522,21 @@ def check_properties(params):
         action = entry.action()
         names, powers = list(action.generators()) + ["t", "T"], {}
         w_max = 4 if action.automaton.size == 2 else 2
-        vertices = list(canonical_vertices(action, 4, w_max))
+        vertices = list(_canonical_pairs(action, 4, w_max))
         hom_good = True
         for _ in range(100):
-            e1 = _random_hnn(action, names, powers, rng, 6)
-            e2 = _random_hnn(action, names, powers, rng, 6)
-            prod = hnn_multiply(e1, e2, action)
-            v = rng.choice(vertices)
-            if theta_apply(prod, v, action) != theta_apply(e2, theta_apply(e1, v, action), action):
-                hom_good = False
+            e1 = _random_hnn(action, names, powers, bits, 6)
+            e2 = _random_hnn(action, names, powers, bits, 6)
+            m, w = vertices[_below(bits, len(vertices))]
+            both = theta_map(hnn_multiply(e1, e2, action), action)(1 - m, w)
+            each = theta_map(e2, action)(*theta_map(e1, action)(1 - m, w))
+            hom_good &= _canonical(*both, action.letter) == _canonical(*each, action.letter)
         evidence[f"{entry.id}.theta-hom"] = hom_good
 
         agree = True
         deeper = [(b, b) for b in range(w_max + 1, _escalation_stop(action.automaton.size) + 1)]
         for k in range(500):
-            e = _random_hnn(action, names, powers, rng, 10)
+            e = _random_hnn(action, names, powers, bits, 10)
             if k % 7 == 0:
                 # fold in elements that are trivial by construction
                 e = hnn_multiply(e, hnn_inverse(e), action)

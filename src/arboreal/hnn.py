@@ -55,7 +55,7 @@ class UnrootedVertex:
 
 def canonicalize(v, letter):
     """Minimal representative: (m, i w) == (m-1, w), strip while m >= 1."""
-    return _vertex(1 - v.copy, v.word, letter)
+    return UnrootedVertex(*_canonical(1 - v.copy, v.word, letter))
 
 
 def _spine_run(offset, digits, letter):
@@ -70,10 +70,10 @@ def _spine_run(offset, digits, letter):
     return offset, digits, r
 
 
-def _vertex(offset, digits, letter):
-    """The canonical vertex whose digit window sits at the given offset."""
+def _canonical(offset, digits, letter):
+    """The canonical (m, w) of the vertex whose digit window sits at the given offset."""
     offset, digits, r = _spine_run(offset, digits, letter)
-    return UnrootedVertex(1 - offset - r, digits[r:])
+    return 1 - offset - r, digits[r:]
 
 
 def canonical_vertices(action, copies, length):
@@ -120,6 +120,7 @@ class HnnElement:
 
 
 HNN_IDENTITY = HnnElement(0, (), 0)
+LAMBDA = UnrootedVertex(0, ())   # the distinguished level-0 vertex
 
 
 class ScaleAction:
@@ -255,7 +256,7 @@ def theta_map(e, action):
 
 def theta_apply(e, v, action):
     """Apply theta(e) to an unrooted vertex, factors left to right."""
-    return _vertex(*theta_map(e, action)(1 - v.copy, v.word), action.letter)
+    return UnrootedVertex(*_canonical(*theta_map(e, action)(1 - v.copy, v.word), action.letter))
 
 
 def moved_vertex(e, action, copies, length):
@@ -263,11 +264,10 @@ def moved_vertex(e, action, copies, length):
     theta(e) moves, or None.  theta(e) shifts every level by tneg - tpos and
     theta(t^-m t^m) is the identity, so only a balanced e with a word is applied."""
     if e.tneg != e.tpos:
-        return UnrootedVertex(0, ())
+        return LAMBDA
     apply = theta_map(e, action)
     for m, w in _canonical_pairs(action, copies, length) if e.word else ():
-        offset, digits, r = _spine_run(*apply(1 - m, w), action.letter)
-        if (1 - offset - r, digits[r:]) != (m, w):
+        if _canonical(*apply(1 - m, w), action.letter) != (m, w):
             return UnrootedVertex(m, w)
     return None
 

@@ -7,16 +7,23 @@ seeds, and the table against `ScaleAction.sigma_word`.  The lamplighter core lem
 exactly by `catalog.lamplighter_core_gap_check`, is sampled here on
 random words in its generators, each word kept as an int of lamp bits and
 replayed against the products of `lamplighter_oracle`.
+
+Criterion 9's draws go through `checks._below`, which must draw what
+`random.Random`'s choice, randint and randrange draw and leave the same
+state; the state `check_properties` ends in is pinned, and each of its
+suites is shown to fail when one engine is broken.
 """
 
+import hashlib
 import random
+import types
 from itertools import accumulate, islice
 
 import pytest
 
-from arboreal import catalog
-from arboreal.checks import _random_hnn
-from arboreal.hnn import HnnElement, hnn_multiply
+from arboreal import catalog, checks, core
+from arboreal.checks import _below, _random_hnn
+from arboreal.hnn import HnnElement, _canonical_pairs, hnn_multiply
 
 import lamplighter_oracle as lamp
 
@@ -52,7 +59,7 @@ def test_random_hnn_matches_the_per_letter_products(group, sigma):
     fast, slow = random.Random(group + sigma), random.Random(group + sigma)
     for k in range(1000):
         max_len = 6 if k % 2 else 10
-        e = _random_hnn(action, names, powers, fast, max_len)
+        e = _random_hnn(action, names, powers, fast.getrandbits, max_len)
         assert e == _random_hnn_by_products(action, slow, max_len), (group, sigma, k)
         assert fast.random() == slow.random()
     # the table holds sigma^j(s^e) itself, whatever call filled it
@@ -61,7 +68,8 @@ def test_random_hnn_matches_the_per_letter_products(group, sigma):
 
 
 class _Recording(random.Random):
-    """A seeded generator that records the symbols it draws from a list."""
+    """A seeded generator that records the symbols it draws from a list equal to `names`;
+    `_random_hnn_by_products` draws through `choice`, `_random_hnn` from getrandbits."""
 
     def __init__(self, seed, names):
         super().__init__(seed)
@@ -69,7 +77,7 @@ class _Recording(random.Random):
 
     def choice(self, seq):
         x = super().choice(seq)
-        if seq is self.names:
+        if seq == self.names:
             self.drawn.append(x)
         return x
 
@@ -84,14 +92,112 @@ def test_random_hnn_lowers_every_height_by_the_lowest(seed):
     action = catalog.get("grigorchuk").action()
     names, powers = _names(action), {}
     rng = _Recording(seed, names)
-    e = _random_hnn(action, names, powers, rng, 10)
+    by_products = _random_hnn_by_products(action, rng, 10)
+    e = _random_hnn(action, names, powers, random.Random(seed).getrandbits, 10)
     first = next(i for i, x in enumerate(rng.drawn) if x not in ("t", "T"))
     heights = list(accumulate((x == "t") - (x == "T") for x in rng.drawn))
     assert min(heights[:first]) < 0 and min(heights[first:]) < min(heights[:first])
     assert e.tneg == -min(heights) and e.tpos == heights[-1] - min(heights)
-    assert e == _random_hnn_by_products(action, random.Random(seed), 10)
+    assert e == by_products
     assert powers and all(image == action.sigma_word(((s, x),), j)
                           for (s, x, j), image in powers.items())
+
+
+def _drawn_sizes():
+    """Every n that check_properties draws below: its fixed ranges, and per catalog
+    entry its alphabet, generator lists (with t and T) and theta-hom box."""
+    sizes = {2, 6, 7, 8, 10}
+    for entry in catalog.entries_with_sigma():
+        action = entry.action()
+        w_max = 4 if action.automaton.size == 2 else 2
+        sizes |= {action.automaton.size, len(entry.generators), len(action.generators()) + 2,
+                  len(list(_canonical_pairs(action, 4, w_max)))}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n", _drawn_sizes())
+def test_below_draws_the_stream_of_random_random(n):
+    mine, theirs = random.Random(n), random.Random(n)
+    bits, seq = mine.getrandbits, list(range(100, 100 + n))
+    for k in range(10000):
+        if k % 3 == 0:
+            assert seq[_below(bits, n)] == theirs.choice(seq), (n, k)
+        elif k % 3 == 1:
+            assert -6 + _below(bits, n) == theirs.randint(-6, n - 7), (n, k)
+        else:
+            assert _below(bits, n) == theirs.randrange(n), (n, k)
+    assert mine.getstate() == theirs.getstate()
+
+
+def _properties(monkeypatch):
+    """check_properties run once: (status, the evidence keys that read False, the
+    sha256 prefix of the generator's final state)."""
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(checks, "random", types.SimpleNamespace(Random=Kept))
+    report = checks.run_check("properties", {})
+    state = hashlib.sha256(repr(made[0].getstate()).encode()).hexdigest()[:16]
+    return report.status, {key for key, ok in report.evidence.items() if not ok}, state
+
+
+# the final state of criterion 9's generator when it drew through rng.choice,
+# rng.randint and rng.randrange, before `_below`: the same elements are tested
+PROPERTIES_FINAL_STATE = "bcb6f8d6c1f202c8"
+
+
+def test_properties_draws_the_same_stream(monkeypatch):
+    assert _properties(monkeypatch) == ("pass", set(), PROPERTIES_FINAL_STATE)
+
+
+def _suite_keys(suite):
+    return {f"{entry.id}.{suite}" for entry in catalog.entries_with_sigma()}
+
+
+def test_properties_fails_on_one_wrong_triviality(monkeypatch):
+    real, flipped = checks.hnn_is_trivial, []
+
+    def wrong(e, action):
+        if e.word and not flipped:
+            flipped.append(e)
+            return not real(e, action)
+        return real(e, action)
+
+    monkeypatch.setattr(checks, "hnn_is_trivial", wrong)
+    status, failed, _ = _properties(monkeypatch)
+    assert flipped and (status, failed) == ("fail", {"grigorchuk.triviality-agreement"})
+
+
+def test_properties_fails_on_a_product_that_drops_a_seam_letter(monkeypatch):
+    real = checks.hnn_multiply
+
+    def wrong(e1, e2, action):
+        return real(HnnElement(e1.tneg, e1.word[:-1], e1.tpos), e2, action)
+
+    monkeypatch.setattr(checks, "hnn_multiply", wrong)
+    assert _properties(monkeypatch)[:2] == ("fail", _suite_keys("theta-hom"))
+
+
+def test_properties_fails_on_a_wrong_section(monkeypatch):
+    real = core.TreeAutomorphism.section
+    monkeypatch.setattr(core.TreeAutomorphism, "section",
+                        lambda g, v: real(g, tuple(v)[::-1]))   # the vertex read backwards
+    assert _properties(monkeypatch)[:2] == ("fail", _suite_keys("algebra"))
+
+
+def test_properties_fails_on_a_distance_off_by_one(monkeypatch):
+    real = checks.boundary_distance
+
+    def wrong(x, y):
+        level = real(x, y)
+        return level if level is None or x.offset == y.offset else level + 1
+
+    monkeypatch.setattr(checks, "boundary_distance", wrong)
+    assert _properties(monkeypatch)[:2] == ("fail", {"ultrametric"})
 
 
 def _lamplighter_core_samples(n, seed):
