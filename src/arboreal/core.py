@@ -30,6 +30,7 @@ from operator import itemgetter
 IDENTITY = "1"
 DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
+BINARY_MIN_LEN = 10     # `_sections_if_fixed`'s binary path beats the loop from here on
 
 Vertex = tuple  # tuple of letters
 Word = tuple    # tuple of (state, +1|-1) factors
@@ -225,6 +226,12 @@ class MealyAutomaton:
             inv, sections = pinv(perm), [_reduce_codes(self._pack(w)) for w in sections]
             inverses = [self._packed(c ^ 1 for c in reversed(sections[x])) for x in inv]
             self._table += [tuple(zip(perm, sections)), tuple(zip(inv, inverses))]
+        # `_sections_if_fixed`'s binary path, for d = 2, bytes and sections of at most one
+        # factor: code -> 1 if it swaps the root, code -> its section code at 0, at 1 (0: empty)
+        self._binary = None
+        if d == 2 and self._packed is bytes and all(len(s) < 2 for r in self._table for _, s in r):
+            rows = [((r[0][0],), r[0][1] or b"\0", r[1][1] or b"\0") for r in self._table]
+            self._binary = tuple(b"".join(map(bytes, col)).ljust(256, b"\0") for col in zip(*rows))
         self.generators = tuple(generators) if generators is not None else tuple(
             n for n in rules if n != IDENTITY)
         self._trivial = set()
@@ -375,10 +382,10 @@ class MealyAutomaton:
         With `self.affine`, a certified `padic.AffineModel` (None by default,
         not kept by `extend`), it is trivial iff its factors' maps compose to
         x -> x.  Otherwise it is trivial iff every word in its section
-        closure fixes the first level.  A visited word costs one
-        step-table lookup per factor per letter, which gives the letter's
-        image and the packed section below it; the first moved letter ends
-        the search with "nontrivial".  The memos hold packed words.  When all
+        closure fixes the first level.  `_sections_if_fixed` gives a visited
+        word's packed sections (from byte tables on binary automata, else by
+        one step-table lookup per factor per letter); the first moved letter
+        ends the search with "nontrivial".  The memos hold packed words.  When all
         sections of states are single states, a section of a k-factor word
         has at most k factors, so the closure is finite and the search
         terminates.  Word-valued sections (x=(x*x,1)(1,2)) can make the
@@ -414,7 +421,23 @@ class MealyAutomaton:
 
     def _sections_if_fixed(self, word):
         """The packed sections of a packed word at the letters 0..d-1, or None if it moves one.
-        Each letter is one `step`, written out inline on the word problem's hottest loop."""
+        Each letter is one `step`, written out inline on the word problem's hottest loop.  With
+        `_binary`, a word of BINARY_MIN_LEN factors or more runs no loop in Python: S_2 is abelian,
+        so factor j reads x ^ q_j, q_j the parity of the swaps before it; a prefix xor of the swap
+        bytes gives every q_j, and a 0x00/0xFF mask from them picks each section at 0 or at 1."""
+        if self._binary is not None and len(word) >= BINARY_MIN_LEN:
+            (swap, at0, at1), n = self._binary, len(word)
+            q, k = int.from_bytes(word.translate(swap), "big"), 8
+            while k < 8 * n:
+                q ^= q >> k
+                k <<= 1
+            if q & 1:
+                return None
+            a = int.from_bytes(word.translate(at0), "big")
+            b = int.from_bytes(word.translate(at1), "big")
+            flip = (a ^ b) & (q >> 8) * 255     # the factors that read the letter 1 from 0
+            return [_reduce_codes((s ^ flip).to_bytes(n, "big").translate(None, b"\0"))
+                    for s in (a, b)]
         table, packed = self._table, self._packed
         sections = []
         for x in range(self.size):

@@ -11,8 +11,10 @@ from itertools import product
 import pytest
 
 from arboreal import catalog as cat
-from arboreal.checks import run_check
+from arboreal import checks
+from arboreal.checks import run_check, two_transitivity_level
 from arboreal.core import MealyAutomaton, invert_word
+from arboreal.hnn import two_transitivity_level_check
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +197,41 @@ def test_catalog_ggs_groups_fail_two_transitivity_from_level_1(gid):
     """The catalog's groups with d > 2 all fail where the (3, 2) bundle passes."""
     report = run_check("two-transitivity", {"group": gid, "level": 1})
     assert report.status == "fail" and report.evidence["levels"] == {1: False}
+
+
+# (p, r) of six affine bundles: passing at every level, or failing from level 1, 2 or 3
+AFFINE_ROWS = [(3, 2), (5, 2), (7, 3), (5, 4), (5, 7), (2, 3)]
+
+
+@pytest.mark.parametrize("source", sorted(cat.catalog()) + AFFINE_ROWS,
+                         ids=lambda s: s if isinstance(s, str) else "affine_%d_%d" % s)
+def test_two_transitivity_stops_at_the_first_failing_level(tmp_path, source):
+    """The check decides levels bottom up and stops at the first failure; every level above it
+    is False by the lemma (a pass at l + 1 implies one at l).  Its evidence must equal every
+    level decided on its own, up to the default top level, or below it where d^l > 5^4: the
+    whole computation at d^l = 5^5 takes 2-7 s a group, the check on gs5 at level 6 a minute."""
+    if isinstance(source, str):
+        params, entry = {"group": source}, cat.get(source)
+    else:
+        spec = tmp_path / "affine.json"
+        spec.write_text(json.dumps(affine_bundle(*source)))
+        params, entry = {"spec": str(spec)}, cat.load_spec(str(spec))
+    d, gens = entry.automaton.size, entry.generator_list()
+    top = min(two_transitivity_level(d), max(l for l in range(1, 7) if d ** l <= 5 ** 4))
+    report = run_check("two-transitivity", params | {"level": top})
+    assert report.evidence["levels"] == {
+        l: two_transitivity_level_check(gens, l) for l in range(1, top + 1)}, source
+    assert report.status == ("pass" if report.evidence["levels"][top] else "fail")
+
+
+def test_two_transitivity_on_gs5_at_level_6_decides_level_1_only(monkeypatch):
+    """Level 1 fails, so levels 2..6 (a minute of chain work at level 6) are never built."""
+    levels = []
+    monkeypatch.setattr(checks, "two_transitivity_level_check",
+                        lambda gens, l: levels.append(l) or two_transitivity_level_check(gens, l))
+    report = run_check("two-transitivity", {"group": "gs5", "level": 6})
+    assert report.status == "fail" and report.evidence["levels"] == dict.fromkeys(range(1, 7), False)
+    assert levels == [1]
 
 
 @pytest.mark.parametrize("p, r, orders", [

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from arboreal import catalog as cat
+from arboreal import core
 from arboreal.core import (
     MealyAutomaton,
     WreathSpecError,
@@ -612,3 +613,60 @@ def test_walk_deep_vertices_without_recursion(grig):
     for v in ((1,) * 5000, (1,) * 4999 + (0,)):
         assert aut.walk((("b", 1),), v) == _rule_walk(aut, (("b", 1),), v)
     assert aut.walk((("b", 1),), (1,) * 5000) == ((1,) * 5000, (("d", 1),))
+
+
+# ---------------------------------------------------------------------------
+# the binary path of `_sections_if_fixed` against the general loop
+
+BINARY_GATED = ["bs13", "basilica", "g01inf", "grigorchuk", "img_z2i", "lamplighter"]
+CONTRACTING = {"basilica", "g01inf", "grigorchuk", "img_z2i"}
+
+
+def _random_reduced(rng, names, n):
+    word = []
+    while len(word) < n:
+        f = (rng.choice(names), rng.choice((1, -1)))
+        if not word or word[-1] != (f[0], -f[1]):
+            word.append(f)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("gid,tuple_text", [(gid, None) for gid in BINARY_GATED]
+                         + [("g01inf", "(a,d^-1)(1,2)")])
+def test_binary_sections_match_the_general_loop(monkeypatch, gid, tuple_text):
+    """Two fresh copies decide the same seeded reduced words of 1..5,000 factors, one on the
+    binary path (taken from one factor on here) and one with `_binary = None`, so on the loop:
+    sections, None cases and memos must agree.  Conjugated relators have sections that cancel,
+    and powers of one state give empty sections where the state has them."""
+    monkeypatch.setattr(core, "BINARY_MIN_LEN", 1)
+    entry = cat.get(gid)
+    fast, names = _fresh(entry, tuple_text)
+    slow, _ = _fresh(entry, tuple_text)
+    assert fast._binary is not None
+    slow._binary = None
+    rng = random.Random(f"binary {gid} {tuple_text}")
+    clen = (1, 7, 60, 700, 2500) if gid in CONTRACTING else (1, 2, 3)
+    words = [_random_reduced(rng, names, n) for n in [*range(1, 13), 100, 1000, 5000] * 3]
+    words += [((s, e),) * n for s in names for e in (1, -1) for n in (1, 2, 9, 10, 4000)]
+    words += [invert_word(c) + rng.choice(_trivial_words(entry)) + c
+              for c in (_random_reduced(rng, names, n) for n in clen * 3)]
+    kinds = set()
+    for word in words:
+        packed = _reduce_codes(fast._pack(word))
+        got = fast._sections_if_fixed(packed)
+        assert got == slow._sections_if_fixed(packed), (gid, word)
+        kinds.add("moves" if got is None else "empty" if b"" in got else "fixes")
+        assert fast.word_is_trivial(word) == slow.word_is_trivial(word), (gid, word)
+    assert kinds == {"moves", "empty", "fixes"}
+    assert fast._trivial == slow._trivial and fast._nontrivial == slow._nontrivial
+    assert max(map(len, fast._trivial)) > (2000 if gid in CONTRACTING else 4)
+
+
+def test_binary_path_gate():
+    """d = 2, bytes and sections of at most one factor; the rest take the general loop."""
+    for gid in ("gs3", "gs5", "gs7"):
+        assert cat.get(gid).automaton._binary is None, gid
+    grig = cat.get("grigorchuk").automaton
+    assert grig.extend({"x": ((1, 0), ((("a", 1),), (("d", -1),)))})._binary is not None
+    assert grig.extend({"x": ((1, 0), ((("a", 1), ("b", 1)), ()))})._binary is None
+    assert _chain(127)._binary is not None and _chain(128)._binary is None

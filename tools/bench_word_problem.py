@@ -69,7 +69,8 @@ BS13_L = (4, 5, 6, 7, 8, 9, 10, 12, 16, 24, 32, 48, 64)
 BS13_MIXED_L = (2, 4, 8, 12, 16, 20, 24, 32, 48, 64)
 BS13_MEMORY_CAP_BYTES = 2 ** 29
 RELATOR_GROUPS = ("grigorchuk", "img_z2i")
-RELATOR_K = tuple(range(11))
+RELATOR_K = tuple(range(13))
+GATED_K = 10    # the gates below were set on k <= 10 and read the curves there
 SIGMA_POWER_K = tuple(range(12, 21))
 
 
@@ -181,9 +182,10 @@ def main():
     power = results[("power", 200000)]["change"]
     juxt = results[("juxtaposition", 100000)]["change"]
     bs13 = [results[(curve, 64)]["change"] for curve in ("bs13", "bs13mixed")]
-    relators = [results[(gid, k)]["change"] for gid in RELATOR_GROUPS for k in RELATOR_K]
+    relators = [results[(gid, k)]["change"] for gid in RELATOR_GROUPS for k in RELATOR_K
+                if k <= GATED_K]
     deep = results[("sigma_power", SIGMA_POWER_K[-1])]["change"]
-    certificates = [results[(f"certificate:{gid}", RELATOR_K[-1])]["change"]
+    certificates = [results[(f"certificate:{gid}", GATED_K)]["change"]
                     for gid in RELATOR_GROUPS]
     report = benchlib.report_header("tools/bench_word_problem.py", args.repeats)
     report["gates"] = {
