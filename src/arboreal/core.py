@@ -15,8 +15,8 @@ words without bound (e.g. x=(x*x,1)(1,2)), and the search is then not
 guaranteed to finish.
 
 Products compose left to right, the GAP convention used throughout:
-(g*h)(v) = h(g(v)).  Permutations are tuples of images and multiply the
-same way: pmul(p, q)[x] = q[p[x]].
+(g*h)(v) = h(g(v)).  Permutations are tuples of images, or 256-byte
+tables (`pack_perm`), and multiply the same way: pmul(p, q)[x] = q[p[x]].
 """
 
 from __future__ import annotations
@@ -67,14 +67,29 @@ def identity_perm(d):
     return tuple(range(d))
 
 
+_BYTE_POINTS = bytes(range(256))
+
+
+def pack_perm(p):
+    """p as a 256-byte table when it has at most 256 points, which fixes the
+    points from len(p) on; past that, the tuple p.  Both read p[x]."""
+    return bytes(p) + _BYTE_POINTS[len(p):] if len(p) <= 256 else tuple(p)
+
+
 def pmul(p, q):
-    """Product of permutations, p applied first."""
+    """Product of permutations, p applied first, both image tuples or both
+    `pack_perm` tables: a table's product is one `bytes.translate`."""
+    if type(p) is bytes:
+        return p.translate(q)
     if len(p) > 1:
         return itemgetter(*p)(q)
     return tuple(q[i] for i in p)
 
 
 def pinv(p):
+    """Inverse of an image tuple, or of a `pack_perm` table by `bytes.maketrans`."""
+    if type(p) is bytes:
+        return bytes.maketrans(p, _BYTE_POINTS)
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i

@@ -23,18 +23,21 @@ and picks one of two chains from the generators alone:
   each layer keeps a generating set of its group, whose orbit is extended
   breadth first, never rebuilt, as sifted residues join the set.
 
-Both are deterministic, so orders reproduce in CI.
+Both are deterministic, so orders reproduce in CI.  Inside both, a
+permutation of at most 256 points is a 256-byte table (`core.pack_perm`):
+a product is one `bytes.translate`.  Larger ones stay image tuples, and
+the chains take and yield image tuples either way.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from math import isqrt, prod
-from operator import getitem, itemgetter
+from operator import getitem
 from dataclasses import dataclass, field
 
-from .core import (SizeBoundExceeded, identity_perm, invert_word, max_points, pinv, pmul,
-                   power_by_squaring, reduced_product)
+from .core import (SizeBoundExceeded, identity_perm, invert_word, max_points, pack_perm, pinv,
+                   pmul, power_by_squaring, reduced_product)
 
 ENUMERATION_LIMIT = 10 ** 6   # largest group intersection_trivial_on_level enumerates
 
@@ -209,15 +212,15 @@ class _TreeChain:
         self.p = p
         self.n = n
         self.degree = p ** n
-        self._ident = identity_perm(self.degree)
+        self._ident = pack_perm(identity_perm(self.degree))
         # layer j: the turn (x // p^(n-j-1)) % p that sends leaf 0 of a block to leaf x
-        self._turns = [b"".join(bytes([c]) * p ** (n - j - 1) for c in range(p)) * p ** j
-                       for j in range(n)]
+        self._turns = [(b"".join(bytes([c]) * p ** (n - j - 1) for c in range(p)) * p ** j)
+                       .ljust(256, b"\0") for j in range(n)]
         self._ones = [int.from_bytes(b"\1" * p ** j, "little") for j in range(n)]
         negate = [bytes(-c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
         self._layers = [[] for _ in range(n)]  # (pivot shift, [-c * vector], [b^-c]), c < p
         entries = [[] for _ in range(n)]        # layer j: (b, b^-1) in insertion order
-        gens = [(x, pinv(x)) for x in gens]
+        gens = [(x, pinv(x)) for x in map(pack_perm, gens)]
         work = [(0, x) for x, _ in gens]
         while work:
             start, g = work.pop()
@@ -246,10 +249,8 @@ class _TreeChain:
 
     def _vector(self, g, j):
         """Shift vector of g in St(j): the turn of each level-j vertex's children."""
-        # the extra index 0 reads a zero byte above the top coordinate, and
-        # keeps itemgetter's answer a tuple when level j has one vertex
-        turns = itemgetter(*g[::self.p ** (self.n - j)], 0)(self._turns[j])
-        return int.from_bytes(bytes(turns), "little")
+        points = g[:self.degree:self.p ** (self.n - j)]   # each level-j vertex's first leaf
+        return int.from_bytes(pmul(points, self._turns[j]), "little")
 
     def _sift(self, g, start=0):
         """(j, v, g): g reduced through layers start..j; v is its nonzero
@@ -275,15 +276,15 @@ class _TreeChain:
         return self.p ** sum(map(len, self._layers))
 
     def __contains__(self, perm):
-        if len(perm) != self.degree:
+        if (g := _packed(perm, self.degree)) is None:
             return False
-        j, _, g = self._sift(perm)
+        j, _, g = self._sift(g)
         return j == self.n and g == self._ident
 
     def elements(self):
         """Every product h * b^-e, for h a product over the entries after b."""
         return _products([inverses for layer in self._layers for _, _, inverses in layer],
-                         self._ident)
+                         self._ident, self.degree)
 
 
 def _reduce_bytes(v, p, ones):
@@ -349,34 +350,41 @@ def _point_layers(gens, ident):
     return layers
 
 
-def _products(choices, ident):
+def _packed(perm, degree):
+    """perm in `pack_perm`'s form, or None unless it permutes range(degree)."""
+    return pack_perm(perm) if sorted(perm) == list(range(degree)) else None
+
+
+def _products(choices, ident, degree=None):
     """Every product h * c, for c in choices[0] and h a product over
-    choices[1:], with c varying fastest."""
+    choices[1:], with c varying fastest; as image tuples when a degree is given."""
     if not choices:
         yield ident
         return
     for h in _products(choices[1:], ident):
         for c in choices[0]:
-            yield pmul(h, c)
+            yield pmul(h, c) if degree is None else tuple(pmul(h, c)[:degree])
 
 
 class _PointChain:
     """Base points with their transversals, for any permutation group."""
 
     def __init__(self, gens, degree):
-        self._ident = identity_perm(degree)
-        self.layers = _point_layers(gens, self._ident)
+        self.degree = degree
+        self._ident = pack_perm(identity_perm(degree))
+        self.layers = _point_layers([pack_perm(g) for g in gens], self._ident)
 
     def order(self):
         return prod(len(layer.transversal) for layer in self.layers)
 
     def __contains__(self, perm):
-        residue, _ = _strip(perm, self.layers, 0, self._ident)
-        return residue == self._ident
+        if (g := _packed(perm, self.degree)) is None:
+            return False
+        return _strip(g, self.layers, 0, self._ident)[0] == self._ident
 
     def elements(self):
         return _products([[layer.transversal[pt] for pt in sorted(layer.transversal)]
-                          for layer in self.layers], self._ident)
+                          for layer in self.layers], self._ident, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +427,11 @@ def schreier_generators(root, ident, gens, act, mul, inv):
 
 
 def point_stabilizer_gens(perms, point):
-    """Schreier generators of the stabilizer of one point (as permutations)."""
+    """Schreier generators of the stabilizer of one point, as `pack_perm` permutations."""
     if not perms:
         return []
-    return schreier_generators(point, identity_perm(len(perms[0])), perms, getitem, pmul, pinv)
+    ident = pack_perm(identity_perm(len(perms[0])))
+    return schreier_generators(point, ident, list(map(pack_perm, perms)), getitem, pmul, pinv)
 
 
 def stabilizer_words(gens, target="first-level"):

@@ -7,8 +7,8 @@ import pytest
 from arboreal import catalog as cat
 from arboreal import levels
 from arboreal.cli import main
-from arboreal.core import (MealyAutomaton, TreeAutomorphism, identity_perm, parse_wreath_spec, pinv,
-                           pmul, power_by_squaring)
+from arboreal.core import (MealyAutomaton, TreeAutomorphism, identity_perm, pack_perm,
+                           parse_wreath_spec, pinv, pmul, power_by_squaring)
 from arboreal.levels import (
     LevelPermGroup,
     SizeBoundExceeded,
@@ -25,6 +25,7 @@ from arboreal.levels import (
     vertex_index,
 )
 
+HANOI = "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)"  # the Hanoi towers group on three pegs
 
 def closure(perms, cap=None):
     """Independent BFS oracle over a generated permutation group; None once
@@ -130,6 +131,8 @@ def test_tree_chain_order_equals_generic_chain(gid):
 
 
 def test_grigorchuk_order_closed_form():
+    # levels 7-9 hold 128, 256 and 512 points: the chain's permutations are
+    # 256-byte tables up to level 8 and image tuples at level 9
     gens = list(cat.get("grigorchuk").elements().values())
     for n in range(3, 10):
         assert perm_group_on_level(gens, n).order() == 2 ** (5 * 2 ** (n - 3) + 2)
@@ -139,7 +142,7 @@ def test_grigorchuk_order_closed_form():
 def test_ggs_order_closed_form(gid, p, top):
     # log_p |G_n| = (p-1) p^(n-2) + 1 for n >= 2 (Fernandez-Alcober and
     # Zugadi-Reizabal, GGS-groups: order of congruence quotients and
-    # Hausdorff dimension, 2014)
+    # Hausdorff dimension, 2014); gs3 at levels 5 and 6 holds 243 and 729 points
     gens = list(cat.get(gid).elements().values())
     for n in range(2, top + 1):
         assert perm_group_on_level(gens, n).order() == p ** ((p - 1) * p ** (n - 2) + 1)
@@ -221,16 +224,67 @@ def test_groups_outside_the_tree_chain_match_bfs():
 
 
 def test_hanoi_towers_group_orders():
-    # the Hanoi towers group on three pegs; levels 1-2 are checked by BFS,
-    # and the orders at levels 1-4 are pinned
-    aut = parse_wreath_spec("a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)")
-    gens = list(aut.generator_elements().values())
-    for n in range(1, 5):
+    # levels 1-2 are checked by BFS, and the orders at levels 1-5 are pinned;
+    # level 5 (243 points, about 1 s) is the generic chain's largest on byte tables
+    gens = list(parse_wreath_spec(HANOI).generator_elements().values())
+    for n in range(1, 6):
         group = perm_group_on_level(gens, n)
         assert isinstance(group._chain(), _PointChain)
         assert group.order() == 2 ** (3 ** (n - 1)) * 3 ** ((3 ** n - 1) // 2)
         if n <= 2:
             assert group.order() == len(closure(list(group.gens)))
+
+
+def dihedral(m):
+    return LevelPermGroup(m, 1, [tuple((x + 1) % m for x in range(m)),
+                                 tuple(-x % m for x in range(m))])
+
+
+@pytest.mark.parametrize("pack", [pack_perm, tuple])
+def test_membership_of_a_non_permutation_is_false(monkeypatch, pack):
+    # both chains, on 256-byte tables (up to 256 points) and on image tuples
+    # (past them, or everywhere when pack_perm is replaced by tuple)
+    monkeypatch.setattr(levels, "pack_perm", pack)
+    grigorchuk = list(cat.get("grigorchuk").elements().values())
+    groups = [perm_group_on_level(list(parse_wreath_spec(HANOI).generator_elements().values()), 2),
+              perm_group_on_level(grigorchuk, 3), perm_group_on_level(grigorchuk, 9),
+              dihedral(200), dihedral(300)]
+    for group, chain in zip(groups, [_PointChain, _TreeChain, _TreeChain, _PointChain, _PointChain]):
+        assert isinstance(group._chain(), chain)
+        m = group.degree
+        ident = identity_perm(m)
+        assert ident in group and group.gens[0] in group
+        assert type(group._chain()._ident) is (bytes if pack is pack_perm and m <= 256 else tuple)
+        wrong = [ident[:-1], ident + (m,), (0, 0) + ident[2:], group.gens[0][:-1] + group.gens[0][:1]]
+        wrong += [ident[:-1] + (x,) for x in (m, 255, 256, 1000, -1)]
+        for perm in wrong:
+            assert perm not in group
+    assert (0, 1, 2, 3, 4, 5, 6, 7, 100) not in groups[0]
+
+
+@pytest.mark.parametrize("gid,n", [("grigorchuk", 8), ("basilica", 6), ("gs3", 5), ("hanoi", 4)])
+def test_byte_tables_answer_as_image_tuples(monkeypatch, gid, n):
+    # seeded members (images of random words) and other tree automorphisms get
+    # the same answers from the chain on 256-byte tables as from the same
+    # chain fed the same generators with pack_perm replaced by tuple
+    aut = parse_wreath_spec(HANOI) if gid == "hanoi" else cat.get(gid).automaton
+    elements = aut.generator_elements()
+    rng = random.Random(n)
+    members = [level_perm(aut.element("*".join(rng.choice(list(elements)) + rng.choice(("", "^-1"))
+                                                for _ in range(20))), n) for _ in range(10)]
+    others = [random_tree_perm(rng, aut.size, n) for _ in range(10)]
+    others += [pmul(q, perm) for q, perm in zip(others, members)]
+    answers = {}
+    for pack in (pack_perm, tuple):
+        monkeypatch.setattr(levels, "pack_perm", pack)
+        group = perm_group_on_level(list(elements.values()), n)
+        assert type(group._chain()._ident) is (bytes if pack is pack_perm else tuple)
+        answers[pack] = (group.order(), [q in group for q in members + others],
+                         sorted(group.elements()) if group.order() <= 5000 else None)
+    assert answers[pack_perm] == answers[tuple]
+    order, found, elements = answers[tuple]
+    assert all(found[:len(members)]) and not all(found[len(members):])
+    assert elements is None or len(elements) == order == len(set(elements))
 
 
 def test_orbit_on_level_transitivity():
@@ -548,7 +602,7 @@ def test_tree_chain_on_deep_generators_matches_generic_chain(p, n):
         assert group.order() == generic.order()
         members = []
         for _ in range(10):
-            g = group._chain()._ident
+            g = identity_perm(p ** n)
             for _ in range(12):
                 g = pmul(g, rng.choice([*perms, *map(pinv, perms)]))
             members.append(g)

@@ -132,6 +132,7 @@ def main():
     gs7 = results[("cli", "gs7", 3)]["change"]
     bs13 = results[("level_perm", "bs13", 17)]["change"]
     generic = results[("generic", "gs7", 3)]["change"]
+    hanoi = results[("generic", "hanoi", 5)]["change"]
     report = benchlib.report_header("tools/bench_level_images.py", args.repeats)
     report["gates"] = {
         "grigorchuk level 8 order_cpu_s <= 2":
@@ -143,6 +144,8 @@ def main():
             isinstance(bs13, dict) and bs13["level_perm_cpu_s"] < 2,
         "generic gs7 level 3 order_cpu_s < 1":
             isinstance(generic, dict) and generic["order_cpu_s"] < 1,
+        "generic hanoi level 5 order_cpu_s < 2":
+            isinstance(hanoi, dict) and hanoi["order_cpu_s"] < 2,
     }
     report["curves"] = curves
     benchlib.write_report(args.output, report)
