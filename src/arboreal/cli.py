@@ -2,7 +2,8 @@
 
 Subcommands mirror the computations: `run` executes a named check and
 exits 0/1/2 for pass/fail/inconclusive (3 for usage errors); `portrait`
-emits DOT or JSON portraits (rooted, or the unrooted theta-portrait);
+streams DOT or JSON portraits (rooted, or the unrooted theta-portrait)
+level by level, writing nothing before the point limit has passed them;
 `perm-group-on-level`, `stabilizer-of-first-level` and `intersection`
 mirror the GAP session names; `acceptance` runs the full suite.  Output is
 byte-identical across runs for fixed inputs.
@@ -20,12 +21,9 @@ from .core import (
     WreathSpecError,
     _split_top,
     fmt_word,
-    label_portrait,
     parse_elements,
     parse_vertex,
-    portrait,
-    portrait_dot,
-    portrait_json,
+    portrait_text,
 )
 from .hnn import theta_portrait
 from .levels import intersection_trivial_on_level, perm_group_on_level, stabilizer_words
@@ -51,47 +49,19 @@ def cmd_run(args):
 def cmd_portrait(args):
     entry = _catalog.resolve(vars(args))
     element = entry.element(args.element)
-    candidates = dict(entry.elements())
+    candidates = dict(entry.elements()) if args.labels else None
     if args.theta:
-        top, nodes = theta_portrait(element, entry.action(), args.up, args.down)
-        # every node lies in the copy T^(up), so labels are keyed by the word there
-        labels = label_portrait(top, args.up + args.down, candidates) if args.labels else None
-        text = _render_unrooted(nodes, labels, args.format)
+        top = theta_portrait(element, entry.action(), args.up, args.down)
+        pieces = portrait_text(top, args.up + args.down, args.format, candidates, copy=args.up)
     else:
-        nodes = portrait(element, args.depth)
-        labels = label_portrait(element, args.depth, candidates) if args.labels else None
-        text = portrait_dot(nodes, labels) if args.format == "dot" else portrait_json(nodes, labels)
+        pieces = portrait_text(element, args.depth, args.format, candidates)
+    # refused windows raised above, so a refusal writes nothing and creates no file
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        sys.stdout.writelines(pieces)
     return 0
-
-
-def _render_unrooted(nodes, labels, fmt):
-    from .core import fmt_perm
-    items = sorted(nodes, key=lambda v: (v.level, v.word))
-    if fmt == "json":
-        out = []
-        for v in items:
-            rec = {"vertex": str(v), "level": v.level, "perm": list(nodes[v])}
-            if labels is not None:
-                rec["section"] = labels.get(v.word)
-            out.append(rec)
-        return json.dumps(out, indent=2)
-    lines = ["digraph theta_portrait {", "  node [shape=circle];"]
-    for v in items:
-        label = fmt_perm(nodes[v])
-        if labels is not None and labels.get(v.word) is not None:
-            label = f"{labels[v.word]} {label}"
-        lines.append(f'  "{v}" [label="{label}" level={v.level}];')
-    for v in items:
-        if v.word:
-            parent = type(v)(v.copy, v.word[:-1])
-            lines.append(f'  "{parent}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_perm_group(args):

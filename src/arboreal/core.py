@@ -572,8 +572,8 @@ def _parse_perm_part(text, d):
     if text.startswith("["):
         if not text.endswith("]"):
             raise WreathSpecError(f"bad image notation {text!r}")
-        images = [int(t) for t in _split_top(text[1:-1]) if t.strip()]
-        return perm_from_images(images, d)
+        parts = [t for t in _split_top(text[1:-1]) if t.strip()]
+        return perm_from_images(_perm_ints(parts, text), d)
     cycles = []
     rest = text
     while rest:
@@ -582,9 +582,17 @@ def _parse_perm_part(text, d):
         close = rest.index(")")
         inner = rest[1:close].strip()
         if inner:
-            cycles.append([int(t) for t in inner.split(",")])
+            cycles.append(_perm_ints(inner.split(","), text))
         rest = rest[close + 1:].strip()
     return perm_from_cycles(cycles, d)
+
+
+def _perm_ints(parts, text):
+    """The integers in parts; a part that is none makes `text` a bad permutation part."""
+    try:
+        return [int(t) for t in parts]
+    except ValueError:
+        raise WreathSpecError(f"bad permutation part {text!r}") from None
 
 
 def parse_wreath_spec(text, alphabet=None):
@@ -703,16 +711,6 @@ def parse_elements(texts, automaton):
 # ---------------------------------------------------------------------------
 # portraits
 
-def portrait(g, depth):
-    """Map vertex -> root permutation of the section there, levels 0..depth."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    aut, nodes = g.automaton, {}
-    for level, (sections, turns, _) in enumerate(aut._levels(aut._pack(g.word), depth)):
-        nodes.update(zip(product(range(aut.size), repeat=level), map(turns.__getitem__, sections)))
-    return nodes
-
-
 def match_label(automaton, word, candidates):
     """Name of the first candidate equal to the word ("1" if it is trivial), or None."""
     if automaton.word_is_trivial(word):
@@ -723,45 +721,47 @@ def match_label(automaton, word, candidates):
     return None
 
 
-def label_portrait(g, depth, candidates):
-    """Canonical section labels: vertex -> candidate name, via exact equality.
+def portrait_text(g, depth, fmt="dot", candidates=None, copy=None):
+    """The portrait of g on levels 0..depth as DOT or JSON text, in pieces to write as they come.
 
-    `candidates` maps names to TreeAutomorphisms (the identity is always
-    tried first).  Unmatched sections are labelled None.  Each distinct
-    section is matched once.
+    One record per vertex, in the (level, vertex) order `MealyAutomaton._levels` yields: the
+    vertex's name and a text made once per distinct section (its root permutation and, with
+    `candidates`, its `match_label`), so no node map is held.  With `copy` the vertex w is
+    named `copy:w` at level |w| - copy: the portrait of theta(h) for g = sigma^copy(h) (see
+    `hnn.theta_portrait`).  The depth is refused here, before the first piece.
     """
-    aut, names, labels = g.automaton, {}, {}
-    for level, (sections, _, words) in enumerate(aut._levels(aut._pack(g.word), depth)):
-        names.update({s: match_label(aut, aut._unpack(words[s]), candidates)
-                      for s in dict.fromkeys(sections) if s not in names})
-        labels.update(zip(product(range(aut.size), repeat=level), map(names.__getitem__, sections)))
-    return labels
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    check_points(g.automaton.size, depth)
+    return _portrait_pieces(g.automaton, g.word, depth, fmt == "dot", candidates, copy)
 
 
-def portrait_json(nodes, labels=None):
-    """Portrait as a JSON string; nodes sorted by (level, vertex)."""
-    out = []
-    for v in sorted(nodes, key=lambda v: (len(v), v)):
-        rec = {"vertex": fmt_vertex(v), "perm": list(nodes[v])}
-        if labels is not None:
-            rec["section"] = labels.get(v)
-        out.append(rec)
-    return json.dumps(out, indent=2)
-
-
-def portrait_dot(nodes, labels=None):
-    """Portrait as DOT text: stable node order, fixed attribute order."""
-    lines = ["digraph portrait {", "  node [shape=circle];"]
-    for v in sorted(nodes, key=lambda v: (len(v), v)):
-        name = fmt_vertex(v) or "root"
-        label = fmt_perm(nodes[v])
-        if labels is not None and labels.get(v) is not None:
-            label = f"{labels[v]} {label}"
-        lines.append(f'  "{name}" [label="{label}"];')
-    for v in sorted(nodes, key=lambda v: (len(v), v)):
-        if v == ():
-            continue
-        parent = fmt_vertex(v[:-1]) or "root"
-        lines.append(f'  "{parent}" -> "{fmt_vertex(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _portrait_pieces(aut, word, depth, dot, candidates, copy):
+    prefix, root = "" if copy is None else f"{copy}:", "root" if dot else ""
+    letters = tuple(map(str, range(aut.size)))
+    yield (f"digraph {'portrait' if copy is None else 'theta_portrait'} {{\n  node [shape=circle];"
+           if dot else "[")
+    texts = []      # section id -> its part of a record, JSON as `json.dumps` indents it in a list
+    for level, (sections, turns, words) in enumerate(aut._levels(aut._pack(word), depth)):
+        for s in range(len(texts), len(words)):
+            rec = {"perm": list(turns[s])}
+            if candidates is not None:
+                rec["section"] = match_label(aut, aut._unpack(words[s]), candidates)
+            if dot:
+                label, perm = rec.get("section"), fmt_perm(turns[s])
+                texts.append(perm if label is None else f"{label} {perm}")
+            else:
+                texts.append(json.dumps(rec, indent=2)[1:].replace("\n", "\n  "))
+        # a record is a + name + b + texts[s] + c; a JSON record after the root's opens with a comma
+        if dot:
+            a, b, c = '\n  "', '" [label="', '"];' if copy is None else f'" level={level - copy}];'
+        else:
+            a, c = (",\n" if level else "\n") + '  {\n    "vertex": "', ""
+            b = '",' if copy is None else f'",\n    "level": {level - copy},'
+        for w, s in zip(product(letters, repeat=level), sections):
+            yield f"{a}{prefix + ''.join(w) or root}{b}{texts[s]}{c}"
+    for level in range(depth if dot else 0):
+        for w in product(letters, repeat=level):
+            v = prefix + "".join(w)
+            yield "".join([f'\n  "{v or root}" -> "{v}{x}";' for x in letters])
+    yield "\n}\n" if dot else "\n]\n"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count, product, starmap
 
 from .core import (TreeAutomorphism, _reduce_codes, check_points, fmt_vertex, fmt_word,
-                   invert_word, portrait, reduced_product)
+                   invert_word, reduced_product)
 from .lifting import LiftingError, check_lifting
 from .levels import level_perm, orbit, point_stabilizer_gens, schreier_tree, vertex_index
 from .words import GroupOps, evaluate
@@ -382,16 +382,15 @@ def two_transitivity_level_check(gens, l):
 
 
 def theta_portrait(g, action, up, down):
-    """Portrait of theta(g) truncated to levels -up..down.
+    """sigma^up(g), the section of theta(g) at the spine vertex of level -up.
 
-    Renders the subtree of the spine vertex at level -up (the root of the
-    rooted copy T^(up)); the section of theta(g) there is sigma^up(g), so
-    the node map is that element's rooted portrait transported into
-    unrooted coordinates.  Returns sigma^up(g) as a TreeAutomorphism and
-    the node map {UnrootedVertex: root permutation}.
+    That vertex is the root of the rooted copy T^(up), so the portrait of
+    theta(g) on levels -up..down is the rooted portrait of sigma^up(g) to
+    depth up + down, with each vertex w named `up:w` at level |w| - up
+    (`core.portrait_text` with copy=up).  The window is checked before
+    sigma^up(g) is written.
     """
     if up < 0 or down < -up:
         raise ValueError("need up >= 0 and down >= -up")
     check_points(action.automaton.size, up + down)
-    top = TreeAutomorphism(action.automaton, action.sigma_word(g.word, up))
-    return top, {UnrootedVertex(up, v): perm for v, perm in portrait(top, up + down).items()}
+    return TreeAutomorphism(action.automaton, action.sigma_word(g.word, up))

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -13,16 +14,13 @@ from arboreal.core import (
     fmt_vertex,
     fmt_word,
     invert_word,
-    label_portrait,
     parse_elements,
     parse_tuple_automorphism,
     parse_vertex,
     parse_wreath_spec,
     pinv,
     pmul,
-    portrait,
-    portrait_dot,
-    portrait_json,
+    portrait_text,
 )
 from arboreal.levels import level_perm, vertex_index
 from arboreal.lifting import GgsVector, ggs_lifting
@@ -92,6 +90,11 @@ def test_parse_wreath_spec_errors():
         parse_wreath_spec("a=(1,1)(1,2),b=(a,a,a)")  # wrong arity
     with pytest.raises(WreathSpecError):
         parse_wreath_spec("a=(1,1)(1,2)", alphabet=3)
+    # a permutation part that is not integers is named, not left to int()
+    with pytest.raises(WreathSpecError, match=r"^bad permutation part '\(1;2\)'$"):
+        parse_wreath_spec("a=(1,1)(1;2)")
+    with pytest.raises(WreathSpecError, match=r"^bad permutation part '\[a,b\]'$"):
+        parse_wreath_spec("a=(1,1)[a,b]")
 
 
 def test_act_examples(grig):
@@ -237,8 +240,13 @@ def test_double_inverse_acts_identically(grig):
         assert g.inverse().inverse().act(v) == g.act(v)
 
 
+def _portrait_records(g, depth, candidates=None):
+    """The records of g's JSON portrait, read back from the streamed text."""
+    return json.loads("".join(portrait_text(g, depth, "json", candidates)))
+
+
 def test_portrait_identity(grig):
-    nodes = portrait(grig.automaton.identity(), 3)
+    nodes = {r["vertex"]: tuple(r["perm"]) for r in _portrait_records(grig.automaton.identity(), 3)}
     assert len(nodes) == 1 + 2 + 4 + 8
     assert all(p == (0, 1) for p in nodes.values())
 
@@ -247,12 +255,13 @@ def test_portrait_d_matches_figure(grig):
     # d = (1,b), b = (a,c): the path 1, 11 carries the b, c pattern and the
     # switches sit exactly at 10 and 110
     gens = grig.elements()
-    labels = label_portrait(gens["d"], 3, gens)
+    records = _portrait_records(gens["d"], 3, gens)
+    labels = {parse_vertex(r["vertex"]): r["section"] for r in records}
     assert labels[(1,)] == "b"
     assert labels[(1, 1)] == "c"
     assert labels[(1, 1, 1)] == "d"
     assert labels[(0,)] == "1"
-    nodes = portrait(gens["d"], 3)
+    nodes = {parse_vertex(r["vertex"]): tuple(r["perm"]) for r in records}
     switches = {v for v, p in nodes.items() if p != (0, 1)}
     assert switches == {(1, 0), (1, 1, 0)}
 
@@ -270,13 +279,11 @@ def test_portrait_b_periodic_along_rightmost_path(grig):
 
 def test_portrait_renderers_stable(grig):
     d = grig.elements()["d"]
-    nodes = portrait(d, 2)
-    dot1 = portrait_dot(nodes)
-    dot2 = portrait_dot(portrait(d, 2))
+    dot1 = "".join(portrait_text(d, 2))
+    dot2 = "".join(portrait_text(d, 2))
     assert dot1 == dot2
     assert '"root"' in dot1
-    js = portrait_json(nodes)
-    import json
+    js = "".join(portrait_text(d, 2, "json"))
     decoded = json.loads(js)
     assert decoded[0] == {"vertex": "", "perm": [0, 1]}
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 import threading
@@ -8,7 +9,7 @@ import pytest
 from arboreal import acceptance, hnn
 from arboreal import catalog as cat
 from arboreal.checks import run_check
-from arboreal.core import fmt_word, invert_word
+from arboreal.core import fmt_word, invert_word, parse_vertex, portrait_text
 from arboreal.hnn import (
     HNN_IDENTITY,
     HnnElement,
@@ -491,17 +492,18 @@ def test_stabilizer_projection_conjugate_of_d(grig_action):
 
 def test_theta_portrait_periodic_column(grig_action):
     entry = cat.get("grigorchuk")
-    top, nodes = theta_portrait(entry.element("b"), grig_action, up=3, down=3)
+    top = theta_portrait(entry.element("b"), grig_action, up=3, down=3)
     # sections at the spine vertices cycle b -> d -> c with period 3
     aut = entry.automaton
     assert top.same_action(aut.element(grig_action.sigma_word(entry.element("b").word, 3)))
     spine_labels = {}
-    for v in nodes:
-        if set(v.word) <= {1}:
-            sec = aut.element(aut.section_word(top.word, v.word))
+    for v in json.loads("".join(portrait_text(top, 6, "json", copy=3))):
+        word = parse_vertex(v["vertex"].partition(":")[2])
+        if set(word) <= {1}:
+            sec = aut.element(aut.section_word(top.word, word))
             for name in "bcd":
                 if sec.same_action(entry.elements()[name]):
-                    spine_labels[v.level] = name
+                    spine_labels[v["level"]] = name
     assert spine_labels == {-3: "b", -2: "c", -1: "d", 0: "b", 1: "c", 2: "d", 3: "b"}
 
 

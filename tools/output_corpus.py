@@ -14,10 +14,12 @@ The corpus is what a behaviour-preserving change must leave alone:
   for every group with a lifting;
 - `run dilation --element t^-2*a*t^5` on every group with a lifting,
   and `T^600*a*t^600` on Grigorchuk;
-- the usage errors of `USAGE_ERRORS`;
-- `portrait` plain, `--labels`, `--theta` and `--theta --labels` for every
-  generator of every group (theta on levels -2..2 for the 5- and 7-ary
-  gs5 and gs7, whose default portraits are megabytes);
+- the usage errors of `USAGE_ERRORS`, among them a portrait one level past
+  the point limit;
+- `portrait` plain, `--labels`, `--theta` and `--theta --labels`, each in
+  DOT and in JSON, for every generator of every group (theta on levels
+  -2..2 for the 5- and 7-ary gs5 and gs7, whose default portraits are
+  megabytes).  A portrait's JSON is kept as text, byte for byte;
 - `perm-group-on-level --format json` at levels 1-4 for every group;
 - `catalog --format json` and `acceptance --format json`;
 - `intersection` on g01inf with the generators of `BRACKETED`, words that
@@ -29,10 +31,10 @@ The corpus is what a behaviour-preserving change must leave alone:
   and `run perm-order` at level 3 on `HANOI`, the Hanoi towers group on
   three pegs, whose local actions are transpositions.  Both specs go to
   the generic chain;
-- `portrait --element s0*s0 --depth 3 --labels` on `CHAIN_200`, the 200
-  states s_i = (s_(i+1 mod 200), 1)(1,2), whose factor codes pass 255, so
-  the word problem keeps them as code tuples, not bytes.  The labels go
-  through `word_is_trivial`;
+- `portrait --element s0*s0 --depth 3 --labels`, DOT and JSON, on
+  `CHAIN_200`, the 200 states s_i = (s_(i+1 mod 200), 1)(1,2), whose
+  factor codes pass 255, so the word problem keeps them as code tuples,
+  not bytes.  The labels go through `word_is_trivial`;
 - `run two-transitivity`, `run perm-order --level 3`, `run lifting` and
   `run spine` on `AFFINE_3_2`, the affine group of Q_3 generated by
   x -> x+1 and x -> 2x (the bundle `affine_bundle(3, 2)` of
@@ -56,7 +58,7 @@ of every report is blanked.  Usage:
     PYTHONPATH=/path/to/parent/src python3 tools/output_corpus.py > parent.json
     diff parent.json change.json
 
-The corpus takes about 13 s on a 2-core Xeon.  A tree whose `dilation`
+The corpus takes about 5 s of CPU on a 2-core Xeon.  A tree whose `dilation`
 samples (before it decided the exponent) spends about 16 s more on the
 `T^600*a*t^600` entry.
 """
@@ -85,6 +87,7 @@ BAD_LETTERS = (("grigorchuk", "5"), ("gs3", "-1"))
 USAGE_ERRORS = [["run", "dilation", "--group", "basilica", "--samples", "3"],
                 ["run", "dilation", "--group", "basilica", "--seed", "5"],
                 ["portrait", "--group", "grigorchuk", "--element", "x"],
+                ["portrait", "--group", "grigorchuk", "--element", "a", "--depth", "21"],
                 ["run", "dilation", "--group", "grigorchuk", "--element", "x"],
                 *(["run", "dilation", "--group", "basilica", "--element", text]
                   for text in ("t^", "(a", "a*", "*a", "a**b"))]
@@ -134,7 +137,8 @@ def _call(argv):
         except Exception as exc:  # a traceback is part of the behaviour too
             code = f"{type(exc).__name__}: {exc}"
     text = out.getvalue()
-    if "--format" in argv and argv[argv.index("--format") + 1] == "json" and text.strip():
+    if ("--format" in argv and argv[argv.index("--format") + 1] == "json" and text.strip()
+            and argv[0] != "portrait"):
         text = _blank_seconds(json.loads(text))
     return {"argv": argv, "exit": code, "stdout": text, "stderr": err.getvalue()}
 
@@ -172,6 +176,8 @@ def corpus():
             for extra in ([], ["--labels"], ["--theta", *window],
                           ["--theta", "--labels", *window]):
                 calls.append(["portrait", "--group", g, "--element", name, *extra])
+                calls.append(["portrait", "--group", g, "--element", name, *extra,
+                              "--format", "json"])
         for level in range(1, 5):
             calls.append(["perm-group-on-level", "--group", g, "--level", str(level),
                           "--format", "json"])
@@ -195,8 +201,8 @@ def corpus():
                    *(["--orbit", "000"] if level == 3 else []), "--format", "json"]
                   for level in range(1, 5)]
         calls.append(["run", "perm-order", "--spec", hanoi, "--level", "3", "--format", "json"])
-        calls.append(["portrait", "--spec", chain, "--element", "s0*s0", "--depth", "3",
-                      "--labels"])
+        calls += [["portrait", "--spec", chain, "--element", "s0*s0", "--depth", "3",
+                   "--labels", *fmt] for fmt in ([], ["--format", "json"])]
         calls += [["run", *check, "--spec", affine, "--format", "json"] for check in (
             ["two-transitivity"], ["perm-order", "--level", "3"], ["lifting"], ["spine"])]
         calls.append(["run", "lifting", "--spec", rejected, "--format", "json"])
