@@ -158,7 +158,7 @@ def _bs13_relators(_):
 
 
 @lru_cache(maxsize=1)
-def _build():
+def catalog():
     entries = [
         _entry(
             "grigorchuk",
@@ -286,12 +286,8 @@ def _gupta_sidki(p):
     )
 
 
-def catalog():
-    return _build()
-
-
 def get(group_id):
-    cat = _build()
+    cat = catalog()
     key = group_id.lower()
     if key in cat:
         return cat[key]
@@ -302,11 +298,11 @@ def get(group_id):
 
 
 def entries_with_sigma():
-    return [e for e in _build().values() if e.default_sigma is not None]
+    return [e for e in catalog().values() if e.default_sigma is not None]
 
 
 def catalog_json():
-    return json.dumps({k: v.to_json_dict() for k, v in sorted(_build().items())}, indent=2)
+    return json.dumps({k: v.to_json_dict() for k, v in sorted(catalog().items())}, indent=2)
 
 
 def load_spec(path):

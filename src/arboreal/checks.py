@@ -342,11 +342,12 @@ def check_stabilizer_projection(params):
     for k in (1, 2, 3):
         spine = (action.letter,) * k
         for word in [((g, 1), (h, 1)) for g in names for h in names]:
-            if aut.act_word(word, spine) != spine:
+            image, section = aut.walk(word, spine)
+            if image != spine:
                 continue
             e = action.element(word, k, k)
             fixes = theta_apply(e, LAMBDA, action) == LAMBDA
-            projection = action.element(aut.section_word(word, spine))
+            projection = action.element(section)
             residual = hnn_multiply(e, hnn_inverse(projection), action)
             sampled += 1
             if not fixes or moved_vertex(residual, action, 0, depth) is not None:
@@ -470,10 +471,10 @@ def _random_hnn(action, names, powers, bits, max_len):
             low = min(low, height)
         else:
             letters.append((sym, (1, -1)[_below(bits, 2)], height))
-    word = ()
+    word, sigma = (), action.sigma
     for s, e, h in letters:
         key = s, e, h - low
-        power = powers.get(key) or powers.setdefault(key, action.sigma_word(((s, e),), h - low))
+        power = powers.get(key) or powers.setdefault(key, sigma.apply_power(((s, e),), h - low))
         word = reduced_product(word, power) if word else power
     return HnnElement(-low, word, height - low)
 

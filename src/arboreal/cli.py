@@ -18,7 +18,6 @@ import sys
 from . import catalog as _catalog
 from .checks import CHECKS, flag, run_check
 from .core import (
-    WreathSpecError,
     _split_top,
     fmt_word,
     parse_elements,
@@ -27,7 +26,6 @@ from .core import (
 )
 from .hnn import theta_portrait
 from .levels import intersection_trivial_on_level, perm_group_on_level, stabilizer_words
-from .words import WordSyntaxError
 
 USAGE_ERROR = 3
 
@@ -211,7 +209,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WordSyntaxError, WreathSpecError, KeyError, ValueError, OSError) as err:
+    except (KeyError, ValueError, OSError) as err:
         # str() of a KeyError is the repr of its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"arboreal: {message}", file=sys.stderr)

@@ -32,9 +32,7 @@ DEFAULT_MAX_POINTS = 1 << 20
 ENV_MAX_POINTS = "ARBOREAL_MAX_POINTS"
 BINARY_MIN_LEN = 10     # `_sections_if_fixed`'s binary path beats the loop from here on
 
-Vertex = tuple  # tuple of letters
 Word = tuple    # tuple of (state, +1|-1) factors
-Perm = tuple    # tuple of images
 
 
 class WreathSpecError(ValueError):
@@ -211,7 +209,7 @@ class MealyAutomaton:
 
     def __init__(self, size, rules, generators=None):
         if size < 2:
-            raise ValueError(f"alphabet needs at least 2 letters, got {size}")
+            raise WreathSpecError(f"alphabet needs at least 2 letters, got {size}")
         self.size = d = size
         full = {IDENTITY: (identity_perm(d), ((),) * d)}
         for name, (perm, sections) in rules.items():
@@ -292,8 +290,8 @@ class MealyAutomaton:
     def element(self, word):
         """TreeAutomorphism from a word (iterable of factors) or text."""
         if isinstance(word, str):
-            from .words import parse_group_word
-            return parse_group_word(word, self)
+            from .words import parse_word_factors
+            return TreeAutomorphism(self, parse_word_factors(word, set(self.states)))
         return TreeAutomorphism(self, self.reduce(word))
 
     def state(self, name):
@@ -363,15 +361,6 @@ class MealyAutomaton:
             image.append(x)
         return tuple(image) + tuple(v[len(image):]), word
 
-    def act_word(self, word, v):
-        return self._walk(self._pack(word), v)[0]
-
-    def section_word(self, word, v):
-        return self.walk(word, v)[1]
-
-    def root_perm(self, word):
-        return self.split(word)[0]
-
     def _levels(self, word, depth):
         """The sections of a packed word on levels 0..depth (refused past `check_points`), each
         distinct one stepped once: yields per level the section id at each vertex in lexicographic
@@ -436,7 +425,7 @@ class MealyAutomaton:
 
     def _sections_if_fixed(self, word):
         """The packed sections of a packed word at the letters 0..d-1, or None if it moves one.
-        Each letter is one `step`, written out inline on the word problem's hottest loop.  With
+        Each letter is one `step`; `_walk` alone writes `step` out inline.  With
         `_binary`, a word of BINARY_MIN_LEN factors or more runs no loop in Python: S_2 is abelian,
         so factor j reads x ^ q_j, q_j the parity of the swaps before it; a prefix xor of the swap
         bytes gives every q_j, and a 0x00/0xFF mask from them picks each section at 0 or at 1."""
@@ -453,17 +442,12 @@ class MealyAutomaton:
             flip = (a ^ b) & (q >> 8) * 255     # the factors that read the letter 1 from 0
             return [_reduce_codes((s ^ flip).to_bytes(n, "big").translate(None, b"\0"))
                     for s in (a, b)]
-        table, packed = self._table, self._packed
         sections = []
         for x in range(self.size):
-            y = x
-            below = self._buffer()
-            for c in word:
-                y, section = table[c][y]
-                below += section
+            y, section = self.step(word, x)
             if y != x:
                 return None
-            sections.append(_reduce_codes(packed(below)) if len(below) > 1 else packed(below))
+            sections.append(section)
         return sections
 
 
@@ -577,13 +561,12 @@ def _parse_perm_part(text, d):
     cycles = []
     rest = text
     while rest:
-        if not rest.startswith("("):
+        if not rest.startswith("(") or ")" not in rest:
             raise WreathSpecError(f"bad permutation part {text!r}")
-        close = rest.index(")")
-        inner = rest[1:close].strip()
-        if inner:
+        inner, _, rest = rest[1:].partition(")")
+        if inner.strip():
             cycles.append(_perm_ints(inner.split(","), text))
-        rest = rest[close + 1:].strip()
+        rest = rest.strip()
     return perm_from_cycles(cycles, d)
 
 

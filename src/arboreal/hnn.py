@@ -212,10 +212,6 @@ class ScaleAction:
                 cache[stack.pop()] = self._prefix(x, digit), section
         return cache[key]
 
-    def sigma_word(self, word, k):
-        """sigma^k(word) materialized; fine for the small k used in algebra."""
-        return self.sigma.apply_power(word, k) if word else word
-
     def element(self, word=(), tneg=0, tpos=0):
         return HnnElement(tneg, self.automaton.reduce(tuple(word)), tpos)
 
@@ -293,15 +289,15 @@ def sigma_mismatch(word, action, copies, length):
 def hnn_multiply(e1, e2, action):
     """Product in the extension via t g t^-1 = sigma(g).
 
-    Both middle words are reduced (sigma_word reduces), so they cancel
+    Both middle words are reduced (apply_power reduces), so they cancel
     only at the seam.
     """
     if e1.tpos >= e2.tneg:
         k = e1.tpos - e2.tneg
-        word = reduced_product(e1.word, action.sigma_word(e2.word, k))
+        word = reduced_product(e1.word, action.sigma.apply_power(e2.word, k))
         return HnnElement(e1.tneg, word, k + e2.tpos)
     k = e2.tneg - e1.tpos
-    word = reduced_product(action.sigma_word(e1.word, k), e2.word)
+    word = reduced_product(action.sigma.apply_power(e1.word, k), e2.word)
     return HnnElement(e1.tneg + k, word, e2.tpos)
 
 
@@ -393,4 +389,4 @@ def theta_portrait(g, action, up, down):
     if up < 0 or down < -up:
         raise ValueError("need up >= 0 and down >= -up")
     check_points(action.automaton.size, up + down)
-    return TreeAutomorphism(action.automaton, action.sigma_word(g.word, up))
+    return TreeAutomorphism(action.automaton, action.sigma.apply_power(g.word, up))

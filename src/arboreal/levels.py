@@ -131,13 +131,9 @@ def schreier_tree(root, label, gens, act, extend):
     return reps
 
 
-def _unlabelled(label, gen):
-    return None
-
-
 def orbit(root, gens, act=getitem):
     """The orbit of root under gens as a set; by default gens are image tuples."""
-    return set(schreier_tree(root, None, gens, act, _unlabelled))
+    return set(schreier_tree(root, None, gens, act, lambda label, gen: None))
 
 
 def _schreier_sims(gens, d, level):

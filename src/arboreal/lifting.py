@@ -12,6 +12,7 @@ finite-quotient separation argument (for the group G_(01)^inf).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .core import IDENTITY, MealyAutomaton, TreeAutomorphism, _reduce_codes, fmt_word, invert_word
 from .levels import (_is_prime, intersection_trivial_on_level, orbit, perm_group_on_level,
@@ -68,7 +69,7 @@ class Substitution:
         """sigma^k(word), reduced (for k = 0, the word as given): `_power`, packed and unpacked."""
         if k < 0:
             raise ValueError("sigma is not invertible; powers must be >= 0")
-        if not k:
+        if not k or not word:
             return word
         try:
             return self.automaton._unpack(self._power(self.automaton._pack(word), k))
@@ -360,9 +361,9 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
     """Witness words w with w(i) = i and section(w, i) = s, per generator.
 
     When a lifting sigma is supplied its images are the witnesses (verified
-    exactly).  Otherwise a breadth-first search in shortlex order over the
-    symbols (g1, g2, ..., g1^-1, g2^-1, ...) looks for witnesses of length
-    <= word_bound; an empty slot is inconclusive, not a refutation.
+    exactly).  Otherwise the reduced words of length <= word_bound over the
+    symbols (g1, g2, ..., g1^-1, g2^-1, ...) are tried in shortlex order;
+    an empty slot is inconclusive, not a refutation.
     """
     items = list(gens.items())
     automaton = items[0][1].automaton
@@ -392,23 +393,13 @@ def self_replicating_witnesses(gens, letter, word_bound=5, sigma=None):
 
     symbols = [(name, 1) for name, _ in items] + [(name, -1) for name, _ in items]
     targets = {name for name in report.witnesses if report.witnesses[name] is None}
-    frontier = [()]
-    seen_words = {()}
-    length = 0
-    while targets and length < word_bound:
-        length += 1
-        nxt = []
-        for w in frontier:
-            for sym in symbols:
-                cand = automaton.reduce(w + (sym,))
-                if len(cand) != length or cand in seen_words:
-                    continue
-                seen_words.add(cand)
-                nxt.append(cand)
-                for name in sorted(targets):
-                    if all(_lifting_condition(automaton, cand, i, name)):
-                        report.witnesses[name] = cand
-                        targets.discard(name)
-                        break
-        frontier = nxt
+    words = (w for n in range(1, word_bound + 1) for w in product(symbols, repeat=n))
+    for cand in (w for w in words if automaton.reduce(w) == w):
+        if not targets:
+            break
+        for name in sorted(targets):
+            if all(_lifting_condition(automaton, cand, i, name)):
+                report.witnesses[name] = cand
+                targets.discard(name)
+                break
     return report

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import IDENTITY, TreeAutomorphism, invert_word, power_by_squaring, reduced_product
+from .core import IDENTITY, invert_word, power_by_squaring, reduced_product
 
 MAX_NESTING = 100
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[*^()\[\],]))")
@@ -197,8 +197,3 @@ def parse_word_factors(text, names):
         inv=invert_word,
     )
     return evaluate(text, ops, set(names) | {IDENTITY})
-
-
-def parse_group_word(text, automaton):
-    """Word expression -> TreeAutomorphism over the automaton's states."""
-    return TreeAutomorphism(automaton, parse_word_factors(text, set(automaton.states)))

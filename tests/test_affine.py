@@ -62,7 +62,7 @@ def test_model_maps_match_the_action_on_level_12(bs13):
         for s, (alpha, beta) in maps.items():
             image = alpha * x + beta
             expect = image.numerator * pow(image.denominator, -1, 2 ** level) % 2 ** level
-            assert value(aut.act_word(((s, 1),), v)) == expect, (s, v)
+            assert value(aut.walk(((s, 1),), v)[0]) == expect, (s, v)
 
 
 def test_model_agrees_with_the_closure_search(bs13):
@@ -93,7 +93,7 @@ def test_model_agrees_with_the_closure_search(bs13):
     assert verdicts == [oracle.word_is_trivial(w) for w in words]
     assert len(words) >= 400 and 100 <= sum(verdicts) < len(words)
     assert all(aut.word_is_trivial(w) for w in conjugated)
-    fixing = [w for w, v in zip(words, verdicts) if not v and aut.root_perm(w) == (0, 1)]
+    fixing = [w for w, v in zip(words, verdicts) if not v and aut.split(w)[0] == (0, 1)]
     assert len(fixing) >= 10
     assert not aut._trivial and not aut._nontrivial      # the model leaves the memos alone
 

@@ -52,7 +52,7 @@ def test_grig_alpha_matches_sections():
     word = (("a", 1),)
     for n in range(1, 13):
         word = sigma.apply_word(word)
-        section = aut.section_word(word, (0,))
+        section = aut.walk(word, (0,))[1]
         alpha = grig_alpha(n)
         alpha_inv = tuple((c, -1) for c in reversed(alpha)) if alpha != "1" else ()
         assert aut.word_is_trivial(aut.reduce(section + alpha_inv)), n

@@ -24,6 +24,7 @@ from arboreal.core import (
 )
 from arboreal.levels import level_perm, vertex_index
 from arboreal.lifting import GgsVector, ggs_lifting
+from arboreal.words import WordSyntaxError
 
 from free_words import free_reduce
 
@@ -95,6 +96,44 @@ def test_parse_wreath_spec_errors():
         parse_wreath_spec("a=(1,1)(1;2)")
     with pytest.raises(WreathSpecError, match=r"^bad permutation part '\[a,b\]'$"):
         parse_wreath_spec("a=(1,1)[a,b]")
+    with pytest.raises(WreathSpecError, match=r"^bad permutation part '\(1,2\]'$"):
+        parse_wreath_spec("a=(1,1)(1,2]")           # a cycle that never closes
+    with pytest.raises(WreathSpecError, match="^alphabet needs at least 2 letters, got 1$"):
+        parse_wreath_spec("a=(a)")
+
+
+FUZZ_SPECS = ("a=(1,1)(1,2),b=(a,c),c=(a,d),d=(1,b)", "a=(1,1)[1,0],b=(a^-1,b)",
+              "a=(a,1,1)(2,3),b=(1,b,1)(1,3),c=(1,1,c)(1,2)")
+FUZZ_ELEMENTS = ("(1,a)(1,2)", "(a*c,1)[1,0]", "(ad)^2", "[b,b^a]*c^-1", "((a*c))^-1")
+
+
+def _mutate(rng, text):
+    """One to three seeded edits: insert a character, delete one, or truncate."""
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randint(0, len(text)), rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice("()[],=^*-123abcdq ;") + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_parser_fuzz_raises_only_parser_errors(grig):
+    """Mutated specs, tuples and bracketed words parse or raise a parser error, never a bare
+    ValueError such as str.index's "substring not found"."""
+    rng = random.Random(2000)
+    leaks = []
+    for k in range(2000):
+        text = _mutate(rng, rng.choice(FUZZ_ELEMENTS if k % 2 else FUZZ_SPECS))
+        try:
+            parse_elements([text], grig.automaton) if k % 2 else parse_wreath_spec(text)
+        except (WreathSpecError, WordSyntaxError):
+            pass
+        except Exception as exc:
+            leaks.append((text, f"{type(exc).__name__}: {exc}"))
+    assert not leaks, leaks[:5]
 
 
 def test_act_examples(grig):
@@ -219,13 +258,13 @@ def test_is_trivial_agrees_with_action():
             word = aut.reduce([(rng.choice(names), rng.choice((1, -1)))
                                for _ in range(rng.randint(0, 10))])
             if aut.word_is_trivial(word):
-                assert all(aut.act_word(word, v) == v for v in window)
+                assert all(aut.walk(word, v)[0] == v for v in window)
             else:
-                moved = any(aut.act_word(word, v) != v for v in window)
+                moved = any(aut.walk(word, v)[0] != v for v in window)
                 level = depth
                 while not moved and level < depth + 8:
                     level += 1
-                    moved = any(aut.act_word(word, v) != v
+                    moved = any(aut.walk(word, v)[0] != v
                                 for v in _words(aut.size, level))
                 assert moved, (entry.id, word)
 
@@ -315,6 +354,8 @@ def test_parse_elements_tells_bracketed_words_from_tuples(grig):
     assert set(ext.states) == set(aut.states) | {"q0"}
     with pytest.raises(WreathSpecError, match="expected 2 sections, got 3"):
         parse_elements(["(a,b,c)"], aut)
+    with pytest.raises(WreathSpecError, match=r"^bad permutation part '\(1,2'$"):
+        parse_elements(["(1,a)(1,2"], aut)
 
 
 def test_fmt_word_runs():
@@ -605,7 +646,6 @@ def test_walk_split_root_perm_and_level_perm_match_the_rules(name):
             word = word[:2] + (f, (f[0], -1)) + word[2:]
         perm, sections = _rule_split(aut, word)
         assert aut.split(word) == (perm, tuple(sections)), (name, word)
-        assert aut.root_perm(word) == perm, (name, word)
         for _ in range(4):
             v = tuple(rng.randrange(d) for _ in range(rng.randint(0, 6)))
             assert aut.walk(word, v) == _rule_walk(aut, word, v), (name, word, v)

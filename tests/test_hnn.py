@@ -145,8 +145,8 @@ def test_lifting_shortcut(gid, sigma_name):
         k = rng.randrange(5)
         r = rng.randrange(k + 1)
         w = tuple(rng.randrange(d) for _ in range(rng.randrange(6)))
-        assert aut.act_word(action.sigma_word(g, k), (i,) * r + w) == \
-            (i,) * r + aut.act_word(action.sigma_word(g, k - r), w)
+        assert aut.walk(action.sigma.apply_power(g, k), (i,) * r + w)[0] == \
+            (i,) * r + aut.walk(action.sigma.apply_power(g, k - r), w)[0]
 
 
 @pytest.mark.parametrize("gid, sigma_name", [
@@ -164,7 +164,7 @@ def test_act_sigma_matches_materialized_word(gid, sigma_name):
                 g = tuple((rng.choice(entry.generators), rng.choice((1, -1)))
                           for _ in range(rng.randrange(4)))
                 w = tuple(rng.randrange(d) for _ in range(n))
-                assert _act_sigma(action, g, k, w) == aut.act_word(action.sigma_word(g, k), w)
+                assert _act_sigma(action, g, k, w) == aut.walk(action.sigma.apply_power(g, k), w)[0]
 
 
 def _materialized_window(e, offset, digits, action):
@@ -173,8 +173,8 @@ def _materialized_window(e, offset, digits, action):
     offset += e.tneg
     if offset > 1:
         digits, offset = (action.letter,) * (offset - 1) + digits, 1
-    word = action.sigma_word(e.word, 1 - offset)
-    return offset - e.tpos, action.automaton.act_word(word, digits)
+    word = action.sigma.apply_power(e.word, 1 - offset)
+    return offset - e.tpos, action.automaton.walk(word, digits)[0]
 
 
 @pytest.mark.parametrize("gid, sigma_name", [
@@ -479,11 +479,11 @@ def test_stabilizer_projection_conjugate_of_d(grig_action):
     # t^-1 d t stabilizes Lambda and projects to pi_1(d) = b
     entry = cat.get("grigorchuk")
     aut, d, i = entry.automaton, entry.element("d").word, (grig_action.letter,)
-    assert aut.act_word(d, i) == i
+    assert aut.walk(d, i)[0] == i
     e = grig_action.element(d, 1, 1)
     lam = UnrootedVertex(0, ())
     assert theta_apply(e, lam, grig_action) == lam
-    projection = aut.section_word(d, i)
+    projection = aut.walk(d, i)[1]
     assert entry.element("b").same_action(aut.element(projection))
     # theta(e) theta(b)^-1 lies in the kernel of the projection, to depth 5
     residual = hnn_multiply(e, hnn_inverse(grig_action.element(projection)), grig_action)
@@ -495,12 +495,12 @@ def test_theta_portrait_periodic_column(grig_action):
     top = theta_portrait(entry.element("b"), grig_action, up=3, down=3)
     # sections at the spine vertices cycle b -> d -> c with period 3
     aut = entry.automaton
-    assert top.same_action(aut.element(grig_action.sigma_word(entry.element("b").word, 3)))
+    assert top.same_action(aut.element(grig_action.sigma.apply_power(entry.element("b").word, 3)))
     spine_labels = {}
     for v in json.loads("".join(portrait_text(top, 6, "json", copy=3))):
         word = parse_vertex(v["vertex"].partition(":")[2])
         if set(word) <= {1}:
-            sec = aut.element(aut.section_word(top.word, word))
+            sec = aut.element(aut.walk(top.word, word)[1])
             for name in "bcd":
                 if sec.same_action(entry.elements()[name]):
                     spine_labels[v["level"]] = name
@@ -595,7 +595,7 @@ def _walked_mismatch(word, action, copies, length):
     """sigma_mismatch by walking sigma^m(word), written out, from the root for every window."""
     apply, aut = hnn.theta_map(action.element(word), action), action.automaton
     for m in range(copies + 1):
-        written = aut._pack(action.sigma_word(word, m))
+        written = aut._pack(action.sigma.apply_power(word, m))
         for n in range(length + 1):
             for w in itertools.product(range(aut.size), repeat=n):
                 if apply(1 - m, w) != (1 - m, aut._walk(written, w)[0]):

@@ -23,6 +23,7 @@ from arboreal.lifting import (
 
 from free_words import free_reduce
 import relator_certificate as reference
+from witness_oracle import frontier_witnesses
 
 
 def test_check_lifting_grigorchuk():
@@ -64,7 +65,7 @@ def test_bs13_sigma_section_verified_exactly():
     entry = cat.get("bs13")
     aut = entry.automaton
     image = entry.sigma().image("c")
-    section = aut.section_word(image, (0,))
+    section = aut.walk(image, (0,))[1]
     assert fmt_word(section) != "c"  # syntactically it is a*b^-1*a
     assert aut.word_is_trivial(aut.reduce(section + (("c", -1),)))
 
@@ -275,7 +276,7 @@ def test_ggs_sigma_composability():
         word = ((name, 1),)
         for n in range(1, 5):
             word = built.sigma.apply_word(word)
-            assert built.automaton.act_word(word, (0,) * n) == (0,) * n
+            assert built.automaton.walk(word, (0,) * n)[0] == (0,) * n
 
 
 def test_sigma_composability_catalog():
@@ -288,7 +289,7 @@ def test_sigma_composability_catalog():
                 word = ((gen, 1),)
                 for n in range(1, 7):
                     word = sigma.apply_word(word)
-                    assert entry.automaton.act_word(word, (i,) * n) == (i,) * n
+                    assert entry.automaton.walk(word, (i,) * n)[0] == (i,) * n
 
 
 def test_pi_i_sigma_is_identity_at_action_level():
@@ -303,7 +304,7 @@ def test_pi_i_sigma_is_identity_at_action_level():
             image = sigma.image(gen)
             for n in range(depth + 1):
                 for w in itertools.product(range(aut.size), repeat=n):
-                    assert aut.act_word(image, (i,) + w) == (i,) + aut.act_word(((gen, 1),), w)
+                    assert aut.walk(image, (i,) + w)[0] == (i,) + aut.walk(((gen, 1),), w)[0]
 
 
 def test_witnesses_grigorchuk_sigma():
@@ -320,6 +321,20 @@ def test_witnesses_lamplighter():
     assert report.ok
     assert fmt_word(report.witnesses["a"]) == "b"
     assert fmt_word(report.witnesses["b"]) == "a^-1*b*a"
+
+
+WITNESS_CASES = [(gid, letter, bound) for gid, entry in sorted(cat.catalog().items())
+                 for letter in range(entry.automaton.size)
+                 for bound in range(5 if entry.automaton.size < 5 else 4)]
+
+
+@pytest.mark.parametrize("gid,letter,bound", WITNESS_CASES)
+def test_witness_search_matches_the_frontier_oracle(gid, letter, bound):
+    """The product enumeration finds the frontier search's witnesses and sources."""
+    gens = cat.get(gid).elements()
+    want = frontier_witnesses(gens, letter, bound)
+    got = self_replicating_witnesses(gens, letter, bound)
+    assert (got.witnesses, got.source) == (want.witnesses, want.source)
 
 
 def test_witnesses_search_without_sigma():

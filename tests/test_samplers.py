@@ -3,7 +3,7 @@
 `checks._random_hnn` builds a random HNN element in normal form from the
 heights of its letters, with each sigma power read from a table; it is
 replayed here against the per-letter product, draw for draw, on the same
-seeds, and the table against `ScaleAction.sigma_word`.  The lamplighter core lemma, decided
+seeds, and the table against `Substitution.apply_power`.  The lamplighter core lemma, decided
 exactly by `catalog.lamplighter_core_gap_check`, is sampled here on
 random words in its generators, each word kept as an int of lamp bits and
 replayed against the products of `lamplighter_oracle`.
@@ -64,7 +64,7 @@ def test_random_hnn_matches_the_per_letter_products(group, sigma):
         assert fast.random() == slow.random()
     # the table holds sigma^j(s^e) itself, whatever call filled it
     for (s, e, j), image in powers.items():
-        assert image == action.sigma_word(((s, e),), j), (group, sigma, s, e, j)
+        assert image == action.sigma.apply_power(((s, e),), j), (group, sigma, s, e, j)
 
 
 class _Recording(random.Random):
@@ -99,7 +99,7 @@ def test_random_hnn_lowers_every_height_by_the_lowest(seed):
     assert min(heights[:first]) < 0 and min(heights[first:]) < min(heights[:first])
     assert e.tneg == -min(heights) and e.tpos == heights[-1] - min(heights)
     assert e == by_products
-    assert powers and all(image == action.sigma_word(((s, x),), j)
+    assert powers and all(image == action.sigma.apply_power(((s, x),), j)
                           for (s, x, j), image in powers.items())
 
 

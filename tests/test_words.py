@@ -186,10 +186,10 @@ def _hnn_multiply_full(e1, e2, action):
     """The extension's product with the whole middle word reduced again."""
     if e1.tpos >= e2.tneg:
         k = e1.tpos - e2.tneg
-        word = free_reduce(e1.word + action.sigma_word(e2.word, k))
+        word = free_reduce(e1.word + action.sigma.apply_power(e2.word, k))
         return HnnElement(e1.tneg, word, k + e2.tpos)
     k = e2.tneg - e1.tpos
-    word = free_reduce(action.sigma_word(e1.word, k) + e2.word)
+    word = free_reduce(action.sigma.apply_power(e1.word, k) + e2.word)
     return HnnElement(e1.tneg + k, word, e2.tpos)
 
 

@@ -47,7 +47,11 @@ The corpus is what a behaviour-preserving change must leave alone:
   `run spine --group grigorchuk --depth 8`;
 - `run lifting` on `WRONG_B`, Grigorchuk's catalog lifting with
   b -> d*a*d*a and the catalog presentation: a lifting that is not an
-  endomorphism, so sigma differs from phi and the certificate fails.
+  endomorphism, so sigma differs from phi and the certificate fails;
+- `run perm-order --level 2` on each bare wreath-spec file of `BAD_SPECS`,
+  usage errors that pin the spec parser's messages (an unknown section
+  name, a permutation part that is not integers, a wrong arity and a
+  cycle that never closes).
   The specs are written into a temporary directory, and their argv names
   the file alone.
 
@@ -114,6 +118,7 @@ WRONG_B = {"id": "grigorchuk-wrong-b", "wreath": "a=(1,1)(1,2),b=(a,c),c=(a,d),d
            "presentation": {"fixed": ["a^2", "b^2", "c^2", "d^2", "b*c*d"],
                             "iterated": ["(a*d)^4", "(a*d*a*c*a*c)^4"],
                             "phi": {"a": "a*c*a", "b": "d", "c": "b", "d": "c"}}}
+BAD_SPECS = ("a=(1,zz)(1,2)", "a=(1,1)(1;2)", "a=(1,1)(1,2),b=(a,a,a)", "a=(1,1)(1,2]")
 AFFINE_REJECTED = {**AFFINE_3_2, "id": "affine32x",
                    "affine": {"relabel": [[0, 1, 2]],
                               "maps": {"a": ["1", "1"], "m0": ["2", "0"], "m1": ["2", "0"]}}}
@@ -190,11 +195,12 @@ def corpus():
         chain = os.path.join(tmp, "chain200.json")
         affine, rejected = os.path.join(tmp, "affine32.json"), os.path.join(tmp, "affine32x.json")
         wrong = os.path.join(tmp, "wrong_b.json")
+        bad = {os.path.join(tmp, f"bad{k}.spec"): text for k, text in enumerate(BAD_SPECS)}
         specs = {spec: PRIME_257, hanoi: HANOI, chain: CHAIN_200, affine: AFFINE_3_2,
-                 rejected: AFFINE_REJECTED, wrong: WRONG_B}
+                 rejected: AFFINE_REJECTED, wrong: WRONG_B, **bad}
         for path, data in specs.items():
             with open(path, "w") as fh:
-                json.dump(data, fh)
+                fh.write(data) if isinstance(data, str) else json.dump(data, fh)
         calls += [["perm-group-on-level", "--spec", spec, "--level", "1", "--format", "json"],
                   ["run", "perm-order", "--spec", spec, "--level", "1", "--format", "json"]]
         calls += [["perm-group-on-level", "--spec", hanoi, "--level", str(level),
@@ -207,6 +213,7 @@ def corpus():
             ["two-transitivity"], ["perm-order", "--level", "3"], ["lifting"], ["spine"])]
         calls.append(["run", "lifting", "--spec", rejected, "--format", "json"])
         calls.append(["run", "lifting", "--spec", wrong, "--format", "json"])
+        calls += [["run", "perm-order", "--spec", path, "--level", "2"] for path in bad]
         results = [_call(argv) for argv in calls]
     for result in results:  # the temporary directory is not part of the behaviour
         result["argv"] = [os.path.basename(a) if a in specs else a
